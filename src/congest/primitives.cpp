@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "src/congest/trace.h"
 #include "src/graph/splitmix.h"
@@ -29,6 +32,20 @@ std::vector<std::vector<int>> intra_cluster_ports(
     }
   }
   return ports;
+}
+
+// Hop rounds are stored in 32 bits (TokenHop::round). A gather whose budget
+// — `runs` network runs of at most `run_rounds` rounds each — could pass
+// INT32_MAX is rejected before it starts, so a recorded round never wraps.
+void check_round_budget(const char* gather, std::int64_t run_rounds,
+                        std::int64_t runs = 1) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  if (run_rounds > kMax ||
+      runs > kMax / std::max<std::int64_t>(1, run_rounds)) {
+    throw std::invalid_argument(std::string(gather) +
+                                ": round budget exceeds INT32_MAX, the range "
+                                "of the 32-bit hop log");
+  }
 }
 
 // --- Leader election ----------------------------------------------------------
@@ -200,81 +217,70 @@ class PeelAlgo final : public VertexAlgorithm {
 
 // --- Random-walk gather -----------------------------------------------------------
 
+// Tokens wait and travel in wire form, [id, payload...]: an arrival is copied
+// into the held list as it is, and a hop moves the held buffer into the
+// outgoing message. Both fit a WordBuffer's inline storage, the held and kept
+// lists swap every round and the port loads are a member, so once the lists
+// reach their working size a hop allocates nothing (DESIGN.md §19).
 class WalkAlgo final : public VertexAlgorithm {
  public:
-  struct Token {
-    std::int64_t id = -1;
-    std::vector<std::int64_t> payload;
-  };
-
   WalkAlgo(const std::vector<int>* intra, bool is_leader,
-           std::vector<Token> initial_tokens, std::uint64_t seed,
+           std::vector<WordBuffer> initial_tokens, std::uint64_t seed,
            int bandwidth, std::vector<TokenTrace>* traces)
       : intra_(intra),
         is_leader_(is_leader),
         rng_(seed),
         bandwidth_(bandwidth),
-        traces_(traces) {
-    for (auto& t : initial_tokens) held_.push_back(std::move(t));
-  }
+        traces_(traces),
+        held_(std::move(initial_tokens)),
+        port_load_(intra->size(), 0) {}
 
   void round(Context& ctx) override {
     started_ = true;
     sent_ = false;
     for (int p : *intra_) {
-      for (const Message& m : ctx.inbox(p)) {
-        Token t;
-        t.id = m.words[0];
-        t.payload.assign(m.words.begin() + 1, m.words.end());
-        held_.push_back(std::move(t));
-      }
+      for (const Message& m : ctx.inbox(p)) held_.push_back(m.words);
     }
     if (is_leader_) {
-      for (auto& t : held_) absorbed_.push_back(std::move(t));
+      for (WordBuffer& t : held_) absorbed_.push_back(std::move(t));
       held_.clear();
       return;
     }
     if (held_.empty() || intra_->empty()) return;
     // Lazy step per token, subject to the per-edge budget; blocked tokens
-    // simply retry next round.
-    std::vector<int> port_load(intra_->size(), 0);
+    // simply retry next round. RNG draws follow the held order: last
+    // round's kept tokens, then arrivals in port and inbox order.
+    std::fill(port_load_.begin(), port_load_.end(), 0);
     std::uniform_int_distribution<std::size_t> pick(0, intra_->size() - 1);
     std::bernoulli_distribution lazy(0.5);
-    std::deque<Token> keep;
-    while (!held_.empty()) {
-      Token t = std::move(held_.front());
-      held_.pop_front();
+    kept_.clear();
+    for (WordBuffer& t : held_) {
       if (lazy(rng_)) {
-        keep.push_back(std::move(t));
+        kept_.push_back(std::move(t));
         continue;
       }
       const std::size_t i = pick(rng_);
-      if (port_load[i] >= bandwidth_) {
-        keep.push_back(std::move(t));
+      if (port_load_[i] >= bandwidth_) {
+        kept_.push_back(std::move(t));
         continue;
       }
-      ++port_load[i];
+      ++port_load_[i];
       sent_ = true;
+      const int port = (*intra_)[i];
       // Local bookkeeping for the reversed delivery (§2.2): the trace
       // records which way the token went and when.
-      TokenTrace& trace = (*traces_)[t.id];
-      trace.visited.push_back(ctx.neighbor((*intra_)[i]));
-      trace.hop_round.push_back(ctx.round());
-      Message m;
-      m.tag = kTagWalkToken;
-      m.words.reserve(t.payload.size() + 1);
-      m.words.push_back(t.id);
-      m.words.insert(m.words.end(), t.payload.begin(), t.payload.end());
-      ctx.send((*intra_)[i], std::move(m));
+      (*traces_)[static_cast<std::size_t>(t[0])].hops.push_back(
+          {ctx.neighbor(port), static_cast<std::int32_t>(ctx.round())});
+      ctx.send(port, Message{std::move(t), kTagWalkToken});
     }
-    held_ = std::move(keep);
+    held_.swap(kept_);
   }
 
   bool finished() const override {
     return started_ && held_.empty() && !sent_;
   }
 
-  std::vector<Token>& absorbed() { return absorbed_; }
+  std::vector<WordBuffer>& absorbed() { return absorbed_; }
 
  private:
   const std::vector<int>* intra_;
@@ -284,8 +290,10 @@ class WalkAlgo final : public VertexAlgorithm {
   std::vector<TokenTrace>* traces_;
   bool started_ = false;
   bool sent_ = false;
-  std::deque<Token> held_;
-  std::vector<Token> absorbed_;
+  std::vector<WordBuffer> held_;
+  std::vector<WordBuffer> kept_;
+  std::vector<int> port_load_;  // per intra index, this round
+  std::vector<WordBuffer> absorbed_;
 };
 
 // --- Reliable random-walk gather (DESIGN.md §12) ---------------------------------
@@ -425,9 +433,9 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       // The hop is recorded once, at first transmission; retransmissions
       // re-send the identical hop, so the trace stays a faithful record of
       // the path and reverse_delivery remains routable.
-      TokenTrace& trace = (*traces_)[t.id];
-      trace.visited.push_back(ctx.neighbor((*intra_)[i]));
-      trace.hop_round.push_back(base_round_ + r);
+      (*traces_)[t.id].hops.push_back(
+          {ctx.neighbor((*intra_)[i]),
+           static_cast<std::int32_t>(base_round_ + r)});
       ctx.send((*intra_)[i], token_message(packed, t.payload));
       unacked_.push_back(Pending{packed, std::move(t.payload),
                                  static_cast<int>(i), r});
@@ -785,8 +793,10 @@ GatherResult random_walk_gather(const Graph& g,
                                 const std::vector<std::vector<GatherToken>>& tokens,
                                 const GatherOptions& options) {
   TRACE_SPAN(options.net.trace, "walk_gather");
+  check_round_budget("random_walk_gather", options.net.max_rounds);
   const auto intra = intra_cluster_ports(g, cluster_of);
   GatherResult result;
+  result.bandwidth_tokens = options.net.bandwidth_tokens;
   std::int64_t expected = 0;
   for (const auto& list : tokens) expected += static_cast<std::int64_t>(list.size());
   result.traces.reserve(expected);
@@ -794,17 +804,13 @@ GatherResult random_walk_gather(const Graph& g,
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<WalkAlgo*> typed(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    std::vector<WalkAlgo::Token> initial;
+    std::vector<WordBuffer> initial;
+    initial.reserve(tokens[v].size());
     for (const GatherToken& t : tokens[v]) {
-      WalkAlgo::Token tok;
-      tok.id = static_cast<std::int64_t>(result.traces.size());
-      tok.payload = t.payload;
-      initial.push_back(std::move(tok));
-      TokenTrace trace;
-      trace.origin = v;
-      trace.cluster = cluster_of[v];
-      trace.visited = {v};
-      result.traces.push_back(std::move(trace));
+      WordBuffer wire{static_cast<std::int64_t>(result.traces.size())};
+      wire.insert(wire.end(), t.payload.begin(), t.payload.end());
+      initial.push_back(std::move(wire));
+      result.traces.push_back({v, cluster_of[v], {}});
     }
     auto a = std::make_unique<WalkAlgo>(
         &intra[v], leader_of[v] == v, std::move(initial),
@@ -826,9 +832,9 @@ GatherResult random_walk_gather(const Graph& g,
     received += static_cast<std::int64_t>(absorbed.size());
     auto& payloads = result.delivered[cluster_of[v]];
     auto& ids = result.delivered_ids[cluster_of[v]];
-    for (auto& t : absorbed) {
-      ids.push_back(t.id);
-      payloads.push_back(std::move(t.payload));
+    for (const WordBuffer& t : absorbed) {
+      ids.push_back(t[0]);
+      payloads.emplace_back(t.begin() + 1, t.end());
     }
   }
   result.complete = (received == expected);
@@ -848,9 +854,17 @@ ReliableGatherResult reliable_walk_gather(
       base_plan.delay_probability > 0.0 ? base_plan.max_delay_rounds : 0;
   const int timeout =
       options.ack_timeout > 0 ? options.ack_timeout : 4 + 2 * delay_span;
+  // Each epoch runs at most one re-election plus one epoch network run. The
+  // first check keeps the sum in the second from overflowing.
+  check_round_budget("reliable_walk_gather", options.net.max_rounds);
+  check_round_budget(
+      "reliable_walk_gather",
+      options.net.max_rounds + options.epoch_rounds + delay_span + 8,
+      options.max_epochs);
 
   ReliableGatherResult result;
   GatherResult& gather = result.gather;
+  gather.bandwidth_tokens = options.net.bandwidth_tokens;
 
   // Host-side token table: the authoritative record of where every token
   // is. Tokens in flight or stranded when an epoch ends are re-seeded at
@@ -867,11 +881,7 @@ ReliableGatherResult reliable_walk_gather(
       ts.origin = v;
       ts.payload = t.payload;
       toks.push_back(std::move(ts));
-      TokenTrace trace;
-      trace.origin = v;
-      trace.cluster = cluster_of[v];
-      trace.visited = {v};
-      gather.traces.push_back(std::move(trace));
+      gather.traces.push_back({v, cluster_of[v], {}});
     }
   }
 
@@ -924,8 +934,7 @@ ReliableGatherResult reliable_walk_gather(
           // whose origin itself crash-stopped is orphaned instead — no live
           // vertex is responsible for re-introducing it, so it drops out of
           // the completeness contract rather than wedging it.
-          gather.traces[id].visited = {ts.origin};
-          gather.traces[id].hop_round.clear();
+          gather.traces[id].hops.clear();
         }
       }
     }
@@ -1069,38 +1078,74 @@ ReliableGatherResult reliable_walk_gather(
 
 ReverseDeliveryResult reverse_delivery(
     int num_vertices, const GatherResult& gather,
-    const std::vector<std::vector<std::int64_t>>& reply, int bandwidth) {
+    const std::vector<std::vector<std::int64_t>>& reply) {
   ReverseDeliveryResult result;
   result.received.resize(num_vertices);
-  const std::int64_t horizon = gather.stats.rounds;
+  result.load_ok = true;
+  const std::int64_t horizon = std::max<std::int64_t>(0, gather.stats.rounds);
+  const auto replied = [&](std::size_t id) {
+    return id < reply.size() && !reply[id].empty();
+  };
   // The hop taken at forward round r is traversed backwards at round
   // horizon - 1 - r: strictly increasing forward times become strictly
   // increasing reverse times along the reversed path, and the per-edge
-  // per-round load is the mirror image of the forward run.
-  std::unordered_map<std::uint64_t, int> load;
-  auto hop_key = [&](VertexId from, VertexId to, std::int64_t round) {
-    return (static_cast<std::uint64_t>(round) << 40) ^
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 20) ^
-           static_cast<std::uint32_t>(to);
-  };
-  result.load_ok = true;
+  // per-round load is the mirror image of the forward run. A hop outside
+  // [0, horizon) has no mirror round, so the schedule fails the check.
+  //
+  // Counting sort by reverse round R: start[R + 1] first counts R's hops;
+  // prefix sums then make start[R] the first slot of R's bucket.
+  std::vector<std::size_t> start(static_cast<std::size_t>(horizon) + 1, 0);
   for (std::size_t id = 0; id < gather.traces.size(); ++id) {
-    if (id >= reply.size() || reply[id].empty()) continue;  // no reply due
+    if (!replied(id)) continue;  // no reply due
     const TokenTrace& trace = gather.traces[id];
-    for (std::size_t h = 0; h < trace.hop_round.size(); ++h) {
-      const std::int64_t reverse_round = horizon - 1 - trace.hop_round[h];
-      if (reverse_round < 0) result.load_ok = false;
-      // Reverse hop: visited[h+1] -> visited[h].
-      const int l = ++load[hop_key(trace.visited[h + 1], trace.visited[h],
-                                   reverse_round)];
-      if (l > bandwidth) result.load_ok = false;
-      ++result.stats.messages_sent;
-      result.stats.words_sent +=
-          static_cast<std::int64_t>(reply[id].size()) + 1;
-      result.stats.max_edge_load = std::max(result.stats.max_edge_load, l);
-      result.stats.rounds = std::max(result.stats.rounds, reverse_round + 1);
+    const auto hops = static_cast<std::int64_t>(trace.hops.size());
+    result.stats.messages_sent += hops;
+    result.stats.words_sent +=
+        hops * (static_cast<std::int64_t>(reply[id].size()) + 1);
+    for (const TokenHop& hop : trace.hops) {
+      result.stats.rounds = std::max(result.stats.rounds, horizon - hop.round);
+      if (hop.round < 0 || hop.round >= horizon) {
+        result.load_ok = false;
+        continue;
+      }
+      ++start[static_cast<std::size_t>(horizon - hop.round)];
     }
     result.received[trace.origin].push_back(reply[id]);
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  // One key per reverse hop: the full 32-bit (from, to) pair, so distinct
+  // directed edges never share a counter. A hop's forward sender is the
+  // previous hop's `to`, or the origin for the first hop.
+  std::vector<std::uint64_t> edge(start.back());
+  for (std::size_t id = 0; id < gather.traces.size(); ++id) {
+    if (!replied(id)) continue;
+    const TokenTrace& trace = gather.traces[id];
+    VertexId from = trace.origin;
+    for (const TokenHop& hop : trace.hops) {
+      if (hop.round >= 0 && hop.round < horizon) {
+        // Reverse hop: hop.to -> from.
+        edge[start[static_cast<std::size_t>(horizon - 1 - hop.round)]++] =
+            (std::uint64_t{static_cast<std::uint32_t>(hop.to)} << 32) |
+            static_cast<std::uint32_t>(from);
+      }
+      from = hop.to;
+    }
+  }
+  // Placement advanced start[R] to the end of R's bucket. Sorting a round's
+  // keys puts each directed edge's hops in one run: its load that round.
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r + 1 < start.size(); ++r) {
+    const std::size_t end = start[r];
+    std::sort(edge.begin() + begin, edge.begin() + end);
+    for (std::size_t i = begin; i < end;) {
+      std::size_t j = i + 1;
+      while (j < end && edge[j] == edge[i]) ++j;
+      const int load = static_cast<int>(j - i);
+      result.stats.max_edge_load = std::max(result.stats.max_edge_load, load);
+      if (load > gather.bandwidth_tokens) result.load_ok = false;
+      i = j;
+    }
+    begin = end;
   }
   return result;
 }

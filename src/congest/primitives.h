@@ -62,7 +62,7 @@ OrientationResult orient_cluster_edges(const graph::Graph& g,
 
 struct GatherToken {
   graph::VertexId origin = graph::kInvalidVertex;
-  std::vector<std::int64_t> payload;  // <= kMaxMessageWords - 0 words
+  std::vector<std::int64_t> payload;  // <= kMaxMessageWords - 1 words (+ id)
 };
 
 struct GatherOptions {
@@ -70,15 +70,24 @@ struct GatherOptions {
   std::uint64_t seed = 1;
 };
 
-// Forward walk of one token: the visited vertices (origin first) and, per
-// hop, the round it happened. Kept as *local bookkeeping*: every vertex on
-// the path remembers which way it forwarded the token, which is what makes
-// the reversed delivery below routable — no path ever travels in a message.
+// One hop of a forward walk: the vertex the token moved to and the round it
+// moved in. The hop's sender is not stored — it is the previous hop's `to`
+// (the origin for the first hop) — so a hop costs 8 bytes of trace.
+struct TokenHop {
+  graph::VertexId to = graph::kInvalidVertex;
+  std::int32_t round = -1;
+  friend bool operator==(const TokenHop&, const TokenHop&) = default;
+};
+static_assert(sizeof(TokenHop) == 8);
+
+// Forward walk of one token, origin -> ... -> leader. Kept as *local
+// bookkeeping*: every vertex on the path remembers which way it forwarded
+// the token, which is what makes the reversed delivery below routable — no
+// path ever travels in a message.
 struct TokenTrace {
   graph::VertexId origin = graph::kInvalidVertex;
   int cluster = -1;
-  std::vector<graph::VertexId> visited;  // origin ... leader
-  std::vector<std::int64_t> hop_round;   // round of each hop (size-1 entries)
+  std::vector<TokenHop> hops;  // empty when the origin is its own leader
 };
 
 struct GatherResult {
@@ -89,12 +98,16 @@ struct GatherResult {
   // Trace per token id (global numbering across all origins).
   std::vector<TokenTrace> traces;
   bool complete = false;  // all tokens absorbed before max_rounds
+  // Per-edge, per-round token budget the forward walk ran under; the
+  // reversed delivery is verified against it.
+  int bandwidth_tokens = 1;
   RunStats stats;
 };
 // Routes each token from its origin to the origin's cluster leader by lazy
 // random walks; tokens queue when an edge's per-round budget is full (the
 // paper instead batches O(log n) messages per edge into O(log n) rounds —
-// the same total work, measured here directly).
+// the same total work, measured here directly). Hop rounds are stored in 32
+// bits: a net.max_rounds above INT32_MAX throws std::invalid_argument.
 GatherResult random_walk_gather(const graph::Graph& g,
                                 const std::vector<int>& cluster_of,
                                 const std::vector<graph::VertexId>& leader_of,
@@ -143,6 +156,8 @@ struct ReliableGatherResult {
 // recorded traces stay valid for reverse_delivery. Crash-stopped leaders
 // are replaced by host-orchestrated re-election between epochs; tokens
 // stranded at crashed or given-up walkers restart from their origins.
+// Throws std::invalid_argument when max_epochs x (net.max_rounds +
+// epoch_rounds + delay span + 8) could pass INT32_MAX (32-bit hop rounds).
 ReliableGatherResult reliable_walk_gather(
     const graph::Graph& g, const std::vector<int>& cluster_of,
     const std::vector<graph::VertexId>& leader_of,
@@ -179,10 +194,11 @@ struct ReverseDeliveryResult {
 // origin by replaying the recorded forward schedule in reverse: the hop
 // taken at forward round r is traversed backwards at round T - r, so
 // per-edge congestion is identical to the forward run and the delivery
-// takes exactly as many rounds. `bandwidth` is verified, not assumed.
+// takes exactly as many rounds. The forward budget `gather.bandwidth_tokens`
+// is verified, not assumed, in O(hops + rounds) time.
 ReverseDeliveryResult reverse_delivery(
     int num_vertices, const GatherResult& gather,
-    const std::vector<std::vector<std::int64_t>>& reply, int bandwidth);
+    const std::vector<std::vector<std::int64_t>>& reply);
 
 // --- Deterministic tree gather (the Lemma 2.5 role) ----------------------------
 

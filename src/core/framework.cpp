@@ -261,13 +261,10 @@ std::int64_t return_results(Partition& partition,
   for (std::size_t v = 0; v < per_vertex_word.size(); ++v) {
     reply[partition.hello_token_of[v]] = {per_vertex_word[v]};
   }
-  // Mirror the forward bandwidth so the verification is apples-to-apples.
-  const int bandwidth = std::max(
-      1, static_cast<int>(std::ceil(std::log2(
-             std::max(2, static_cast<int>(per_vertex_word.size()))))));
+  // Checked against the budget the forward walk actually ran under
+  // (GatherResult::bandwidth_tokens), walk_bandwidth included.
   const auto delivery = congest::reverse_delivery(
-      static_cast<int>(per_vertex_word.size()), partition.gather, reply,
-      bandwidth);
+      static_cast<int>(per_vertex_word.size()), partition.gather, reply);
   if (!delivery.load_ok) {
     throw std::logic_error("reverse delivery violated the edge budget");
   }

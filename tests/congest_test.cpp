@@ -300,7 +300,7 @@ TEST(ReverseDelivery, RepliesFollowRecordedPathsBackwards) {
   for (std::size_t id = 0; id < gather.traces.size(); ++id) {
     reply[id] = {1000 + gather.traces[id].origin};
   }
-  const auto r = reverse_delivery(g.num_vertices(), gather, reply, 3);
+  const auto r = reverse_delivery(g.num_vertices(), gather, reply);
   EXPECT_TRUE(r.load_ok);
   EXPECT_LE(r.stats.rounds, gather.stats.rounds);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -328,7 +328,7 @@ TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
   ASSERT_TRUE(gather.complete);
   std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
   reply[0] = {7};  // only token 0 gets a reply
-  const auto r = reverse_delivery(g.num_vertices(), gather, reply, 4);
+  const auto r = reverse_delivery(g.num_vertices(), gather, reply);
   EXPECT_TRUE(r.load_ok);
   int delivered = 0;
   for (const auto& per_vertex : r.received) {
@@ -336,6 +336,66 @@ TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
   }
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(r.received[gather.traces[0].origin][0][0], 7);
+}
+
+// The replaced check keyed its load map by (round << 40) ^ (from << 20) ^ to,
+// so distinct directed edges aliased once a vertex id reached 2^20: the
+// reverse hops (1 -> 0) and (0 -> 2^20) in one round read as load 2.
+TEST(ReverseDelivery, DistinctEdgesDoNotAliasPastTwoToTheTwenty) {
+  constexpr VertexId kFar = VertexId{1} << 20;
+  GatherResult gather;
+  gather.stats.rounds = 1;
+  gather.bandwidth_tokens = 1;
+  // Token 0 walks 0 -> 1, token 1 walks kFar -> 0, both in round 0.
+  gather.traces = {{0, 0, {{1, 0}}}, {kFar, 0, {{0, 0}}}};
+  const auto r = reverse_delivery(kFar + 1, gather, {{7}, {8}});
+  EXPECT_TRUE(r.load_ok);
+  EXPECT_EQ(r.stats.max_edge_load, 1);
+  EXPECT_EQ(r.stats.messages_sent, 2);
+  EXPECT_EQ(r.received[0][0][0], 7);
+  EXPECT_EQ(r.received[kFar][0][0], 8);
+}
+
+TEST(ReverseDelivery, SameEdgeOverloadStillFails) {
+  GatherResult gather;
+  gather.stats.rounds = 1;
+  gather.bandwidth_tokens = 1;
+  // Two tokens walk 0 -> 1 in round 0: both reverse hops are (1 -> 0).
+  gather.traces = {{0, 0, {{1, 0}}}, {0, 0, {{1, 0}}}};
+  const auto r = reverse_delivery(2, gather, {{7}, {8}});
+  EXPECT_FALSE(r.load_ok);
+  EXPECT_EQ(r.stats.max_edge_load, 2);
+}
+
+TEST(ReverseDelivery, HopOutsideTheForwardHorizonFails) {
+  GatherResult gather;
+  gather.stats.rounds = 1;
+  gather.traces = {{0, 0, {{1, 1}}}};  // round 1 has no mirror in 1 round
+  EXPECT_FALSE(reverse_delivery(2, gather, {{7}}).load_ok);
+}
+
+// Hop rounds are 32-bit, so a round budget past INT32_MAX is refused up
+// front instead of wrapping mid-run; INT32_MAX itself is accepted.
+TEST(Gather, RejectsRoundBudgetPastInt32) {
+  const Graph g = graph::grid(3, 3);
+  const auto cluster = single_cluster(g);
+  const auto leaders = elect_cluster_leaders(g, cluster);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) tokens[v].push_back({v, {v}});
+  GatherOptions opt;
+  opt.net.max_rounds = std::int64_t{1} << 31;
+  EXPECT_THROW(random_walk_gather(g, cluster, leaders.leader_of, tokens, opt),
+               std::invalid_argument);
+  ReliableGatherOptions ropt;
+  ropt.max_epochs = 2000;  // 2000 x (2M + 520) rounds > INT32_MAX
+  EXPECT_THROW(
+      reliable_walk_gather(g, cluster, leaders.leader_of, tokens, ropt),
+      std::invalid_argument);
+  opt.net.max_rounds = (std::int64_t{1} << 31) - 1;
+  opt.net.bandwidth_tokens = 2;
+  const auto r = random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.bandwidth_tokens, 2);
 }
 
 TEST(TreeGather, DeliversAllTokensDeterministically) {
@@ -547,6 +607,35 @@ TEST(Integration, PrimitivesAreBitIdenticalUnderParallelExecution) {
   EXPECT_EQ(par_orient.owned, serial_orient.owned);
   EXPECT_EQ(par_orient.max_out_degree, serial_orient.max_out_degree);
   EXPECT_EQ(par_orient.stats.messages_sent, serial_orient.stats.messages_sent);
+
+  // The walk gather pins the schedule itself, not just its totals: same
+  // delivered ids and payloads, same hop log for every token. The sparse
+  // fast path is off so every round of the 4-thread run is sharded.
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v].push_back({v, {v, 3 * v}});
+  }
+  GatherOptions serial_gopt;
+  serial_gopt.net.bandwidth_tokens = 3;
+  GatherOptions par_gopt = serial_gopt;
+  par_gopt.net.num_threads = 4;
+  par_gopt.net.sparse_serial_threshold = 0;
+  const auto serial_gather = random_walk_gather(
+      g, cluster, serial_leaders.leader_of, tokens, serial_gopt);
+  const auto par_gather = random_walk_gather(
+      g, cluster, serial_leaders.leader_of, tokens, par_gopt);
+  ASSERT_TRUE(serial_gather.complete);
+  EXPECT_EQ(par_gather.delivered_ids, serial_gather.delivered_ids);
+  EXPECT_EQ(par_gather.delivered, serial_gather.delivered);
+  ASSERT_EQ(par_gather.traces.size(), serial_gather.traces.size());
+  for (std::size_t id = 0; id < serial_gather.traces.size(); ++id) {
+    EXPECT_TRUE(par_gather.traces[id].hops == serial_gather.traces[id].hops)
+        << "token " << id;
+  }
+  EXPECT_EQ(par_gather.stats.rounds, serial_gather.stats.rounds);
+  EXPECT_EQ(par_gather.stats.messages_sent, serial_gather.stats.messages_sent);
+  EXPECT_EQ(par_gather.stats.words_sent, serial_gather.stats.words_sent);
+  EXPECT_EQ(par_gather.stats.max_edge_load, serial_gather.stats.max_edge_load);
 }
 
 TEST(Integration, PrimitivesOnDecomposedGrid) {

@@ -102,13 +102,13 @@ TEST(CrossModule, GatherIsDeterministicGivenSeed) {
   EXPECT_EQ(r1.stats.messages_sent, r2.stats.messages_sent);
   ASSERT_EQ(r1.traces.size(), r2.traces.size());
   for (std::size_t i = 0; i < r1.traces.size(); ++i) {
-    EXPECT_EQ(r1.traces[i].visited, r2.traces[i].visited);
+    EXPECT_TRUE(r1.traces[i].hops == r2.traces[i].hops);
   }
 }
 
-// The walk-gather traces must be *consistent walks*: consecutive visited
-// vertices adjacent, hop rounds strictly increasing, and ending at the
-// leader.
+// The walk-gather traces must be *consistent walks*: each hop along an edge
+// from the previous vertex, hop rounds strictly increasing, and ending at
+// the leader.
 TEST(CrossModule, GatherTracesAreValidWalks) {
   Rng rng(5);
   Graph g = graph::random_maximal_planar(60, rng);
@@ -124,13 +124,13 @@ TEST(CrossModule, GatherTracesAreValidWalks) {
                                              tokens, opt);
   ASSERT_TRUE(r.complete);
   for (const auto& trace : r.traces) {
-    ASSERT_GE(trace.visited.size(), 1u);
-    EXPECT_EQ(trace.visited.size(), trace.hop_round.size() + 1);
-    for (std::size_t h = 0; h + 1 < trace.visited.size(); ++h) {
-      EXPECT_TRUE(g.has_edge(trace.visited[h], trace.visited[h + 1]));
-      if (h > 0) EXPECT_GT(trace.hop_round[h], trace.hop_round[h - 1]);
+    VertexId at = trace.origin;
+    for (std::size_t h = 0; h < trace.hops.size(); ++h) {
+      EXPECT_TRUE(g.has_edge(at, trace.hops[h].to));
+      if (h > 0) EXPECT_GT(trace.hops[h].round, trace.hops[h - 1].round);
+      at = trace.hops[h].to;
     }
-    EXPECT_EQ(trace.visited.back(), leaders.leader_of[trace.origin]);
+    EXPECT_EQ(at, leaders.leader_of[trace.origin]);
   }
 }
 

@@ -2,7 +2,11 @@
 // 1-token-per-edge CONGEST bandwidth, and cross-run determinism.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/core/correlation.h"
+#include "src/core/framework.h"
 #include "src/core/ldd.h"
 #include "src/core/mis.h"
 #include "src/graph/generators.h"
@@ -43,6 +47,38 @@ TEST(EndToEnd, StrictUnitBandwidthStillCompletes) {
   batched.walk_bandwidth = 0;  // ceil(log2 n)
   const auto pb = partition_and_gather(g, 0.3, batched);
   ASSERT_TRUE(pb.gather_complete);
+}
+
+// return_results checks the reverse schedule against the budget the walk
+// ran under (GatherResult::bandwidth_tokens), not a recomputed ceil(log2 n):
+// two replied hops sharing an edge-round overload a walk_bandwidth = 1 run.
+TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
+  Rng rng(1);
+  Graph g = graph::random_maximal_planar(80, rng);
+  FrameworkOptions opt;
+  opt.walk_bandwidth = 1;
+  Partition p = partition_and_gather(g, 0.3, opt);
+  ASSERT_TRUE(p.gather_complete);
+  std::vector<std::int64_t> words(g.num_vertices());
+  for (int v = 0; v < g.num_vertices(); ++v) words[v] = 100 + v;
+  EXPECT_NO_THROW(return_results(p, words, "return"));
+  // Give another registration token the hop log of one with at least two
+  // hops: every hop after the first then carries both replies in one round.
+  const auto& hello = p.hello_token_of;
+  int a = -1;
+  for (int v = 0; v < g.num_vertices() && a < 0; ++v) {
+    if (p.gather.traces[hello[v]].hops.size() >= 2) a = v;
+  }
+  ASSERT_GE(a, 0);
+  const int b = a == 0 ? 1 : 0;
+  p.gather.traces[hello[b]].hops = p.gather.traces[hello[a]].hops;
+  try {
+    return_results(p, words, "return");
+    ADD_FAILURE() << "a load-2 edge-round passed a bandwidth-1 check";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("edge budget"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EndToEnd, MisDeterministicAcrossRuns) {

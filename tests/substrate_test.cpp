@@ -861,6 +861,31 @@ void expect_tag(const MetricsCollector& mc, int tag, std::int64_t msgs,
   EXPECT_EQ(mc.tag_stats().at(tag).words, words) << "tag " << tag;
 }
 
+// FNV-1a over a walk gather's schedule: every cluster's delivered ids in
+// delivery order, then every token's hop log (to, round) in token order.
+std::uint64_t gather_schedule_hash(const GatherResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t word) {
+    const auto u = static_cast<std::uint64_t>(word);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& ids : r.delivered_ids) {
+    mix(static_cast<std::int64_t>(ids.size()));
+    for (const std::int64_t id : ids) mix(id);
+  }
+  for (const TokenTrace& t : r.traces) {
+    mix(static_cast<std::int64_t>(t.hops.size()));
+    for (const TokenHop& hop : t.hops) {
+      mix(hop.to);
+      mix(hop.round);
+    }
+  }
+  return h;
+}
+
 // Every number below was recorded by running this exact workload on the
 // pre-arena simulator (per-vertex vector mailboxes, commit 85a25a5). The
 // arena rewrite must reproduce RunStats and every trace aggregate exactly —
@@ -896,6 +921,10 @@ void run_parity_workload(NetworkOptions net) {
       random_walk_gather(g, cluster, leaders.leader_of, tokens, gopt);
   expect_stats(gather.stats, 134, 575, 1725, 2);
   EXPECT_TRUE(gather.complete);
+  // Recorded on the per-token-vector gather (visited + hop_round traces)
+  // that preceded the wire-form data path: equal totals could hide a
+  // reordering of tokens or RNG draws, equal schedules cannot.
+  EXPECT_EQ(gather_schedule_hash(gather), 0xbd528c3b7323f4d9ULL);
 
   const auto tg =
       tree_gather(g, cluster, leaders.leader_of, tree.parent, tokens, net);
