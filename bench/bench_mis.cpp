@@ -8,6 +8,14 @@
 //   luby        Luby maximal IS size
 //   luby_ratio  luby / exact
 //   measured_rounds / modeled_rounds  the two ledger columns
+//
+// BM_MisExact is the gated leader-solve row (DESIGN.md §20): the exact
+// branch and bound alone on the perfbench mis-tri cluster shape, a
+// 500-vertex triangulation, run to its full node budget.
+//   nodes_per_sec   search nodes per wall-clock second (budget / time)
+//   allocs_per_run  heap allocations per search: set-up only, so constant
+#define ECD_BENCH_COUNT_ALLOCS 1
+
 #include "bench/bench_util.h"
 #include "src/baselines/luby_mis.h"
 #include "src/core/mis.h"
@@ -66,6 +74,42 @@ void MisArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_Mis)->Apply(MisArgs)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+void BM_MisExact(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::int64_t budget = state.range(1);
+  graph::Rng rng(1);
+  const graph::Graph g = graph::random_maximal_planar(n, rng);
+
+  std::int64_t searches = 0;
+  std::int64_t allocs = 0;
+  for (auto _ : state) {
+    const bench::AllocScope scope;
+    const auto found = seq::max_independent_set_exact(g, budget);
+    allocs += scope.delta();
+    ++searches;
+    // A finished search would time fewer nodes than the budget it reports.
+    if (found.has_value()) {
+      state.SkipWithError("search finished within its node budget");
+      return;
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.counters["n"] = n;
+  state.counters["budget"] = static_cast<double>(budget);
+  state.counters["nodes_per_sec"] = benchmark::Counter(
+      static_cast<double>(searches * budget), benchmark::Counter::kIsRate);
+  if (bench::alloc_hooks_installed()) {
+    state.counters["allocs_per_run"] =
+        static_cast<double>(allocs) / static_cast<double>(searches);
+  }
+}
+
+BENCHMARK(BM_MisExact)
+    ->ArgNames({"n", "budget"})
+    ->Args({500, 400'000})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

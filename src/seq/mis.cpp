@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace ecd::seq {
 
@@ -11,52 +12,123 @@ using graph::VertexId;
 
 namespace {
 
-// Branch-and-bound state over a shrinking "alive" vertex set.
+// Branch-and-bound state over a shrinking "alive" vertex set (DESIGN.md §20).
+// Every removed vertex goes on one undo trail; a frame notes the trail's size
+// and restores LIFO down to it. All storage is sized here, so a search node
+// allocates nothing.
 class MisSearch {
  public:
   MisSearch(const Graph& g, std::int64_t node_budget)
-      : g_(g), budget_(node_budget), alive_(g.num_vertices(), true),
-        degree_(g.num_vertices()) {
-    for (VertexId v = 0; v < g.num_vertices(); ++v) degree_[v] = g.degree(v);
-    alive_count_ = g.num_vertices();
+      : g_(g), n_(g.num_vertices()), budget_(node_budget),
+        alive_((static_cast<std::size_t>(n_) + 63) / 64),
+        low_(alive_.size()), degree_(n_), alive_count_(n_) {
+    for (VertexId v = 0; v < n_; ++v) {
+      degree_[v] = g.degree(v);
+      set(alive_, v);
+      if (degree_[v] <= 1) set(low_, v);
+    }
+    trail_.reserve(n_);
+    current_.reserve(n_);
+    best_.reserve(n_);
   }
 
   std::optional<std::vector<VertexId>> run() {
-    best_.clear();
-    current_.clear();
-    ok_ = true;
     recurse();
     if (!ok_) return std::nullopt;
-    return best_;
+    return std::move(best_);
   }
 
  private:
-  void remove_vertex(VertexId v, std::vector<VertexId>& log) {
-    alive_[v] = false;
+  using Bits = std::vector<std::uint64_t>;
+
+  static bool test(const Bits& b, VertexId v) {
+    return (b[v >> 6] >> (v & 63)) & 1;
+  }
+  static void set(Bits& b, VertexId v) {
+    b[v >> 6] |= std::uint64_t{1} << (v & 63);
+  }
+  static void clear(Bits& b, VertexId v) {
+    b[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+  }
+
+  // First set bit of `b` at or after `from`, or n_ if there is none.
+  VertexId next_set(const Bits& b, VertexId from) const {
+    if (from >= n_) return n_;
+    std::size_t w = static_cast<std::size_t>(from) >> 6;
+    std::uint64_t word = b[w] & (~std::uint64_t{0} << (from & 63));
+    while (word == 0) {
+      if (++w == b.size()) return n_;
+      word = b[w];
+    }
+    return static_cast<VertexId>(w * 64 + std::countr_zero(word));
+  }
+
+  void remove_vertex(VertexId v) {
+    clear(alive_, v);
+    clear(low_, v);
     --alive_count_;
-    log.push_back(v);
+    trail_.push_back(v);
     for (VertexId u : g_.neighbors(v)) {
-      if (alive_[u]) --degree_[u];
+      if (test(alive_, u) && --degree_[u] == 1) set(low_, u);
     }
   }
 
-  void restore(const std::vector<VertexId>& log) {
-    for (auto it = log.rbegin(); it != log.rend(); ++it) {
-      const VertexId v = *it;
-      alive_[v] = true;
+  // A dead vertex's degree stays frozen at its value on removal, which is
+  // again its residual degree once every later removal is undone.
+  void restore(std::size_t mark) {
+    while (trail_.size() > mark) {
+      const VertexId v = trail_.back();
+      trail_.pop_back();
+      set(alive_, v);
       ++alive_count_;
+      if (degree_[v] <= 1) set(low_, v);
       for (VertexId u : g_.neighbors(v)) {
-        if (alive_[u]) ++degree_[u];
+        if (test(alive_, u) && ++degree_[u] == 2) clear(low_, u);
       }
     }
   }
 
-  void take_vertex(VertexId v, std::vector<VertexId>& log) {
+  void take_vertex(VertexId v) {
     current_.push_back(v);
-    remove_vertex(v, log);
+    remove_vertex(v);
     for (VertexId u : g_.neighbors(v)) {
-      if (alive_[u]) remove_vertex(u, log);
+      if (test(alive_, u)) remove_vertex(u);
     }
+  }
+
+  // Degree-0 and degree-1 vertices can always be taken. Takes them in the
+  // order of repeated 0..n-1 passes: resume after the last take, and start
+  // over from 0 only after a pass that took something.
+  void reduce() {
+    bool took = false;
+    for (VertexId from = 0;;) {
+      const VertexId v = next_set(low_, from);
+      if (v == n_) {
+        if (!took) return;
+        took = false;
+        from = 0;
+        continue;
+      }
+      take_vertex(v);
+      took = true;
+      from = v + 1;
+    }
+  }
+
+  // Maximum residual degree, lowest id on ties.
+  VertexId max_degree_vertex() const {
+    VertexId pivot = graph::kInvalidVertex;
+    int pivot_deg = -1;
+    for (std::size_t w = 0; w < alive_.size(); ++w) {
+      for (std::uint64_t bits = alive_[w]; bits != 0; bits &= bits - 1) {
+        const auto v = static_cast<VertexId>(w * 64 + std::countr_zero(bits));
+        if (degree_[v] > pivot_deg) {
+          pivot_deg = degree_[v];
+          pivot = v;
+        }
+      }
+    }
+    return pivot;
   }
 
   void recurse() {
@@ -68,56 +140,39 @@ class MisSearch {
     // Trivial upper bound: everything still alive joins the set.
     if (current_.size() + alive_count_ <= best_.size()) return;
 
-    // Reductions: degree-0 and degree-1 vertices can always be taken.
-    std::vector<VertexId> log;
-    std::size_t taken_marker = current_.size();
-    bool reduced = true;
-    while (reduced) {
-      reduced = false;
-      for (VertexId v = 0; v < g_.num_vertices(); ++v) {
-        if (alive_[v] && degree_[v] <= 1) {
-          take_vertex(v, log);
-          reduced = true;
-        }
-      }
-    }
+    const std::size_t mark = trail_.size();
+    const std::size_t taken_marker = current_.size();
+    reduce();
     if (alive_count_ == 0) {
       if (current_.size() > best_.size()) best_ = current_;
     } else if (current_.size() + alive_count_ > best_.size()) {
-      // Branch on a maximum-residual-degree vertex.
-      VertexId pivot = graph::kInvalidVertex;
-      int pivot_deg = -1;
-      for (VertexId v = 0; v < g_.num_vertices(); ++v) {
-        if (alive_[v] && degree_[v] > pivot_deg) {
-          pivot_deg = degree_[v];
-          pivot = v;
-        }
-      }
-      {
-        std::vector<VertexId> branch_log;
-        take_vertex(pivot, branch_log);
-        recurse();
-        restore(branch_log);
-        current_.resize(current_.size() - 1);
-      }
-      {
-        std::vector<VertexId> branch_log;
-        remove_vertex(pivot, branch_log);
-        recurse();
-        restore(branch_log);
-      }
+      // Branch on the pivot: take it, then drop it.
+      const VertexId pivot = max_degree_vertex();
+      const std::size_t branch_mark = trail_.size();
+      take_vertex(pivot);
+      recurse();
+      restore(branch_mark);
+      current_.pop_back();
+      remove_vertex(pivot);
+      recurse();
+      restore(branch_mark);
     } else if (current_.size() > best_.size()) {
       best_ = current_;
     }
-    restore(log);
+    restore(mark);
     current_.resize(taken_marker);
   }
 
   const Graph& g_;
+  const int n_;
   std::int64_t budget_;
-  std::vector<bool> alive_;
+  Bits alive_;
+  // The reduction candidates: exactly the alive vertices with degree_ <= 1,
+  // kept so by every removal and restore.
+  Bits low_;
   std::vector<int> degree_;
-  int alive_count_ = 0;
+  std::size_t alive_count_;
+  std::vector<VertexId> trail_;  // removed vertices, in removal order
   std::vector<VertexId> current_;
   std::vector<VertexId> best_;
   bool ok_ = true;

@@ -16,8 +16,11 @@
 namespace ecd::seq {
 
 // Exact maximum independent set via branch and bound with degree-0/1
-// reductions. Returns std::nullopt if the search exceeds `node_budget`
-// branch nodes.
+// reductions. `node_budget` counts search nodes: every recursive call,
+// including one the bound prunes at once. Returns std::nullopt if the search
+// needs more than `node_budget` of them. A node reads O(n/64) words per
+// reduction pass and O(n/64 + alive) for the pivot, plus the degree updates
+// of the vertices it removes, and allocates nothing (DESIGN.md §20).
 std::optional<std::vector<graph::VertexId>> max_independent_set_exact(
     const graph::Graph& g, std::int64_t node_budget = 4'000'000);
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
@@ -61,6 +64,194 @@ TEST(ExactMis, BudgetExhaustionReturnsNullopt) {
   Rng rng(3);
   const Graph g = graph::random_regular(40, 8, rng);
   EXPECT_FALSE(max_independent_set_exact(g, 5).has_value());
+}
+
+// The pre-bitset branch and bound, kept verbatim as the oracle for the search
+// order (DESIGN.md §20): std::vector<bool> state, a full 0..n-1 scan per
+// reduction pass and per pivot, and a log vector per frame. The only addition
+// is nodes_used(), the number of search nodes a finished run took.
+class ReferenceMisSearch {
+ public:
+  ReferenceMisSearch(const Graph& g, std::int64_t node_budget)
+      : g_(g), budget_(node_budget), initial_budget_(node_budget),
+        alive_(g.num_vertices(), true), degree_(g.num_vertices()) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) degree_[v] = g.degree(v);
+    alive_count_ = g.num_vertices();
+  }
+
+  std::optional<std::vector<VertexId>> run() {
+    best_.clear();
+    current_.clear();
+    ok_ = true;
+    recurse();
+    if (!ok_) return std::nullopt;
+    return best_;
+  }
+
+  std::int64_t nodes_used() const { return initial_budget_ - budget_; }
+
+ private:
+  void remove_vertex(VertexId v, std::vector<VertexId>& log) {
+    alive_[v] = false;
+    --alive_count_;
+    log.push_back(v);
+    for (VertexId u : g_.neighbors(v)) {
+      if (alive_[u]) --degree_[u];
+    }
+  }
+
+  void restore(const std::vector<VertexId>& log) {
+    for (auto it = log.rbegin(); it != log.rend(); ++it) {
+      const VertexId v = *it;
+      alive_[v] = true;
+      ++alive_count_;
+      for (VertexId u : g_.neighbors(v)) {
+        if (alive_[u]) ++degree_[u];
+      }
+    }
+  }
+
+  void take_vertex(VertexId v, std::vector<VertexId>& log) {
+    current_.push_back(v);
+    remove_vertex(v, log);
+    for (VertexId u : g_.neighbors(v)) {
+      if (alive_[u]) remove_vertex(u, log);
+    }
+  }
+
+  void recurse() {
+    if (!ok_) return;
+    if (--budget_ < 0) {
+      ok_ = false;
+      return;
+    }
+    // Trivial upper bound: everything still alive joins the set.
+    if (current_.size() + alive_count_ <= best_.size()) return;
+
+    // Reductions: degree-0 and degree-1 vertices can always be taken.
+    std::vector<VertexId> log;
+    std::size_t taken_marker = current_.size();
+    bool reduced = true;
+    while (reduced) {
+      reduced = false;
+      for (VertexId v = 0; v < g_.num_vertices(); ++v) {
+        if (alive_[v] && degree_[v] <= 1) {
+          take_vertex(v, log);
+          reduced = true;
+        }
+      }
+    }
+    if (alive_count_ == 0) {
+      if (current_.size() > best_.size()) best_ = current_;
+    } else if (current_.size() + alive_count_ > best_.size()) {
+      // Branch on a maximum-residual-degree vertex.
+      VertexId pivot = graph::kInvalidVertex;
+      int pivot_deg = -1;
+      for (VertexId v = 0; v < g_.num_vertices(); ++v) {
+        if (alive_[v] && degree_[v] > pivot_deg) {
+          pivot_deg = degree_[v];
+          pivot = v;
+        }
+      }
+      {
+        std::vector<VertexId> branch_log;
+        take_vertex(pivot, branch_log);
+        recurse();
+        restore(branch_log);
+        current_.resize(current_.size() - 1);
+      }
+      {
+        std::vector<VertexId> branch_log;
+        remove_vertex(pivot, branch_log);
+        recurse();
+        restore(branch_log);
+      }
+    } else if (current_.size() > best_.size()) {
+      best_ = current_;
+    }
+    restore(log);
+    current_.resize(taken_marker);
+  }
+
+  const Graph& g_;
+  std::int64_t budget_;
+  const std::int64_t initial_budget_;
+  std::vector<bool> alive_;
+  std::vector<int> degree_;
+  int alive_count_ = 0;
+  std::vector<VertexId> current_;
+  std::vector<VertexId> best_;
+  bool ok_ = true;
+};
+
+// Pins the search node for node: with N = the reference's node count, the
+// solver must return the reference's vector, order included, at budget N and
+// run out at N - 1.
+void ExpectSameSearchAsReference(const Graph& g, const std::string& label) {
+  ReferenceMisSearch reference(g, 4'000'000);
+  const auto expected = reference.run();
+  ASSERT_TRUE(expected.has_value()) << label;
+  const std::int64_t nodes = reference.nodes_used();
+  const auto got = max_independent_set_exact(g, nodes);
+  ASSERT_TRUE(got.has_value()) << label << ": " << nodes << " nodes";
+  EXPECT_EQ(*got, *expected) << label;
+  EXPECT_FALSE(max_independent_set_exact(g, nodes - 1).has_value())
+      << label << ": " << nodes << " nodes";
+}
+
+TEST(ExactMis, SameSearchAsReferenceAtBitsetWordEdges) {
+  Rng rng(15);
+  ExpectSameSearchAsReference(Graph::from_edges(0, {}), "n=0");
+  for (const int n : {1, 2, 63, 64, 65, 127, 128, 129}) {
+    const std::string at = " n=" + std::to_string(n);
+    ExpectSameSearchAsReference(
+        graph::erdos_renyi(n, n > 2 ? 3.0 / n : 0.5, rng), "erdos_renyi" + at);
+    ExpectSameSearchAsReference(graph::random_tree(n, rng), "tree" + at);
+    if (n < 3) continue;
+    ExpectSameSearchAsReference(graph::random_outerplanar(n, rng),
+                                "outerplanar" + at);
+    ExpectSameSearchAsReference(graph::random_planar(n, 2 * n, rng),
+                                "random_planar" + at);
+    if (n <= 65) {
+      ExpectSameSearchAsReference(graph::random_maximal_planar(n, rng),
+                                  "triangulation" + at);
+    }
+  }
+}
+
+TEST(ExactMis, SameSearchAsReferenceOnFamilies) {
+  Rng rng(16);
+  for (int n = 40; n <= 157; n += 9) {
+    ExpectSameSearchAsReference(graph::random_maximal_planar(n, rng),
+                                "triangulation n=" + std::to_string(n));
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    ExpectSameSearchAsReference(graph::random_planar(120, 240, rng),
+                                "random_planar 120");
+    ExpectSameSearchAsReference(graph::random_tree(200, rng), "tree 200");
+    ExpectSameSearchAsReference(graph::random_outerplanar(100, rng),
+                                "outerplanar 100");
+    ExpectSameSearchAsReference(graph::erdos_renyi(60, 0.08, rng),
+                                "erdos_renyi 60");
+  }
+  for (const int side : {5, 8, 12}) {
+    ExpectSameSearchAsReference(graph::grid(side, side),
+                                "grid " + std::to_string(side));
+  }
+  ExpectSameSearchAsReference(graph::star(100), "star 100");
+  ExpectSameSearchAsReference(graph::complete(30), "complete 30");
+  ExpectSameSearchAsReference(graph::complete_bipartite(20, 30),
+                              "complete_bipartite 20 30");
+}
+
+// The perfbench mis-tri shape: a 500-vertex triangulation that exhausts a
+// 400k-node budget under both searches.
+TEST(ExactMis, ExhaustsLikeReferenceOnLargeTriangulation) {
+  Rng rng(1);
+  const Graph g = graph::random_maximal_planar(500, rng);
+  ReferenceMisSearch reference(g, 400'000);
+  EXPECT_FALSE(reference.run().has_value());
+  EXPECT_FALSE(max_independent_set_exact(g, 400'000).has_value());
 }
 
 TEST(GreedyMis, MeetsDensityLowerBound) {

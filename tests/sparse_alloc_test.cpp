@@ -23,6 +23,7 @@
 #include "src/congest/trace.h"
 #include "src/core/sweep.h"
 #include "src/graph/generators.h"
+#include "src/seq/mis.h"
 
 // --- Counting allocation hooks ----------------------------------------------
 // Same replacement pattern as profiler_test.cpp / bench_util.h: one TU per
@@ -243,6 +244,25 @@ TEST(SparseAlloc, WalkGatherAllocatesFarLessThanOncePerMessage) {
             0.1)
       << allocs << " allocations for " << r.stats.messages_sent
       << " messages";
+}
+
+// The leader's exact MIS search (DESIGN.md §20) sizes its bitsets, degree
+// array, undo trail and current/best sets before the first node, so a search
+// node allocates nothing: a 400k-node search makes exactly as many
+// allocations as a 100k-node one.
+TEST(SparseAlloc, ExactMisSearchAllocatesOnlyAtSetup) {
+  graph::Rng rng(1);
+  const Graph g = graph::random_maximal_planar(500, rng);
+  std::vector<std::int64_t> allocs;
+  for (const std::int64_t budget : {100'000, 400'000}) {
+    const std::int64_t before = allocation_count();
+    const bool finished = seq::max_independent_set_exact(g, budget).has_value();
+    allocs.push_back(allocation_count() - before);
+    // Running out means the search used its whole budget of nodes.
+    EXPECT_FALSE(finished) << "budget " << budget;
+  }
+  EXPECT_EQ(allocs[0], allocs[1]);
+  EXPECT_LE(allocs[1], 16);
 }
 
 }  // namespace
