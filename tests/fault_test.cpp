@@ -81,9 +81,12 @@ struct ChatterOutcome {
 
 ChatterOutcome run_chatter(const Graph& g, const FaultPlan& plan,
                            int num_threads, int rounds = 12,
-                           int bandwidth = 1, int sparse_threshold = 0) {
+                           int bandwidth = 1, int sparse_threshold = 0,
+                           bool enforce_bandwidth = true) {
   NetworkOptions opt;
   opt.bandwidth_tokens = bandwidth;
+  // Off selects the per-port vector mailboxes instead of the slot arena.
+  opt.enforce_bandwidth = enforce_bandwidth;
   opt.num_threads = num_threads;
   opt.faults = plan;
   // These fixtures probe the dispatching round loop: the chatter graphs sit
@@ -116,6 +119,22 @@ void expect_same_outcome(const ChatterOutcome& a, const ChatterOutcome& b) {
   EXPECT_EQ(a.stats.vertices_crashed, b.stats.vertices_crashed);
   EXPECT_EQ(a.digests, b.digests);
   EXPECT_EQ(a.received, b.received);
+}
+
+// FNV-1a over every vertex's digest and received count, in vertex order.
+std::uint64_t outcome_hash(const ChatterOutcome& o) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t v = 0; v < o.digests.size(); ++v) {
+    mix(o.digests[v]);
+    mix(static_cast<std::uint64_t>(o.received[v]));
+  }
+  return h;
 }
 
 FaultPlan mixed_plan() {
@@ -154,6 +173,25 @@ TEST(FaultDeterminism, SparseFallbackIdenticalUnderFaultsAndCrashes) {
   const ChatterOutcome reference =
       run_chatter(g, plan, /*num_threads=*/1);
   EXPECT_EQ(reference.stats.vertices_crashed, 4);
+  // Pinned to the outcome the simulator's former dedicated one-shard loop
+  // produced: the cross-thread comparisons below would miss a change that
+  // hits every thread count alike.
+  EXPECT_EQ(reference.stats.rounds, 15);
+  EXPECT_EQ(reference.stats.messages_sent, 9825);
+  EXPECT_EQ(reference.stats.words_sent, 9825);
+  EXPECT_EQ(reference.stats.max_edge_load, 4);
+  EXPECT_EQ(reference.stats.messages_dropped, 831);
+  EXPECT_EQ(reference.stats.messages_duplicated, 505);
+  EXPECT_EQ(reference.stats.messages_delayed, 756);
+  EXPECT_EQ(outcome_hash(reference), 0xe88a787fc9975f63ULL);
+  for (const int t : {1, 4}) {
+    SCOPED_TRACE(t);
+    // Enforcement off moves the mailboxes (and the fault pass) from the
+    // slot arena to per-port vectors; the outcome must not change.
+    expect_same_outcome(reference,
+                        run_chatter(g, plan, t, 12, 1, /*sparse_threshold=*/0,
+                                    /*enforce_bandwidth=*/false));
+  }
   for (const int t : {1, 2, 4, 8, 16}) {
     SCOPED_TRACE(t);
     // Default threshold (150 vertices < 256): every round falls back.
