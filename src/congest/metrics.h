@@ -2,8 +2,8 @@
 // (DESIGN.md §13 "Metrics registry").
 //
 // The legacy TraceSink (src/congest/trace.h) streams one callback per
-// event, which pins a Network to the serial round loop. This registry is
-// the aggregate-only counterpart: the Network accumulates per-tag traffic,
+// event, replayed on the caller thread at every round barrier. This
+// registry is the aggregate-only counterpart: the Network accumulates per-tag traffic,
 // per-edge high-water marks and causal-depth ("critical path") updates in
 // per-shard, cache-line-padded rows during the round, and reduces them on
 // the orchestrating thread at the existing round barrier — the same

@@ -1,4 +1,4 @@
-// Wall-clock execution profiler for the simulator's round loops
+// Wall-clock execution profiler for the simulator's round loop
 // (DESIGN.md §14).
 //
 // The existing observability layers are deliberately *logical*: TraceSink
@@ -201,7 +201,7 @@ class ExecutionProfiler {
   std::vector<Lane> lanes_;
   int run_shards_ = 1;            // shards of the currently running Network
   std::int64_t run_begin_ts_ = 0;
-  std::int64_t dispatch_ts_ = -1;  // -1 = no dispatch pending (serial loop)
+  std::int64_t dispatch_ts_ = -1;  // -1 = no dispatch pending (inline round)
   std::int64_t global_round_ = 0;
   std::int64_t runs_ = 0;
   std::int64_t wall_ns_ = 0;

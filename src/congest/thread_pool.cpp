@@ -187,7 +187,7 @@ void ThreadPool::dispatch(void (*fn)(void*, int, int), void* ctx, int phases,
   barrier_.arrive_and_wait(round_members_, spin_limit_);
   if (error_count_.load(std::memory_order_acquire) != 0) {
     // Rethrow the lowest-numbered capture — shards are contiguous vertex
-    // ranges, so this is the same exception the serial loop would have hit
+    // ranges, so this is the same exception a one-shard run would have hit
     // first (vertex order).
     for (std::exception_ptr& e : errors_) {
       if (e) {

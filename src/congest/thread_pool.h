@@ -62,7 +62,7 @@ class FlatBarrier {
 // is the fused two-phase variant: fn(shard, 0) on every member shard, one
 // internal barrier, then fn(shard, 1), skipped team-wide when any phase-0
 // invocation threw (the delivery phase of a round must not run over a
-// half-computed round — the serial loop would have aborted before it too).
+// half-computed round — a one-shard run would have aborted before it too).
 //
 // An exception thrown inside a shard is captured, the dispatch still
 // quiesces (every member runs to completion and arrives at the final

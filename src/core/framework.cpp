@@ -121,20 +121,24 @@ Partition partition_and_gather(const Graph& g, double eps,
   }
 
   const auto& cluster_of = out.decomposition.cluster_of;
-  congest::NetworkOptions control_net;  // bandwidth-1 control traffic
-  control_net.trace = options.trace;
-  control_net.trace_config = options.trace_config;
-  control_net.metrics = options.metrics;
-  control_net.profiler = options.profiler;
-  control_net.num_threads = options.num_threads;
-  control_net.sparse_serial_threshold = options.sparse_serial_threshold;
+  // The caller's observers and threading, copied once for every simulated
+  // phase. Control traffic (election, orientation) runs on it as is, at the
+  // default bandwidth of one message per edge per round; the gather derives
+  // its own budget from it below.
+  congest::NetworkOptions base_net;
+  base_net.trace = options.trace;
+  base_net.trace_config = options.trace_config;
+  base_net.metrics = options.metrics;
+  base_net.profiler = options.profiler;
+  base_net.num_threads = options.num_threads;
+  base_net.sparse_serial_threshold = options.sparse_serial_threshold;
 
   // Leader election: the paper elects a maximum-cluster-degree vertex.
   congest::LeaderElectionResult election;
   {
     TRACE_SPAN(options.trace, "phase:election");
     congest::MetricsPhase mphase(options.metrics, "phase:election");
-    election = congest::elect_cluster_leaders(g, cluster_of, control_net);
+    election = congest::elect_cluster_leaders(g, cluster_of, base_net);
   }
   out.leader_of = election.leader_of;
   out.ledger.add_measured("leader election (flooding)", election.stats);
@@ -151,7 +155,7 @@ Partition partition_and_gather(const Graph& g, double eps,
     TRACE_SPAN(options.trace, "phase:orientation");
     congest::MetricsPhase mphase(options.metrics, "phase:orientation");
     orientation =
-        congest::orient_cluster_edges(g, cluster_of, threshold, control_net);
+        congest::orient_cluster_edges(g, cluster_of, threshold, base_net);
   }
   out.ledger.add_measured("edge orientation (Barenboim-Elkin)",
                           orientation.stats);
@@ -179,12 +183,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   }
   GatherOptions gopt;
   gopt.seed = graph::splitmix64(options.seed ^ 0x2545F4914F6CDD1DULL);
-  gopt.net.trace = options.trace;
-  gopt.net.trace_config = options.trace_config;
-  gopt.net.metrics = options.metrics;
-  gopt.net.profiler = options.profiler;
-  gopt.net.num_threads = options.num_threads;
-  gopt.net.sparse_serial_threshold = options.sparse_serial_threshold;
+  gopt.net = base_net;
   gopt.net.bandwidth_tokens =
       options.walk_bandwidth > 0
           ? options.walk_bandwidth

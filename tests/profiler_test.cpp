@@ -220,7 +220,7 @@ TEST(Profiler, SerialRunSummaryIsDegenerate) {
   EXPECT_DOUBLE_EQ(s.achievable_speedup, 1.0);
   ASSERT_EQ(s.shards.size(), 1u);
   EXPECT_DOUBLE_EQ(s.shards[0].busy_share, 1.0);
-  // The serial loop has no dispatch hand-off to measure.
+  // One shard runs every round inline: no dispatch hand-off to measure.
   EXPECT_TRUE(s.dispatch_latency.empty());
 }
 
