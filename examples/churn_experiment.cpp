@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       initial.decomposition.num_clusters,
       initial.decomposition.inter_cluster_edges, g.num_edges(),
       100.0 * initial.decomposition.inter_cluster_edges / g.num_edges(),
-      static_cast<long long>(initial.measured_rounds));
+      static_cast<long long>(initial.stats.rounds));
 
   std::printf("%7s %7s %6s %6s %9s %9s %8s %9s %9s %5s\n", "churn", "events",
               "dirtyC", "dirtyV", "inter%inc", "inter%ful", "min_phi",
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
         100.0 * full.decomposition.inter_cluster_edges / denom,
         min_certified_phi(inc.decomposition.cluster_phi_certified),
         static_cast<long long>(inc.rounds),
-        static_cast<long long>(full.measured_rounds),
+        static_cast<long long>(full.stats.rounds),
         inc.fell_back_to_full ? "yes" : "no");
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <numeric>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -34,9 +33,9 @@ std::vector<std::vector<int>> intra_cluster_ports(
   return ports;
 }
 
-// Hop rounds are stored in 32 bits (TokenHop::round). A gather whose budget
-// — `runs` network runs of at most `run_rounds` rounds each — could pass
-// INT32_MAX is rejected before it starts, so a recorded round never wraps.
+// Hop rounds are 32-bit (TokenHop::round). A gather whose budget — `runs`
+// network runs of at most `run_rounds` rounds each — could pass INT32_MAX
+// is rejected before it starts, so a recorded round never wraps.
 void check_round_budget(const char* gather, std::int64_t run_rounds,
                         std::int64_t runs = 1) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
@@ -44,7 +43,26 @@ void check_round_budget(const char* gather, std::int64_t run_rounds,
       runs > kMax / std::max<std::int64_t>(1, run_rounds)) {
     throw std::invalid_argument(std::string(gather) +
                                 ": round budget exceeds INT32_MAX, the range "
-                                "of the 32-bit hop log");
+                                "of a hop round");
+  }
+}
+
+// LEB128: seven bits a byte, low bits first, high bit set on every byte but
+// the last.
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) {
+    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::uint64_t get_varint(const std::vector<std::uint8_t>& in,
+                         std::size_t& pos) {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const std::uint8_t byte = in[pos++];
+    v |= std::uint64_t{byte & 0x7fu} << shift;
+    if (byte < 0x80) return v;
   }
 }
 
@@ -269,7 +287,7 @@ class WalkAlgo final : public VertexAlgorithm {
       const int port = (*intra_)[i];
       // Local bookkeeping for the reversed delivery (§2.2): the trace
       // records which way the token went and when.
-      (*traces_)[static_cast<std::size_t>(t[0])].hops.push_back(
+      (*traces_)[static_cast<std::size_t>(t[0])].append(
           {ctx.neighbor(port), static_cast<std::int32_t>(ctx.round())});
       ctx.send(port, Message{std::move(t), kTagWalkToken});
     }
@@ -433,9 +451,8 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       // The hop is recorded once, at first transmission; retransmissions
       // re-send the identical hop, so the trace stays a faithful record of
       // the path and reverse_delivery remains routable.
-      (*traces_)[t.id].hops.push_back(
-          {ctx.neighbor((*intra_)[i]),
-           static_cast<std::int32_t>(base_round_ + r)});
+      (*traces_)[t.id].append({ctx.neighbor((*intra_)[i]),
+                               static_cast<std::int32_t>(base_round_ + r)});
       ctx.send((*intra_)[i], token_message(packed, t.payload));
       unacked_.push_back(Pending{packed, std::move(t.payload),
                                  static_cast<int>(i), r});
@@ -706,6 +723,48 @@ class DiameterCheckAlgo final : public VertexAlgorithm {
 
 }  // namespace
 
+// A hop is zig-zag(to − from), so that a short step of either sign takes one
+// byte, then the rounds it waited since the previous hop.
+void TokenTrace::append(TokenHop hop) {
+  if (hop.round <= last_.round) {
+    throw std::invalid_argument("TokenTrace::append: hop rounds must increase");
+  }
+  const VertexId from = hop_count_ == 0 ? origin : last_.to;
+  const std::int64_t step = std::int64_t{hop.to} - from;
+  put_varint(log_, (static_cast<std::uint64_t>(step) << 1) ^
+                       static_cast<std::uint64_t>(step >> 63));
+  put_varint(log_, static_cast<std::uint64_t>(std::int64_t{hop.round} -
+                                              last_.round - 1));
+  last_ = hop;
+  ++hop_count_;
+}
+
+void TokenTrace::clear() {
+  log_.clear();
+  last_ = {};
+  hop_count_ = 0;
+}
+
+std::size_t TokenTrace::decode(std::size_t pos, TokenHop& hop) const {
+  const std::uint64_t zigzag = get_varint(log_, pos);
+  const std::uint64_t step = (zigzag >> 1) ^ (std::uint64_t{0} - (zigzag & 1));
+  hop.to = static_cast<VertexId>(hop.to + static_cast<std::int64_t>(step));
+  const auto wait = static_cast<std::int64_t>(get_varint(log_, pos));
+  hop.round = static_cast<std::int32_t>(hop.round + 1 + wait);
+  return pos;
+}
+
+std::vector<TokenHop> TokenTrace::hops() const {
+  std::vector<TokenHop> out;
+  out.reserve(static_cast<std::size_t>(hop_count_));
+  TokenHop hop{origin, -1};
+  for (std::size_t pos = 0; pos < log_.size();) {
+    pos = decode(pos, hop);
+    out.push_back(hop);
+  }
+  return out;
+}
+
 LeaderElectionResult elect_cluster_leaders(const Graph& g,
                                            const std::vector<int>& cluster_of,
                                            const NetworkOptions& net) {
@@ -810,7 +869,7 @@ GatherResult random_walk_gather(const Graph& g,
       WordBuffer wire{static_cast<std::int64_t>(result.traces.size())};
       wire.insert(wire.end(), t.payload.begin(), t.payload.end());
       initial.push_back(std::move(wire));
-      result.traces.push_back({v, cluster_of[v], {}});
+      result.traces.emplace_back(v, cluster_of[v]);
     }
     auto a = std::make_unique<WalkAlgo>(
         &intra[v], leader_of[v] == v, std::move(initial),
@@ -881,7 +940,7 @@ ReliableGatherResult reliable_walk_gather(
       ts.origin = v;
       ts.payload = t.payload;
       toks.push_back(std::move(ts));
-      gather.traces.push_back({v, cluster_of[v], {}});
+      gather.traces.emplace_back(v, cluster_of[v]);
     }
   }
 
@@ -934,7 +993,7 @@ ReliableGatherResult reliable_walk_gather(
           // whose origin itself crash-stopped is orphaned instead — no live
           // vertex is responsible for re-introducing it, so it drops out of
           // the completeness contract rather than wedging it.
-          gather.traces[id].hops.clear();
+          gather.traces[id].clear();
         }
       }
     }
@@ -1092,60 +1151,73 @@ ReverseDeliveryResult reverse_delivery(
   // per-round load is the mirror image of the forward run. A hop outside
   // [0, horizon) has no mirror round, so the schedule fails the check.
   //
-  // Counting sort by reverse round R: start[R + 1] first counts R's hops;
-  // prefix sums then make start[R] the first slot of R's bucket.
-  std::vector<std::size_t> start(static_cast<std::size_t>(horizon) + 1, 0);
+  // Rounds are visited in forward order; each round's loads are those of
+  // its mirror. A replied token waits, as a cursor into its hop log, in the
+  // bucket of its next hop's round. Reading that hop moves the token on to
+  // the bucket of the hop after it, which is a later round.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  struct Cursor {
+    std::size_t pos = 0;  // log position after `hop`
+    TokenHop hop;         // the token's next hop
+    VertexId from = kInvalidVertex;  // that hop's sender
+    std::size_t next = kNone;        // next token in the same bucket
+  };
+  std::vector<Cursor> cursor(gather.traces.size());
+  std::vector<std::size_t> bucket(static_cast<std::size_t>(horizon), kNone);
+  const auto advance = [&](std::size_t id) {
+    const TokenTrace& trace = gather.traces[id];
+    Cursor& c = cursor[id];
+    if (c.pos == trace.log_size()) return;  // walk done
+    c.from = c.hop.to;
+    c.pos = trace.decode(c.pos, c.hop);
+    if (c.hop.round >= horizon) {
+      result.load_ok = false;
+      return;
+    }
+    c.next = bucket[static_cast<std::size_t>(c.hop.round)];
+    bucket[static_cast<std::size_t>(c.hop.round)] = id;
+  };
   for (std::size_t id = 0; id < gather.traces.size(); ++id) {
     if (!replied(id)) continue;  // no reply due
     const TokenTrace& trace = gather.traces[id];
-    const auto hops = static_cast<std::int64_t>(trace.hops.size());
+    const std::int64_t hops = trace.hop_count();
     result.stats.messages_sent += hops;
     result.stats.words_sent +=
         hops * (static_cast<std::int64_t>(reply[id].size()) + 1);
-    for (const TokenHop& hop : trace.hops) {
-      result.stats.rounds = std::max(result.stats.rounds, horizon - hop.round);
-      if (hop.round < 0 || hop.round >= horizon) {
-        result.load_ok = false;
-        continue;
-      }
-      ++start[static_cast<std::size_t>(horizon - hop.round)];
-    }
     result.received[trace.origin].push_back(reply[id]);
-  }
-  std::partial_sum(start.begin(), start.end(), start.begin());
-  // One key per reverse hop: the full 32-bit (from, to) pair, so distinct
-  // directed edges never share a counter. A hop's forward sender is the
-  // previous hop's `to`, or the origin for the first hop.
-  std::vector<std::uint64_t> edge(start.back());
-  for (std::size_t id = 0; id < gather.traces.size(); ++id) {
-    if (!replied(id)) continue;
-    const TokenTrace& trace = gather.traces[id];
-    VertexId from = trace.origin;
-    for (const TokenHop& hop : trace.hops) {
-      if (hop.round >= 0 && hop.round < horizon) {
-        // Reverse hop: hop.to -> from.
-        edge[start[static_cast<std::size_t>(horizon - 1 - hop.round)]++] =
-            (std::uint64_t{static_cast<std::uint32_t>(hop.to)} << 32) |
-            static_cast<std::uint32_t>(from);
-      }
-      from = hop.to;
+    cursor[id].hop = {trace.origin, -1};
+    advance(id);
+    // The first hop is the earliest, so its mirror is the last reverse round.
+    if (hops > 0) {
+      result.stats.rounds =
+          std::max(result.stats.rounds, horizon - cursor[id].hop.round);
     }
   }
-  // Placement advanced start[R] to the end of R's bucket. Sorting a round's
-  // keys puts each directed edge's hops in one run: its load that round.
-  std::size_t begin = 0;
-  for (std::size_t r = 0; r + 1 < start.size(); ++r) {
-    const std::size_t end = start[r];
-    std::sort(edge.begin() + begin, edge.begin() + end);
-    for (std::size_t i = begin; i < end;) {
+  // One key per reverse hop: the full 32-bit (from, to) pair, so distinct
+  // directed edges never share a counter. Sorting a round's keys puts each
+  // directed edge's hops in one run: its load that round.
+  std::vector<std::uint64_t> edge;
+  for (std::size_t r = 0; r < bucket.size(); ++r) {
+    edge.clear();
+    for (std::size_t id = bucket[r]; id != kNone;) {
+      const Cursor& c = cursor[id];
+      const std::size_t next = c.next;
+      // Reverse hop: c.hop.to -> c.from.
+      edge.push_back(
+          (std::uint64_t{static_cast<std::uint32_t>(c.hop.to)} << 32) |
+          static_cast<std::uint32_t>(c.from));
+      advance(id);
+      id = next;
+    }
+    std::sort(edge.begin(), edge.end());
+    for (std::size_t i = 0; i < edge.size();) {
       std::size_t j = i + 1;
-      while (j < end && edge[j] == edge[i]) ++j;
+      while (j < edge.size() && edge[j] == edge[i]) ++j;
       const int load = static_cast<int>(j - i);
       result.stats.max_edge_load = std::max(result.stats.max_edge_load, load);
       if (load > gather.bandwidth_tokens) result.load_ok = false;
       i = j;
     }
-    begin = end;
   }
   return result;
 }

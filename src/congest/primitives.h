@@ -71,23 +71,53 @@ struct GatherOptions {
 };
 
 // One hop of a forward walk: the vertex the token moved to and the round it
-// moved in. The hop's sender is not stored — it is the previous hop's `to`
-// (the origin for the first hop) — so a hop costs 8 bytes of trace.
+// moved in. The hop's sender is the previous hop's `to` (the origin for the
+// first hop).
 struct TokenHop {
   graph::VertexId to = graph::kInvalidVertex;
   std::int32_t round = -1;
   friend bool operator==(const TokenHop&, const TokenHop&) = default;
 };
-static_assert(sizeof(TokenHop) == 8);
 
 // Forward walk of one token, origin -> ... -> leader. Kept as *local
 // bookkeeping*: every vertex on the path remembers which way it forwarded
 // the token, which is what makes the reversed delivery below routable — no
 // path ever travels in a message.
-struct TokenTrace {
+//
+// The walk is stored as a byte log (DESIGN.md §19): each hop is two LEB128
+// varints, zig-zag(to − from) then round − previous round − 1. That is two
+// bytes a hop on a grid, and more where neighbours' ids lie far apart
+// (2.7 on a 500-vertex triangulation). A walk's rounds strictly increase,
+// so the second varint is never negative.
+class TokenTrace {
+ public:
+  TokenTrace() = default;
+  TokenTrace(graph::VertexId origin, int cluster)
+      : origin(origin), cluster(cluster) {}
+
   graph::VertexId origin = graph::kInvalidVertex;
   int cluster = -1;
-  std::vector<TokenHop> hops;  // empty when the origin is its own leader
+
+  // Records the next hop. Throws std::invalid_argument unless hop.round is
+  // later than the previous hop's round (non-negative for the first hop).
+  void append(TokenHop hop);
+  // Forgets the walk, keeping the log's storage (a re-seeded token walks
+  // again from its origin).
+  void clear();
+  std::int64_t hop_count() const { return hop_count_; }
+  // The walk decoded, first hop first; empty when the origin is its own
+  // leader.
+  std::vector<TokenHop> hops() const;
+  // Decodes one hop in place: `hop` holds the hop before the one stored at
+  // byte `pos` ({origin, -1} for the first) and receives it. Returns the
+  // position of the hop after it; the log ends at position log_size().
+  std::size_t decode(std::size_t pos, TokenHop& hop) const;
+  std::size_t log_size() const { return log_.size(); }
+
+ private:
+  std::vector<std::uint8_t> log_;
+  TokenHop last_;  // the last hop appended
+  std::int64_t hop_count_ = 0;
 };
 
 struct GatherResult {
@@ -106,8 +136,8 @@ struct GatherResult {
 // Routes each token from its origin to the origin's cluster leader by lazy
 // random walks; tokens queue when an edge's per-round budget is full (the
 // paper instead batches O(log n) messages per edge into O(log n) rounds —
-// the same total work, measured here directly). Hop rounds are stored in 32
-// bits: a net.max_rounds above INT32_MAX throws std::invalid_argument.
+// the same total work, measured here directly). Hop rounds are 32-bit: a
+// net.max_rounds above INT32_MAX throws std::invalid_argument.
 GatherResult random_walk_gather(const graph::Graph& g,
                                 const std::vector<int>& cluster_of,
                                 const std::vector<graph::VertexId>& leader_of,
@@ -195,7 +225,8 @@ struct ReverseDeliveryResult {
 // taken at forward round r is traversed backwards at round T - r, so
 // per-edge congestion is identical to the forward run and the delivery
 // takes exactly as many rounds. The forward budget `gather.bandwidth_tokens`
-// is verified, not assumed, in O(hops + rounds) time.
+// is verified, not assumed, in O(hops + rounds) time and O(tokens + rounds)
+// scratch: the replied hop logs are decoded in place, one round at a time.
 ReverseDeliveryResult reverse_delivery(
     int num_vertices, const GatherResult& gather,
     const std::vector<std::vector<std::int64_t>>& reply);
@@ -209,9 +240,11 @@ struct TreeGatherResult {
 };
 // Deterministic alternative to the random-walk gather: tokens climb the
 // cluster BFS tree one hop per round, `bandwidth` tokens per edge per
-// round. Worst-case congestion at the root can make this slower than the
-// walks on large clusters (Lemma 2.5 exists precisely to avoid that); the
-// ablation bench compares the two.
+// round. Only tests call it. Every token funnels through the root's few
+// tree edges, yet in a probe on `tri` 16k, `planar` 4k and `grid` 1k (same
+// clusters, leaders, tokens and ⌈log₂ n⌉ budget, BFS build not counted) it
+// took 22–300× fewer rounds than the walks, and 220× fewer messages on
+// `tri` 16k.
 TreeGatherResult tree_gather(const graph::Graph& g,
                              const std::vector<int>& cluster_of,
                              const std::vector<graph::VertexId>& leader_of,

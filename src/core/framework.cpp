@@ -90,6 +90,17 @@ Partition partition_and_gather(const Graph& g, double eps,
   // the old multiplicative mixes left the decomposition and gather streams
   // trivially correlated across nearby user seeds (seed=1 reuse).
   dopt.seed = graph::splitmix64(dopt.seed ^ graph::splitmix64(options.seed));
+  // The caller's observers and threading, copied once for every simulated
+  // phase. The distributed decomposition and the control traffic (election,
+  // orientation) run on it as is, at the default bandwidth of one message
+  // per edge per round; the gather derives its own budget from it below.
+  congest::NetworkOptions base_net;
+  base_net.trace = options.trace;
+  base_net.trace_config = options.trace_config;
+  base_net.metrics = options.metrics;
+  base_net.profiler = options.profiler;
+  base_net.num_threads = options.num_threads;
+  base_net.sparse_serial_threshold = options.sparse_serial_threshold;
   {
     TRACE_SPAN(options.trace, "phase:decomposition");
     congest::MetricsPhase mphase(options.metrics, "phase:decomposition");
@@ -98,12 +109,12 @@ Partition partition_and_gather(const Graph& g, double eps,
       ddopt.phi = dopt.phi;
       ddopt.seed = dopt.seed;
       ddopt.max_retries = dopt.max_retries;
-      ddopt.trace = options.trace;
+      ddopt.net = base_net;
       const auto dd =
           expander::distributed_expander_decompose(g, out.eps_effective, ddopt);
       out.decomposition = dd.decomposition;
       out.ledger.add_measured("expander decomposition (distributed sweep)",
-                              dd.measured_rounds);
+                              dd.stats);
     } else {
       if (options.weighted_volumes && g.is_weighted()) {
         out.decomposition =
@@ -121,17 +132,6 @@ Partition partition_and_gather(const Graph& g, double eps,
   }
 
   const auto& cluster_of = out.decomposition.cluster_of;
-  // The caller's observers and threading, copied once for every simulated
-  // phase. Control traffic (election, orientation) runs on it as is, at the
-  // default bandwidth of one message per edge per round; the gather derives
-  // its own budget from it below.
-  congest::NetworkOptions base_net;
-  base_net.trace = options.trace;
-  base_net.trace_config = options.trace_config;
-  base_net.metrics = options.metrics;
-  base_net.profiler = options.profiler;
-  base_net.num_threads = options.num_threads;
-  base_net.sparse_serial_threshold = options.sparse_serial_threshold;
 
   // Leader election: the paper elects a maximum-cluster-degree vertex.
   congest::LeaderElectionResult election;

@@ -27,12 +27,9 @@
 
 #include <cstdint>
 
+#include "src/congest/network.h"
 #include "src/expander/decomposition.h"
 #include "src/graph/graph.h"
-
-namespace ecd::congest {
-class TraceSink;  // src/congest/trace.h
-}
 
 namespace ecd::expander {
 
@@ -45,13 +42,15 @@ struct DistributedDecompositionOptions {
   int max_levels = 64;
   int max_retries = 4;
   std::uint64_t seed = 1;
-  // Observes every simulator round of the construction (null: no tracing).
-  congest::TraceSink* trace = nullptr;
+  // Every simulator run of the construction uses these: threads and the
+  // observers (trace, metrics, profiler) included.
+  congest::NetworkOptions net;
 };
 
 struct DistributedDecompositionResult {
   ExpanderDecomposition decomposition;
-  std::int64_t measured_rounds = 0;  // total CONGEST rounds, all levels
+  // Totals over every CONGEST run of the successful attempt, all levels.
+  congest::RunStats stats;
   int levels = 0;
 };
 

@@ -121,7 +121,7 @@ IncrementalRefreshResult refresh_decomposition(
     DistributedDecompositionResult full =
         distributed_expander_decompose(new_graph, eps, options.decomposition);
     result.decomposition = std::move(full.decomposition);
-    result.rounds = full.measured_rounds;
+    result.rounds = full.stats.rounds;
     result.fell_back_to_full = true;
     return result;
   }
@@ -141,7 +141,7 @@ IncrementalRefreshResult refresh_decomposition(
     DistributedDecompositionResult rerun =
         distributed_expander_decompose(sub.graph, eps, options.decomposition);
     piece = std::move(rerun.decomposition);
-    result.rounds = rerun.measured_rounds;
+    result.rounds = rerun.stats.rounds;
     piece_phi = piece.phi;
   }
 

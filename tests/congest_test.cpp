@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <numeric>
+#include <stdexcept>
+#include <tuple>
 
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
@@ -281,6 +285,45 @@ TEST(DiameterCheck, FlagsWideClusters) {
   EXPECT_GT(flagged, 0);
 }
 
+// A hop log written by hand: `origin`, then the given (to, round) hops.
+TokenTrace forged_walk(VertexId origin, std::initializer_list<TokenHop> hops) {
+  TokenTrace trace(origin, 0);
+  for (const TokenHop& hop : hops) trace.append(hop);
+  return trace;
+}
+
+// The byte log must give back every hop it was handed: steps of any sign
+// and size up to the full 32-bit range, waits from none to INT32_MAX, and
+// a walk that starts again after clear().
+TEST(HopLog, DecodesWhatWasAppended) {
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  const std::vector<TokenHop> hops = {
+      {1, 0}, {0, 1}, {64, 2}, {0, 130}, {kMax, 131}, {0, 20000},
+      {kMax, 20001}, {63, 20002}, {127, 1 << 20}, {5, kMax}};
+  TokenTrace trace(7, 0);
+  for (const TokenHop& hop : hops) trace.append(hop);
+  EXPECT_EQ(trace.hop_count(), static_cast<std::int64_t>(hops.size()));
+  EXPECT_EQ(trace.hops(), hops);
+  // One byte per field while the step lies within ±63 and the wait is
+  // under 128 rounds.
+  trace.clear();
+  EXPECT_TRUE(trace.hops().empty());
+  EXPECT_EQ(trace.log_size(), 0u);
+  trace.append({8, 0});
+  trace.append({40, 128});
+  EXPECT_EQ(trace.log_size(), 4u);
+  EXPECT_EQ(trace.hops(), (std::vector<TokenHop>{{8, 0}, {40, 128}}));
+}
+
+TEST(HopLog, RejectsRoundsThatDoNotIncrease) {
+  TokenTrace trace(0, 0);
+  EXPECT_THROW(trace.append({1, -1}), std::invalid_argument);
+  trace.append({1, 3});
+  EXPECT_THROW(trace.append({2, 3}), std::invalid_argument);
+  EXPECT_THROW(trace.append({2, 2}), std::invalid_argument);
+  EXPECT_EQ(trace.hops(), (std::vector<TokenHop>{{1, 3}}));
+}
+
 TEST(ReverseDelivery, RepliesFollowRecordedPathsBackwards) {
   Rng rng(19);
   Graph g = graph::random_maximal_planar(40, rng);
@@ -338,6 +381,64 @@ TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
   EXPECT_EQ(r.received[gather.traces[0].origin][0][0], 7);
 }
 
+// The streaming check against a direct replay of the decoded hop logs: every
+// replied hop counted into a map keyed by (reverse round, from, to). The
+// RunStats, load_ok and received must agree exactly, for a budget the walk
+// met and one it did not.
+TEST(ReverseDelivery, MatchesAMapReplayOfTheDecodedWalks) {
+  Rng rng(21);
+  const Graph g = graph::random_maximal_planar(60, rng);
+  const auto cluster = single_cluster(g);
+  const auto leaders = elect_cluster_leaders(g, cluster);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v] = {{v, {v}}, {v, {v + 100}}};
+  }
+  GatherOptions opt;
+  opt.net.bandwidth_tokens = 3;
+  GatherResult gather =
+      random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
+  ASSERT_TRUE(gather.complete);
+  // Every third token gets no reply; the others get 1 or 2 words.
+  std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
+  for (std::size_t id = 0; id < reply.size(); ++id) {
+    if (id % 3 != 0) reply[id].assign(id % 3, static_cast<std::int64_t>(id));
+  }
+  for (const int budget : {3, 1}) {
+    gather.bandwidth_tokens = budget;
+    const std::int64_t horizon = gather.stats.rounds;
+    RunStats expected;
+    std::vector<std::vector<std::vector<std::int64_t>>> received(
+        g.num_vertices());
+    std::map<std::tuple<std::int64_t, VertexId, VertexId>, int> load;
+    for (std::size_t id = 0; id < reply.size(); ++id) {
+      if (reply[id].empty()) continue;
+      const TokenTrace& trace = gather.traces[id];
+      received[trace.origin].push_back(reply[id]);
+      VertexId from = trace.origin;
+      for (const TokenHop& hop : trace.hops()) {
+        ++expected.messages_sent;
+        expected.words_sent += static_cast<std::int64_t>(reply[id].size()) + 1;
+        expected.rounds = std::max(expected.rounds, horizon - hop.round);
+        ++load[{horizon - 1 - hop.round, hop.to, from}];
+        from = hop.to;
+      }
+    }
+    for (const auto& [key, count] : load) {
+      expected.max_edge_load = std::max(expected.max_edge_load, count);
+    }
+    const auto r = reverse_delivery(g.num_vertices(), gather, reply);
+    EXPECT_EQ(r.stats.rounds, expected.rounds) << budget;
+    EXPECT_EQ(r.stats.messages_sent, expected.messages_sent) << budget;
+    EXPECT_EQ(r.stats.words_sent, expected.words_sent) << budget;
+    EXPECT_EQ(r.stats.max_edge_load, expected.max_edge_load) << budget;
+    EXPECT_EQ(r.load_ok, expected.max_edge_load <= budget) << budget;
+    EXPECT_EQ(r.received, received) << budget;
+  }
+  // The walk met its budget of 3, and shared an edge-round at least once.
+  EXPECT_GT(gather.stats.max_edge_load, 1);
+}
+
 // The replaced check keyed its load map by (round << 40) ^ (from << 20) ^ to,
 // so distinct directed edges aliased once a vertex id reached 2^20: the
 // reverse hops (1 -> 0) and (0 -> 2^20) in one round read as load 2.
@@ -347,7 +448,7 @@ TEST(ReverseDelivery, DistinctEdgesDoNotAliasPastTwoToTheTwenty) {
   gather.stats.rounds = 1;
   gather.bandwidth_tokens = 1;
   // Token 0 walks 0 -> 1, token 1 walks kFar -> 0, both in round 0.
-  gather.traces = {{0, 0, {{1, 0}}}, {kFar, 0, {{0, 0}}}};
+  gather.traces = {forged_walk(0, {{1, 0}}), forged_walk(kFar, {{0, 0}})};
   const auto r = reverse_delivery(kFar + 1, gather, {{7}, {8}});
   EXPECT_TRUE(r.load_ok);
   EXPECT_EQ(r.stats.max_edge_load, 1);
@@ -361,7 +462,7 @@ TEST(ReverseDelivery, SameEdgeOverloadStillFails) {
   gather.stats.rounds = 1;
   gather.bandwidth_tokens = 1;
   // Two tokens walk 0 -> 1 in round 0: both reverse hops are (1 -> 0).
-  gather.traces = {{0, 0, {{1, 0}}}, {0, 0, {{1, 0}}}};
+  gather.traces = {forged_walk(0, {{1, 0}}), forged_walk(0, {{1, 0}})};
   const auto r = reverse_delivery(2, gather, {{7}, {8}});
   EXPECT_FALSE(r.load_ok);
   EXPECT_EQ(r.stats.max_edge_load, 2);
@@ -370,7 +471,8 @@ TEST(ReverseDelivery, SameEdgeOverloadStillFails) {
 TEST(ReverseDelivery, HopOutsideTheForwardHorizonFails) {
   GatherResult gather;
   gather.stats.rounds = 1;
-  gather.traces = {{0, 0, {{1, 1}}}};  // round 1 has no mirror in 1 round
+  // Round 1 has no mirror in 1 round.
+  gather.traces = {forged_walk(0, {{1, 1}})};
   EXPECT_FALSE(reverse_delivery(2, gather, {{7}}).load_ok);
 }
 
@@ -629,7 +731,7 @@ TEST(Integration, PrimitivesAreBitIdenticalUnderParallelExecution) {
   EXPECT_EQ(par_gather.delivered, serial_gather.delivered);
   ASSERT_EQ(par_gather.traces.size(), serial_gather.traces.size());
   for (std::size_t id = 0; id < serial_gather.traces.size(); ++id) {
-    EXPECT_TRUE(par_gather.traces[id].hops == serial_gather.traces[id].hops)
+    EXPECT_TRUE(par_gather.traces[id].hops() == serial_gather.traces[id].hops())
         << "token " << id;
   }
   EXPECT_EQ(par_gather.stats.rounds, serial_gather.stats.rounds);

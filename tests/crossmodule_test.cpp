@@ -102,7 +102,7 @@ TEST(CrossModule, GatherIsDeterministicGivenSeed) {
   EXPECT_EQ(r1.stats.messages_sent, r2.stats.messages_sent);
   ASSERT_EQ(r1.traces.size(), r2.traces.size());
   for (std::size_t i = 0; i < r1.traces.size(); ++i) {
-    EXPECT_TRUE(r1.traces[i].hops == r2.traces[i].hops);
+    EXPECT_TRUE(r1.traces[i].hops() == r2.traces[i].hops());
   }
 }
 
@@ -124,11 +124,14 @@ TEST(CrossModule, GatherTracesAreValidWalks) {
                                              tokens, opt);
   ASSERT_TRUE(r.complete);
   for (const auto& trace : r.traces) {
+    const std::vector<congest::TokenHop> hops = trace.hops();
     VertexId at = trace.origin;
-    for (std::size_t h = 0; h < trace.hops.size(); ++h) {
-      EXPECT_TRUE(g.has_edge(at, trace.hops[h].to));
-      if (h > 0) EXPECT_GT(trace.hops[h].round, trace.hops[h - 1].round);
-      at = trace.hops[h].to;
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      EXPECT_TRUE(g.has_edge(at, hops[h].to));
+      if (h > 0) {
+        EXPECT_GT(hops[h].round, hops[h - 1].round);
+      }
+      at = hops[h].to;
     }
     EXPECT_EQ(at, leaders.leader_of[trace.origin]);
   }

@@ -28,7 +28,7 @@ void check_contract(const Graph& g, double eps,
     }
   }
   EXPECT_EQ(covered, g.num_vertices());
-  EXPECT_GT(r.measured_rounds, 0);
+  EXPECT_GT(r.stats.rounds, 0);
 }
 
 TEST(DistributedDecomposition, ContractOnGrid) {
@@ -84,7 +84,7 @@ TEST(DistributedDecomposition, MeasuredRoundsGrowWithLevels) {
   const auto r_flat = distributed_expander_decompose(g, 0.45, flat);
   const auto r_split = distributed_expander_decompose(g, 0.45, split);
   EXPECT_LE(r_flat.levels, r_split.levels);
-  EXPECT_LT(r_flat.measured_rounds, r_split.measured_rounds);
+  EXPECT_LT(r_flat.stats.rounds, r_split.stats.rounds);
 }
 
 TEST(DistributedDecomposition, DisconnectedInput) {

@@ -67,11 +67,15 @@ TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
   const auto& hello = p.hello_token_of;
   int a = -1;
   for (int v = 0; v < g.num_vertices() && a < 0; ++v) {
-    if (p.gather.traces[hello[v]].hops.size() >= 2) a = v;
+    if (p.gather.traces[hello[v]].hop_count() >= 2) a = v;
   }
   ASSERT_GE(a, 0);
   const int b = a == 0 ? 1 : 0;
-  p.gather.traces[hello[b]].hops = p.gather.traces[hello[a]].hops;
+  congest::TokenTrace& forged = p.gather.traces[hello[b]];
+  forged.clear();
+  for (const congest::TokenHop& hop : p.gather.traces[hello[a]].hops()) {
+    forged.append(hop);
+  }
   try {
     return_results(p, words, "return");
     ADD_FAILURE() << "a load-2 edge-round passed a bandwidth-1 check";

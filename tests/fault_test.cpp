@@ -569,10 +569,11 @@ TEST(ReliableGather, TracesStayRoutableForReverseDelivery) {
   for (const auto& ids : r.gather.delivered_ids) {
     for (const std::int64_t id : ids) {
       const congest::TokenTrace& t = r.gather.traces[id];
-      const VertexId last = t.hops.empty() ? t.origin : t.hops.back().to;
+      const std::vector<congest::TokenHop> hops = t.hops();
+      const VertexId last = hops.empty() ? t.origin : hops.back().to;
       EXPECT_EQ(r.final_leader_of[last], last);
-      for (std::size_t h = 1; h < t.hops.size(); ++h) {
-        EXPECT_LT(t.hops[h - 1].round, t.hops[h].round);
+      for (std::size_t h = 1; h < hops.size(); ++h) {
+        EXPECT_LT(hops[h - 1].round, hops[h].round);
       }
     }
   }

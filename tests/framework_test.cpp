@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/congest/metrics.h"
+#include "src/congest/profiler.h"
 #include "src/core/framework.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
@@ -162,6 +164,56 @@ TEST(Framework, DistributedDecompositionModeIsFullyMeasured) {
     }
   }
   EXPECT_TRUE(has_measured_decomposition);
+}
+
+// The distributed decomposition runs on the caller's NetworkOptions, like
+// every other simulated phase: its runs shard at any thread count without
+// changing the result, an attached registry and profiler see them, and the
+// ledger records their full RunStats, not just rounds.
+TEST(Framework, DistributedDecompositionRunsOnTheCallersNetworkOptions) {
+  const Graph g = graph::grid(10, 10);
+  FrameworkOptions opt;
+  opt.decomposition_mode = DecompositionMode::kDistributed;
+  const Partition serial = partition_and_gather(g, 0.3, opt);
+
+  congest::MetricsRegistry metrics;
+  congest::ExecutionProfiler profiler;
+  opt.num_threads = 4;
+  opt.sparse_serial_threshold = 0;  // shard every round
+  opt.metrics = &metrics;
+  opt.profiler = &profiler;
+  const Partition sharded = partition_and_gather(g, 0.3, opt);
+  EXPECT_EQ(sharded.decomposition.cluster_of, serial.decomposition.cluster_of);
+  EXPECT_EQ(sharded.leader_of, serial.leader_of);
+
+  const auto decomposition_stats = [](const Partition& p) {
+    for (const auto& e : p.ledger.entries()) {
+      if (e.label == "expander decomposition (distributed sweep)") {
+        return e.stats;
+      }
+    }
+    ADD_FAILURE() << "no distributed decomposition entry";
+    return congest::RunStats{};
+  };
+  const congest::RunStats one = decomposition_stats(serial);
+  const congest::RunStats four = decomposition_stats(sharded);
+  EXPECT_GT(one.messages_sent, 0);
+  EXPECT_GT(one.words_sent, 0);
+  EXPECT_EQ(four.rounds, one.rounds);
+  EXPECT_EQ(four.messages_sent, one.messages_sent);
+  EXPECT_EQ(four.words_sent, one.words_sent);
+  EXPECT_EQ(four.max_edge_load, one.max_edge_load);
+
+  const auto phase = std::find_if(
+      metrics.phases().begin(), metrics.phases().end(),
+      [](const auto& ph) { return ph.name == "phase:decomposition"; });
+  ASSERT_NE(phase, metrics.phases().end());
+  EXPECT_GT(phase->runs, 0);
+  EXPECT_EQ(phase->stats.rounds, four.rounds);
+  EXPECT_EQ(phase->stats.messages_sent, four.messages_sent);
+  // The profiler saw every run the registry saw, on four shards.
+  EXPECT_EQ(profiler.summary().runs, metrics.runs_observed());
+  EXPECT_EQ(profiler.summary().num_shards, 4);
 }
 
 TEST(Framework, RejectsBadEps) {

@@ -71,24 +71,30 @@ class SaturateAlgo final : public VertexAlgorithm {
  public:
   explicit SaturateAlgo(int rounds) : rounds_(rounds) {}
 
+  // The digest wraps modulo 2^64, so it is computed unsigned.
   void round(Context& ctx) override {
     for (int p = 0; p < ctx.num_ports(); ++p) {
-      for (const Message& m : ctx.inbox(p)) sink_ += m.words[0];
+      for (const Message& m : ctx.inbox(p)) {
+        sink_ += static_cast<std::uint64_t>(m.words[0]);
+      }
     }
     if (ctx.round() < rounds_) {
+      const std::uint64_t word =
+          (sink_ * 31 + static_cast<std::uint64_t>(ctx.id())) ^
+          static_cast<std::uint64_t>(ctx.round());
       for (int p = 0; p < ctx.num_ports(); ++p) {
-        ctx.send(p, {{(sink_ * 31 + ctx.id()) ^ ctx.round()}});
+        ctx.send(p, {{static_cast<std::int64_t>(word)}});
       }
     } else {
       done_ = true;
     }
   }
   bool finished() const override { return done_; }
-  std::int64_t output() const { return sink_; }
+  std::int64_t output() const { return static_cast<std::int64_t>(sink_); }
 
  private:
   int rounds_;
-  std::int64_t sink_ = 0;
+  std::uint64_t sink_ = 0;
   bool done_ = false;
 };
 

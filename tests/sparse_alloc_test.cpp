@@ -10,6 +10,7 @@
 // unfinished vertices (fallback rounds) — so the audit covers the dispatch
 // path, the fallback path, and the transition between them.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -27,38 +28,71 @@
 
 // --- Counting allocation hooks ----------------------------------------------
 // Same replacement pattern as profiler_test.cpp / bench_util.h: one TU per
-// binary defines the global operator new/delete.
+// binary defines the global operator new/delete. Next to the call count, the
+// hooks add up the bytes of every block allocated and freed, as the
+// allocator sized it (malloc_usable_size), so allocated − freed is the heap
+// in use.
 
 namespace {
 std::atomic<std::int64_t>& allocation_counter() {
   static std::atomic<std::int64_t> count{0};
   return count;
 }
+std::atomic<std::int64_t>& allocated_byte_counter() {
+  static std::atomic<std::int64_t> bytes{0};
+  return bytes;
+}
+std::atomic<std::int64_t>& freed_byte_counter() {
+  static std::atomic<std::int64_t> bytes{0};
+  return bytes;
+}
 std::int64_t allocation_count() {
   return allocation_counter().load(std::memory_order_relaxed);
+}
+std::int64_t allocated_bytes() {
+  return allocated_byte_counter().load(std::memory_order_relaxed);
+}
+std::int64_t freed_bytes() {
+  return freed_byte_counter().load(std::memory_order_relaxed);
+}
+void* counted_malloc(std::size_t size) {
+  allocation_counter().fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size ? size : 1);
+  allocated_byte_counter().fetch_add(
+      static_cast<std::int64_t>(malloc_usable_size(p)),
+      std::memory_order_relaxed);
+  return p;
+}
+// Kept out of line: once inlined into a test body, GCC sees a pointer from
+// operator new reach free() and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void counted_free(void* p) {
+  freed_byte_counter().fetch_add(
+      static_cast<std::int64_t>(malloc_usable_size(p)),
+      std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
 void* operator new(std::size_t size) {
-  allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
+  return counted_malloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace ecd::congest {
@@ -217,25 +251,38 @@ TEST(SparseAlloc, TracedRoundsStayOffTheHeapInEveryTraceMode) {
   }
 }
 
+// The 16x16 single-cluster gather the walk-gather audits share: one
+// registration token per vertex, at the framework's default budget.
+struct GridGather {
+  GridGather() {
+    leader_of = elect_cluster_leaders(g, cluster).leader_of;
+    tokens.resize(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      tokens[v].push_back({v, {v, -1, 0, 0}});
+    }
+    opt.net.bandwidth_tokens = 8;  // ceil(log2 n)
+  }
+  GatherResult run() const {
+    return random_walk_gather(g, cluster, leader_of, tokens, opt);
+  }
+
+  Graph g = graph::grid(16, 16);
+  std::vector<int> cluster = std::vector<int>(g.num_vertices(), 0);
+  std::vector<VertexId> leader_of;
+  std::vector<std::vector<GatherToken>> tokens;
+  GatherOptions opt;
+};
+
 // The walk gather's data path (DESIGN.md §19): tokens wait and travel in
 // wire form, the held/kept lists and port loads are reused every round, and
-// a hop costs one 8-byte hop-log entry. What is left is set-up (ports,
-// algorithms, the Network, the result) and amortized growth of the lists
-// and hop logs: far below 0.1 allocations per simulated message. The
-// per-token vector path this replaced made about 4.4.
+// a hop appends about two bytes to its token's hop log. What is left is
+// set-up (ports, algorithms, the Network, the result) and amortized growth
+// of the lists and hop logs: far below 0.1 allocations per simulated
+// message. The per-token vector path this replaced made about 4.4.
 TEST(SparseAlloc, WalkGatherAllocatesFarLessThanOncePerMessage) {
-  const Graph g = graph::grid(16, 16);
-  const std::vector<int> cluster(g.num_vertices(), 0);
-  const auto leaders = elect_cluster_leaders(g, cluster);
-  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    tokens[v].push_back({v, {v, -1, 0, 0}});
-  }
-  GatherOptions opt;
-  opt.net.bandwidth_tokens = 8;  // ceil(log2 n), the framework's default
+  const GridGather grid;
   const std::int64_t before = allocation_count();
-  const GatherResult r =
-      random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
+  const GatherResult r = grid.run();
   const std::int64_t allocs = allocation_count() - before;
   ASSERT_TRUE(r.complete);
   ASSERT_GT(r.stats.messages_sent, 0);
@@ -244,6 +291,48 @@ TEST(SparseAlloc, WalkGatherAllocatesFarLessThanOncePerMessage) {
             0.1)
       << allocs << " allocations for " << r.stats.messages_sent
       << " messages";
+}
+
+// The hop log keeps each walk as a varint byte stream, two bytes a hop on a
+// grid. Dropping the logs must free at most 4 bytes per recorded hop,
+// growth slack and allocator rounding included. A log of 8-byte hops frees
+// about 11.5.
+TEST(SparseAlloc, HopLogStoresAtMostFourBytesPerHop) {
+  const GridGather grid;
+  GatherResult r = grid.run();
+  ASSERT_TRUE(r.complete);
+  // Every message of the walk gather is one hop of one token.
+  const std::int64_t hops = r.stats.messages_sent;
+  const auto array_bytes =
+      static_cast<std::int64_t>(malloc_usable_size(r.traces.data()));
+  const std::int64_t before = freed_bytes();
+  std::vector<TokenTrace>().swap(r.traces);
+  const std::int64_t log_bytes = freed_bytes() - before - array_bytes;
+  EXPECT_LE(log_bytes, 4 * hops)
+      << log_bytes << " log bytes for " << hops << " hops";
+}
+
+// reverse_delivery reads the replied hop logs in place, one round at a
+// time, so what it allocates (scratch and result together) grows with
+// tokens + rounds + n, not with hops. A counting sort that keeps an 8-byte
+// key per replied hop passes this bound several times over.
+TEST(SparseAlloc, ReverseDeliveryAllocatesLinearlyInTokensRoundsAndVertices) {
+  const GridGather grid;
+  const GatherResult r = grid.run();
+  ASSERT_TRUE(r.complete);
+  const auto tokens = static_cast<std::int64_t>(r.traces.size());
+  const std::vector<std::vector<std::int64_t>> reply(r.traces.size(), {1});
+  const std::int64_t before = allocated_bytes();
+  const ReverseDeliveryResult back =
+      reverse_delivery(grid.g.num_vertices(), r, reply);
+  const std::int64_t bytes = allocated_bytes() - before;
+  ASSERT_TRUE(back.load_ok);
+  ASSERT_EQ(back.stats.messages_sent, r.stats.messages_sent);
+  const std::int64_t bound =
+      32 * (tokens + r.stats.rounds + grid.g.num_vertices());
+  EXPECT_LT(bytes, bound) << bytes << " bytes for " << tokens << " tokens, "
+                          << r.stats.rounds << " rounds, "
+                          << r.stats.messages_sent << " hops";
 }
 
 // The leader's exact MIS search (DESIGN.md §20) sizes its bitsets, degree
