@@ -202,7 +202,7 @@ void run_substrate_bench(benchmark::State& state, const graph::Graph& g,
     total_rounds += stats.rounds;
     total_messages += stats.messages_sent;
   }
-  // Steady-state allocation audit: one warm-up run (grows arena overflow /
+  // Steady-state allocation audit: one warm-up run (grows
   // algorithm-internal capacity), then count a second run. Algorithm
   // construction happens outside the scope — the substrate's allocations
   // are what is on trial.
@@ -273,7 +273,8 @@ void BM_PingPong(benchmark::State& state) {
 // probabilities to f/1000 (duplicates at half that); 0 disables the plan and
 // measures the zero-overhead fault-free path of the same binary. The
 // steady-state allocation contract holds with faults on — delayed messages
-// ride the arena slack reserved at construction, never the heap — so
+// and duplicate copies take chunks from the mailbox reservation made at
+// construction, never from the heap — so
 // allocs_per_round must stay ~0 on every row.
 void BM_FaultyPingPong(benchmark::State& state) {
   const graph::Graph g = grid_of(static_cast<int>(state.range(0)));

@@ -180,10 +180,11 @@ struct Message {
   int size_words() const { return words.size(); }
 };
 
-// The parallel round loop (network.cpp) moves Messages into arena slots
-// from worker threads; a throwing move would unwind across the shard
-// barrier. WordBuffer's hand-written moves are noexcept, and this pins
-// the composite.
+// The parallel round loop (network.cpp) moves Messages into mailbox
+// slots, and moves a port's run when its chunk grows, from worker
+// threads; a throwing move would unwind across the shard barrier.
+// WordBuffer's hand-written moves are noexcept, and this pins the
+// composite.
 static_assert(std::is_nothrow_move_constructible_v<Message> &&
               std::is_nothrow_move_assignable_v<Message>);
 

@@ -1,6 +1,7 @@
 #include "src/congest/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <sstream>
@@ -27,15 +28,9 @@ using graph::VertexId;
 
 namespace {
 
-// Ceiling on each preallocated arena buffer, in bytes. An enforced network
-// whose 2m * bandwidth_tokens * sizeof(Message) footprint exceeds this
-// falls back to per-port vectors rather than committing to an unreasonable
-// slab. 2 GiB per buffer admits the n=5M bench axis (20M directed ports at
-// ~72 bytes/slot ≈ 1.4 GiB) while keeping a double-buffered Network within
-// the memory of a stock CI runner.
-constexpr std::int64_t kMaxArenaBytes = std::int64_t{2} << 30;
-const std::int64_t kMaxArenaSlots =
-    kMaxArenaBytes / static_cast<std::int64_t>(sizeof(Message));
+// Slots in the first block a LOCAL-model network adds to a region; later
+// blocks double.
+constexpr std::size_t kFirstLocalBlock = 256;
 
 // Minimum per-round work weight (directed ports + vertices) that justifies
 // one extra shard when num_threads resolves automatically (0 = hardware
@@ -254,6 +249,7 @@ Network::Network(const Graph& g, NetworkOptions options)
       send_bucket_[gp] = vertex_shard[port_owner_[gp]] * num_shards_ +
                          vertex_shard[port_owner_[reverse_slot_[gp]]];
     }
+    for (VertexId v = 0; v < n_; ++v) contexts_[v].shard_ = vertex_shard[v];
   }
   bool pool_fallback = false;
   if (num_shards_ > 1) {
@@ -275,36 +271,54 @@ Network::Network(const Graph& g, NetworkOptions options)
   }
   shard_accum_.resize(num_shards_);
 
-  slot_cap_ = std::max(1, options_.bandwidth_tokens);
-  if (faults_active_ && options_.faults.has_message_faults()) {
-    // Worst case per directed port with message faults on: B fresh sends,
-    // up to B * max_delay_rounds delayed messages in transit ahead of them,
-    // and up to B duplicate copies appended during the fault pass.
-    const int delay_span = options_.faults.delay_probability > 0.0
-                               ? options_.faults.max_delay_rounds
-                               : 0;
-    slot_cap_ = slot_cap_ * (delay_span + 2);
-  }
-  arena_mode_ =
-      options_.enforce_bandwidth &&
-      static_cast<std::int64_t>(num_dir_ports_) * slot_cap_ <= kMaxArenaSlots;
-  for (int b = 0; b < 2; ++b) {
-    if (arena_mode_) {
-      slab_[b].resize(static_cast<std::size_t>(num_dir_ports_) * slot_cap_);
-      counts_[b].assign(num_dir_ports_, 0);
-    } else {
-      boxes_[b].resize(num_dir_ports_);
+  if (options_.enforce_bandwidth) {
+    max_chunk_ = std::max(1, options_.bandwidth_tokens);
+    if (faults_active_ && options_.faults.has_message_faults()) {
+      // Worst case per directed port with message faults on: B fresh sends,
+      // up to B * max_delay_rounds delayed messages in transit ahead of
+      // them, and up to B duplicate copies appended during the fault pass.
+      const int delay_span = options_.faults.delay_probability > 0.0
+                                 ? options_.faults.max_delay_rounds
+                                 : 0;
+      max_chunk_ *= delay_span + 2;
     }
-    mail_[b].assign(n_, 0);
-    if (faults_active_) {
-      injected_[b].assign(num_dir_ports_, 0);
-      if (arena_mode_) {
-        stage_slab_[b].assign(
-            static_cast<std::size_t>(num_dir_ports_) * slot_cap_, 0);
-      } else {
-        stage_boxes_[b].resize(num_dir_ports_);
+  } else {
+    max_chunk_ = std::numeric_limits<int>::max();
+  }
+  regions_.resize(2 * static_cast<std::size_t>(num_shards_));
+  if (options_.enforce_bandwidth) {
+    // The chunks one port claims in one buffer double up to max_chunk_,
+    // so together they span at most `chain` slots. Region (b, s) serves
+    // the ports shard s sends on and, with faults, the ports it receives
+    // on (delayed messages, duplicate copies): one chain each.
+    std::int64_t chain = 0;
+    for (int c = 1;; c = chunk_capacity(c + 1)) {
+      chain += c;
+      if (c == max_chunk_) break;
+    }
+    std::vector<std::int64_t> ports(num_shards_, 0);
+    for (int gp = 0; gp < num_dir_ports_; ++gp) {
+      const int sender = send_bucket_[gp] / num_shards_;
+      const int receiver = send_bucket_[gp] % num_shards_;
+      ++ports[sender];
+      if (faults_active_ && receiver != sender) ++ports[receiver];
+    }
+    for (int b = 0; b < 2; ++b) {
+      for (int s = 0; s < num_shards_; ++s) {
+        if (ports[s] == 0) continue;
+        MailBlock& block =
+            regions_[b * num_shards_ + s].blocks.emplace_back();
+        block.slots.reserve(static_cast<std::size_t>(ports[s] * chain));
+        if (faults_active_) {
+          block.stages.reserve(static_cast<std::size_t>(ports[s] * chain));
+        }
       }
     }
+  }
+  for (int b = 0; b < 2; ++b) {
+    chunk_[b].assign(num_dir_ports_, Chunk{});
+    mail_[b].assign(n_, 0);
+    if (faults_active_) chunk_stages_[b].assign(num_dir_ports_, nullptr);
   }
   // A bucket gains at most one entry per receiver port it can be chosen
   // for, so reserving the exact port count per bucket makes steady-state
@@ -432,26 +446,69 @@ Network::Network(const Graph& g, NetworkOptions options)
   }
 }
 
-// port_messages and clear_port are defined ahead of their callers in this
-// TU so the hot send and delivery paths inline them.
+// The mailbox helpers are defined ahead of their callers in this TU so the
+// hot send and delivery paths inline them.
 inline PortInbox Network::port_messages(int b, int gp) const {
-  if (arena_mode_) {
-    return PortInbox(slab_[b].data() + static_cast<std::size_t>(gp) * slot_cap_,
-                     counts_[b][gp]);
-  }
-  const std::vector<Message>& box = boxes_[b][gp];
-  return PortInbox(box.data(), static_cast<int>(box.size()));
+  const Chunk& box = chunk_[b][gp];
+  return PortInbox(box.slots, box.count);
 }
 
 inline void Network::clear_port(int b, int gp) {
-  if (arena_mode_) {
-    counts_[b][gp] = 0;
-  } else {
-    boxes_[b][gp].clear();
+  Chunk& box = chunk_[b][gp];
+  box.count = 0;
+  box.injected = 0;
+}
+
+inline int Network::chunk_capacity(int count) const {
+  return static_cast<int>(std::min(std::bit_ceil(static_cast<unsigned>(count)),
+                                   static_cast<unsigned>(max_chunk_)));
+}
+
+void Network::extend_region(MailRegion& region, std::size_t size) {
+  for (;; ++region.block, region.used = 0) {
+    if (region.block == region.blocks.size()) {
+      // Only a LOCAL-model network gets here: an enforced one reserved a
+      // block that holds its worst case.
+      const std::size_t last = region.blocks.empty()
+                                   ? kFirstLocalBlock / 2
+                                   : region.blocks.back().slots.capacity();
+      const std::size_t cap = std::max(2 * last, size);
+      MailBlock& added = region.blocks.emplace_back();
+      added.slots.reserve(cap);
+      if (faults_active_) added.stages.reserve(cap);
+    }
+    MailBlock& block = region.blocks[region.block];
+    const std::size_t end = region.used + size;
+    if (end > block.slots.capacity()) continue;
+    if (block.slots.size() < end) {
+      // Within the reserved capacity: constructs, never reallocates.
+      block.slots.resize(end);
+      if (faults_active_) block.stages.resize(end);
+    }
+    region.ready = block.slots.size();
+    region.slots = block.slots.data();
+    region.stages = block.stages.data();
+    return;
   }
+}
+
+inline void Network::claim_chunk(int b, int s, int gp, int size) {
+  MailRegion& region = regions_[static_cast<std::size_t>(b) * num_shards_ + s];
+  const std::size_t want = static_cast<std::size_t>(size);
+  if (region.used + want > region.ready) extend_region(region, want);
+  chunk_[b][gp].slots = region.slots + region.used;
+  if (faults_active_) chunk_stages_[b][gp] = region.stages + region.used;
+  region.used += want;
+}
+
+void Network::grow_chunk(int b, int s, int gp, int used) {
+  Message* const from = chunk_[b][gp].slots;
+  const signed char* const from_stages =
+      faults_active_ ? chunk_stages_[b][gp] : nullptr;
+  claim_chunk(b, s, gp, chunk_capacity(used + 1));
+  std::move(from, from + used, chunk_[b][gp].slots);
   if (faults_active_) {
-    injected_[b][gp] = 0;
-    if (!arena_mode_) stage_boxes_[b][gp].clear();
+    std::copy_n(from_stages, chunk_[b][gp].injected, chunk_stages_[b][gp]);
   }
 }
 
@@ -483,49 +540,45 @@ void Context::send(int port, Message message) {
     // enforcement applies to it. Staged per *sender* shard (the shard
     // computing this vertex is the only writer) and folded into
     // RunStats::messages_purged at the barrier reduction.
-    ++net.shard_accum_[net.send_bucket_[gp] / net.num_shards_]
-          .churn_sends_dropped;
+    ++net.shard_accum_[shard_].churn_sends_dropped;
     return;
   }
   const int rs = net.reverse_slot_[gp];
   const int out = 1 - net.in_;
-  const int queued = net.port_messages(out, rs).size();
-  // Delayed messages injected by the fault hook occupy the port's slot
-  // prefix; the sender's bandwidth budget applies to its fresh suffix only.
-  const int fresh =
-      net.faults_active_ ? queued - net.injected_[out][rs] : queued;
+  Network::Chunk& box = net.chunk_[out][rs];
+  const int queued = box.count;
+  // Delayed messages injected by the fault hook occupy the run's prefix;
+  // the sender's bandwidth budget applies to its fresh suffix only.
+  const int fresh = queued - box.injected;
   if (net.options_.enforce_bandwidth) {
     if (message.size_words() > kMaxMessageWords) {
       CongestionError err(CongestionError::Kind::kMessageSize, round_, id_,
                           neighbors_[port], message.size_words(),
                           kMaxMessageWords);
-      if (net.options_.trace) {
-        net.trace_violation(err, net.send_bucket_[gp] / net.num_shards_);
-      }
+      if (net.options_.trace) net.trace_violation(err, shard_);
       throw err;
     }
     if (fresh >= net.options_.bandwidth_tokens) {
       CongestionError err(CongestionError::Kind::kBandwidth, round_, id_,
                           neighbors_[port], fresh + 1,
                           net.options_.bandwidth_tokens);
-      if (net.options_.trace) {
-        net.trace_violation(err, net.send_bucket_[gp] / net.num_shards_);
-      }
+      if (net.options_.trace) net.trace_violation(err, shard_);
       throw err;
     }
   }
-  // Deposit directly into the receiver's slot for next round; delivery is
-  // then just the buffer swap. The slot group rs and the active bucket are
-  // both written by this vertex alone (one sender per edge direction, one
-  // shard per sender), which is what makes the compute phase race-free.
-  if (queued == 0) net.active_[out][net.send_bucket_[gp]].push_back(rs);
-  if (net.arena_mode_) {
-    net.slab_[out][static_cast<std::size_t>(rs) * net.slot_cap_ + queued] =
-        std::move(message);
-    net.counts_[out][rs] = queued + 1;
-  } else {
-    net.boxes_[out][rs].push_back(std::move(message));
+  // Deposit directly into the receiver's run for next round; delivery is
+  // then just the buffer swap. Port rs's chunk is written by this vertex
+  // alone (one sender per edge direction), and the active bucket and the
+  // region a chunk is claimed from by this vertex's shard alone, which is
+  // what makes the compute phase race-free.
+  if (queued == 0) {
+    net.active_[out][net.send_bucket_[gp]].push_back(rs);
+    net.claim_chunk(out, shard_, rs, net.chunk_capacity(1));
+  } else if (queued == net.chunk_capacity(queued)) {
+    net.grow_chunk(out, shard_, rs, queued);
   }
+  box.slots[queued] = std::move(message);
+  box.count = queued + 1;
 }
 
 void Network::reset_mailboxes() {
@@ -537,6 +590,11 @@ void Network::reset_mailboxes() {
       }
       bucket.clear();
     }
+  }
+  for (MailRegion& region : regions_) {
+    region.block = 0;
+    region.used = 0;
+    region.ready = 0;
   }
   pending_injected_ = 0;
 }
@@ -733,8 +791,12 @@ std::int64_t Network::deliver_shard(int t, int out, std::int64_t r) {
   // Retire shard t's ports of the vacated buffer FIRST: this round's
   // inboxes have been read by the compute phase and the buffer becomes
   // next round's outbox — into which the fault pass below may move delayed
-  // messages, so it must already be clear. Buckets (·, t) and shard t's
-  // ports of both buffers are touched by worker t alone in this phase.
+  // messages, so it must already be clear. Buckets (·, t), shard t's ports
+  // of both buffers and the tails of shard t's two regions are touched by
+  // worker t alone in this phase. Every chunk in the vacated buffer is
+  // dead, so shard t's region of it is rewound to its front, even while
+  // other shards still retire ports whose stale chunks lie in it (retiring
+  // reads no message).
   for (int s = 0; s < num_shards_; ++s) {
     std::vector<int>& bucket = active_[in_][s * num_shards_ + t];
     for (const int rs : bucket) {
@@ -743,6 +805,11 @@ std::int64_t Network::deliver_shard(int t, int out, std::int64_t r) {
     }
     bucket.clear();
   }
+  MailRegion& vacated =
+      regions_[static_cast<std::size_t>(in_) * num_shards_ + t];
+  vacated.block = 0;
+  vacated.used = 0;
+  vacated.ready = 0;
   for (int s = 0; s < num_shards_; ++s) {
     for (const int rs : active_[out][s * num_shards_ + t]) {
       if (churn_active_ && !port_on_[rs]) {
@@ -754,7 +821,7 @@ std::int64_t Network::deliver_shard(int t, int out, std::int64_t r) {
         // nothing on a dead port is ever re-injected. The receiver's mail
         // flag stays: another of its ports may have delivered this round.
         const int cnt = port_messages(out, rs).size();
-        acc.injected_delta -= injected_[out][rs];
+        acc.injected_delta -= chunk_[out][rs].injected;
         clear_port(out, rs);
         acc.stats.messages_purged += cnt;
         if (lane && cnt > 0) {
@@ -773,10 +840,10 @@ std::int64_t Network::deliver_shard(int t, int out, std::int64_t r) {
           // Gated on both flags: fault-free profiled runs take no extra
           // clock reads per port.
           const std::int64_t f0 = ExecutionProfiler::now_ns();
-          apply_port_faults(rs, out, r, acc);
+          apply_port_faults(t, rs, out, r, acc);
           fault_ns += ExecutionProfiler::now_ns() - f0;
         } else {
-          apply_port_faults(rs, out, r, acc);
+          apply_port_faults(t, rs, out, r, acc);
         }
       }
       std::int64_t edge_words = 0;
@@ -814,27 +881,18 @@ std::int64_t Network::deliver_shard(int t, int out, std::int64_t r) {
   return fault_ns;
 }
 
-void Network::apply_port_faults(int rs, int out, std::int64_t r,
+void Network::apply_port_faults(int t, int rs, int out, std::int64_t r,
                                 ShardAccum& acc) {
   const int next = 1 - out;  // just retired; becomes next round's outbox
   const FaultPlan& plan = options_.faults;
-  const int cnt = port_messages(out, rs).size();
-  const int inj = injected_[out][rs];
-  // One view over either storage: `slots` has room for a duplicate of every
-  // message on the port — slot_cap_ guarantees it for the arena, and a
-  // fallback box is first grown to 2 * cnt — and `stages` holds the
-  // remaining re-delivery passes of the injected prefix [0, inj).
-  Message* slots;
-  signed char* stages;
-  if (arena_mode_) {
-    slots = slab_[out].data() + static_cast<std::size_t>(rs) * slot_cap_;
-    stages = stage_slab_[out].data() + static_cast<std::size_t>(rs) * slot_cap_;
-  } else {
-    assert(static_cast<int>(stage_boxes_[out][rs].size()) == inj);
-    boxes_[out][rs].resize(2 * static_cast<std::size_t>(cnt));
-    slots = boxes_[out][rs].data();
-    stages = stage_boxes_[out][rs].data();
-  }
+  Chunk& box = chunk_[out][rs];
+  const int cnt = box.count;
+  const int inj = box.injected;
+  // `stages` holds the remaining re-delivery passes of the injected prefix
+  // [0, inj). `slots` is the port's run; a duplicate that finds its chunk
+  // full grows it, like a send would, and the loop follows the run there.
+  const signed char* const stages = chunk_stages_[out][rs];
+  Message* slots = box.slots;
   int w = 0;       // survivors compacted to [0, w)
   int copies = 0;  // duplicate copies staged at [cnt, cnt + copies)
   for (int i = 0; i < cnt; ++i) {
@@ -842,7 +900,7 @@ void Network::apply_port_faults(int rs, int out, std::int64_t r,
       // Injected by an earlier round's delay decision: count down its
       // remaining passes; faults are never re-applied to it.
       if (stages[i] > 0) {
-        inject_delayed(next, rs, std::move(slots[i]),
+        inject_delayed(t, next, rs, std::move(slots[i]),
                        static_cast<signed char>(stages[i] - 1));
         continue;
       }
@@ -859,14 +917,19 @@ void Network::apply_port_faults(int rs, int out, std::int64_t r,
     if (d.action == FaultAction::kDelay) {
       ++acc.stats.messages_delayed;
       ++acc.injected_delta;
-      inject_delayed(next, rs, std::move(slots[i]),
+      inject_delayed(t, next, rs, std::move(slots[i]),
                      static_cast<signed char>(d.delay_rounds - 1));
       continue;
     }
     if (d.action == FaultAction::kDuplicate) {
       ++acc.stats.messages_duplicated;
-      assert(cnt + copies < (arena_mode_ ? slot_cap_ : 2 * cnt));
-      slots[cnt + copies] = slots[i];  // the copy trails every original
+      const int at = cnt + copies;
+      assert(at < max_chunk_);
+      if (at == chunk_capacity(at)) {
+        grow_chunk(out, t, rs, at);
+        slots = box.slots;
+      }
+      slots[at] = slots[i];  // the copy trails every original
       ++copies;
     }
     if (w != i) slots[w] = std::move(slots[i]);
@@ -879,36 +942,33 @@ void Network::apply_port_faults(int rs, int out, std::int64_t r,
       slots[w + j] = std::move(slots[cnt + j]);
     }
   }
-  if (arena_mode_) {
-    counts_[out][rs] = w + copies;
-  } else {
-    boxes_[out][rs].resize(w + copies);
-    stage_boxes_[out][rs].clear();
-  }
-  injected_[out][rs] = 0;
+  box.count = w + copies;
+  box.injected = 0;
 }
 
-void Network::inject_delayed(int buf, int rs, Message&& m, signed char stage) {
-  // Called from the delivery phase only, after buffer `buf` was retired and
+void Network::inject_delayed(int t, int buf, int rs, Message&& m,
+                             signed char stage) {
+  // Called from shard t's delivery only, after buffer `buf` was retired and
   // before any compute-phase send lands in it — so port rs of `buf` holds
   // injected messages exclusively and the append below keeps the invariant
-  // that they form the slot prefix. The active-bucket append happens at
-  // most once per port per round (0 -> 1 transition) and the buckets are
-  // reserved to their port-count ceiling, so it never allocates.
-  const int idx = port_messages(buf, rs).size();
-  assert(idx == injected_[buf][rs]);
-  if (idx == 0) active_[buf][send_bucket_[reverse_slot_[rs]]].push_back(rs);
-  if (arena_mode_) {
-    assert(idx < slot_cap_);
-    const std::size_t at = static_cast<std::size_t>(rs) * slot_cap_ + idx;
-    slab_[buf][at] = std::move(m);
-    stage_slab_[buf][at] = stage;
-    counts_[buf][rs] = idx + 1;
-  } else {
-    boxes_[buf][rs].push_back(std::move(m));
-    stage_boxes_[buf][rs].push_back(stage);
+  // that they form the run's prefix. Its chunk comes from shard t's region
+  // of `buf`, whose one writer this phase is shard t. The active-bucket
+  // append happens at most once per port per round (0 -> 1 transition) and
+  // the buckets are reserved to their port-count ceiling, so it never
+  // allocates.
+  Chunk& box = chunk_[buf][rs];
+  const int idx = box.count;
+  assert(idx == box.injected);
+  if (idx == 0) {
+    active_[buf][send_bucket_[reverse_slot_[rs]]].push_back(rs);
+    claim_chunk(buf, t, rs, chunk_capacity(1));
+  } else if (idx == chunk_capacity(idx)) {
+    grow_chunk(buf, t, rs, idx);
   }
-  injected_[buf][rs] = idx + 1;
+  box.slots[idx] = std::move(m);
+  chunk_stages_[buf][rs][idx] = stage;
+  box.count = idx + 1;
+  box.injected = idx + 1;
 }
 
 void Network::apply_churn(
@@ -1153,9 +1213,10 @@ RunStats Network::run_rounds(
     } else {
       // Fused round: one dispatch runs both phases with a single internal
       // barrier between them (the final barrier doubles as the round's
-      // quiesce point). Deposits land in disjoint slot groups and
-      // single-writer active buckets, so the only shared writes are each
-      // shard's own finished_ range, worklists and accumulator. An
+      // quiesce point). Deposits land in disjoint runs, in chunks claimed
+      // from the sender shard's own regions, and in single-writer active
+      // buckets, so the only shared writes are each shard's own finished_
+      // range, worklists and accumulator. An
       // exception (CongestionError, bad port) skips phase 1 team-wide,
       // quiesces at the pool barrier and rethrows here; reset_for_run() on
       // the next run() clears the partial round, so the Network stays

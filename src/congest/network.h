@@ -10,14 +10,15 @@
 // Performance contract (DESIGN.md "Simulator performance"): the steady
 // state of a run allocates nothing. Topology (the directed-port CSR and the
 // reverse-port map) is built once in the Network constructor and reused by
-// every run on that Network; mailboxes are two preallocated slot arenas
-// indexed by directed port that trade roles each round (a message is
-// written once, into its receiver's slot, and never moved); and termination
-// is an O(1) counter check, not a per-round scan. One round loop serves
-// every NetworkOptions::num_threads value: it steps contiguous vertex
-// shards, bulk-synchronous-parallel when there are several (DESIGN.md §11)
-// and inline on the calling thread when there is one, and its results are
-// bit-identical for every thread count.
+// every run on that Network; mailboxes are two buffers that trade roles
+// each round, in which every port's messages form one contiguous run
+// claimed from a per-shard region as traffic arrives (a send is one move,
+// into its receiver's run; memory follows the messages in flight, not
+// ports × budget); and termination is an O(1) counter check, not a
+// per-round scan. One round loop serves every NetworkOptions::num_threads
+// value: it steps contiguous vertex shards, bulk-synchronous-parallel when
+// there are several (DESIGN.md §11) and inline on the calling thread when
+// there is one, and its results are bit-identical for every thread count.
 #pragma once
 
 #include <cstdint>
@@ -264,6 +265,7 @@ class Context {
   std::int64_t round_ = 0;
   Network* net_ = nullptr;
   int base_ = 0;  // this vertex's first directed-port index (CSR offset)
+  int shard_ = 0;  // the shard that steps this vertex and claims its sends
   std::span<const graph::VertexId> neighbors_;
 };
 
@@ -287,7 +289,7 @@ class VertexAlgorithm {
 class Network {
  public:
   // Builds the directed-port topology (CSR offsets, reverse-port map) and
-  // the mailbox arenas once; run() reuses them, so invoking many runs on
+  // the mailbox regions once; run() reuses them, so invoking many runs on
   // one Network — as the framework phases and the decomposition recursion
   // do on a fixed graph — pays topology setup a single time.
   Network(const graph::Graph& g, NetworkOptions options = {});
@@ -297,7 +299,7 @@ class Network {
   RunStats run(std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms);
 
   // Restores the Network to the state a fresh construction would leave it
-  // in, without reconstructing anything: clears mailbox arenas and injected
+  // in, without reconstructing anything: clears mailboxes and injected
   // prefixes left by a previous (possibly aborted) run, rewinds the crash
   // schedule, re-primes the round-0 worklists, and zeroes the staged
   // metrics scratch (edge/tag/critical-path accumulators). run() calls
@@ -327,12 +329,22 @@ class Network {
 
   // Clears any mailbox state left by a previous (possibly aborted) run.
   void reset_mailboxes();
-  // Messages held on directed port gp of buffer b, read from the slot arena
-  // or the fallback vector alike.
+  // Messages held on directed port gp of buffer b: its chunk's run.
   PortInbox port_messages(int b, int gp) const;
   // Empties directed port gp of buffer b: its messages and, with faults
   // on, its injected prefix. Leaves the owner's mail flag to the caller.
   void clear_port(int b, int gp);
+  // Slots in the chunk of a port that holds `count` >= 1 messages: the
+  // first chunk is one slot and each growth doubles it, clamped to
+  // max_chunk_. A run that reaches this size fills its chunk.
+  int chunk_capacity(int count) const;
+  // Points port gp of buffer b at `size` fresh slots at the tail of shard
+  // s's region of that buffer (the caller's shard: see regions_).
+  void claim_chunk(int b, int s, int gp, int size);
+  // Moves the `used` slots of port gp's full chunk in buffer b (and, with
+  // faults on, the stages of its injected prefix) to a chunk twice as
+  // large at the tail of shard s's region.
+  void grow_chunk(int b, int s, int gp, int used);
   // Clears stale worklist/crash-cursor state and queues every vertex for
   // round 0 (round 0 precedes any message exchange, so all n vertices
   // step; from round 1 on the worklists carry only active vertices).
@@ -355,13 +367,14 @@ class Network {
   void compute_shard(int s, std::int64_t r,
                      std::vector<std::unique_ptr<VertexAlgorithm>>& algos);
   // Round phase two (after the barrier): retires shard t's ports of the
-  // buffer being vacated (this round's inboxes, next round's outboxes),
-  // then applies fault decisions for round r and accounts buffer `out`
-  // traffic delivered to shard t's vertices, queueing every mail receiver
-  // on shard t's next-round worklist. Runs on whichever worker was
-  // assigned shard t this round (the owner when t is a member, a member
-  // picking up an orphan otherwise). Returns the fault-pass subtotal in
-  // nanoseconds (0 unless both faults and the profiler are active).
+  // buffer being vacated (this round's inboxes, next round's outboxes) and
+  // rewinds shard t's region of it, then applies fault decisions for round
+  // r and accounts buffer `out` traffic delivered to shard t's vertices,
+  // queueing every mail receiver on shard t's next-round worklist. Runs on
+  // whichever worker was assigned shard t this round (the owner when t is
+  // a member, a member picking up an orphan otherwise). Returns the
+  // fault-pass subtotal in nanoseconds (0 unless both faults and the
+  // profiler are active).
   std::int64_t deliver_shard(int t, int out, std::int64_t r);
   // Applies every churn event scheduled at or before round r that has not
   // fired yet (caller thread, between rounds — before the member census,
@@ -406,17 +419,20 @@ class Network {
   // slots in place, appending duplicate copies, and moving delayed
   // messages into the opposite buffer (next round's outbox) — then leaves
   // the port's final delivered count in the mailbox bookkeeping. Runs on
-  // whichever worker owns the receiving shard; every decision is keyed by
-  // (seed, round, port, slot), so the outcome is thread-count independent.
-  void apply_port_faults(int rs, int out, std::int64_t r, ShardAccum& acc);
-  // Moves a delayed message into buffer `buf`'s port rs behind any other
-  // injected messages, with `stage` remaining re-delivery passes.
-  void inject_delayed(int buf, int rs, Message&& m, signed char stage);
+  // the worker delivering rs's shard t, which is also the one writer of
+  // shard t's regions in this phase; every decision is keyed by (seed,
+  // round, port, slot), so the outcome is thread-count independent.
+  void apply_port_faults(int t, int rs, int out, std::int64_t r,
+                         ShardAccum& acc);
+  // Moves a delayed message into buffer `buf`'s port rs (owned by shard t)
+  // behind any other injected messages, with `stage` remaining
+  // re-delivery passes.
+  void inject_delayed(int t, int buf, int rs, Message&& m, signed char stage);
 
   const graph::Graph& g_;
   NetworkOptions options_;
   int n_ = 0;
-  int num_dir_ports_ = 0;  // 2m: one slot group per directed edge
+  int num_dir_ports_ = 0;  // 2m: one mailbox per directed edge and buffer
 
   // Cached topology. Directed port gp = port_base_[v] + p identifies
   // (vertex v, local port p); reverse_slot_[gp] is the directed port of the
@@ -428,18 +444,55 @@ class Network {
   std::vector<graph::VertexId> port_peer_;   // size 2m: neighbor on gp
   std::vector<Context> contexts_;      // wired once, reused across runs
 
-  // Double-buffered mailboxes: buffer in_ is this round's inbox, 1 - in_
-  // collects sends for the next round; ending a round swaps the roles.
-  // With bandwidth enforcement on, messages live in a contiguous slot
-  // arena (slot_cap_ slots per directed port — sends beyond that throw
-  // before touching memory). The LOCAL model (enforcement off) has no slot
-  // bound, so it falls back to per-port vectors; so does an enforced
-  // network whose arena would be unreasonably large.
-  bool arena_mode_ = true;
-  int slot_cap_ = 1;
-  std::vector<Message> slab_[2];                // arena: 2m * slot_cap_
-  std::vector<int> counts_[2];                  // arena: messages per port
-  std::vector<std::vector<Message>> boxes_[2];  // fallback: per-port boxes
+  // Double-buffered mailboxes (DESIGN.md §10): buffer in_ is this round's
+  // inbox, 1 - in_ collects sends for the next round; ending a round swaps
+  // the roles. chunk_[b][gp] is directed port gp's mailbox in buffer b:
+  // its messages are the run slots[0, count), of which the first
+  // `injected` are delayed messages placed there by the fault hook (always
+  // 0 without faults). A port claims a chunk when its first message of
+  // the round arrives and moves its run to a chunk twice as large when
+  // that one fills, so every inbox is one FIFO run and a send is one move.
+  struct Chunk {
+    Message* slots = nullptr;  // stale while count == 0
+    int count = 0;
+    int injected = 0;
+  };
+  std::vector<Chunk> chunk_[2];
+  // Largest chunk a port can need: the most messages one port can hold in
+  // one buffer with enforcement on (sends beyond the budget throw before
+  // touching memory); unbounded in the LOCAL model.
+  int max_chunk_ = 1;
+  // Chunks come from regions, one per (buffer, shard) at index
+  // b * num_shards_ + s, filled front to back and rewound when their buffer
+  // is retired. A region has one writer per phase, shard s's: its compute
+  // claims chunks for the ports its vertices send on; its delivery claims
+  // them for delayed messages and duplicate copies on the ports it
+  // receives on, and rewinds region (in_, s) first. Blocks never move, so
+  // other shards may keep writing into chunks claimed earlier. An enforced
+  // network reserves, without constructing, one block per region big
+  // enough for the worst case, so rounds never allocate; a LOCAL network
+  // adds blocks, each twice the last, as its traffic needs them.
+  struct MailBlock {
+    // Capacity fixed at creation; size() is the high-water mark of
+    // constructed slots, so memory is touched only as traffic reaches it.
+    std::vector<Message> slots;
+    std::vector<signed char> stages;  // fault networks: one per slot
+  };
+  struct alignas(64) MailRegion {
+    std::vector<MailBlock> blocks;
+    std::size_t block = 0;  // the block being filled
+    std::size_t used = 0;   // slots claimed from it since the rewind
+    // The block's slots [0, ready) may be claimed without a look at the
+    // blocks: constructed, and cached here. 0 after a rewind.
+    std::size_t ready = 0;
+    Message* slots = nullptr;
+    signed char* stages = nullptr;
+  };
+  std::vector<MailRegion> regions_;
+  // Claim slow path: makes slots [used, used + size) of `region` ready,
+  // constructing more of its block or moving on to the next block, which
+  // a LOCAL-model network adds when none is left.
+  void extend_region(MailRegion& region, std::size_t size);
 
   // Parallel execution (DESIGN.md §11). Vertices are statically sharded
   // into num_shards_ contiguous, degree-weighted ranges (shard_begin_ is a
@@ -541,15 +594,12 @@ class Network {
   bool faults_active_ = false;
   // Per vertex: first round it no longer executes (int64 max = never).
   std::vector<std::int64_t> crash_round_;
-  // The first injected_[b][gp] slots of port gp in buffer b hold delayed
-  // messages placed there by the fault hook; fresh sends append after them
-  // and the bandwidth budget applies to the fresh suffix only.
-  std::vector<int> injected_[2];
-  // Remaining re-delivery passes of each injected slot. Arena mode keeps a
-  // slab parallel to slab_ (entry rs * slot_cap_ + i); fallback mode keeps
-  // one vector per port whose length is exactly the injected prefix.
-  std::vector<signed char> stage_slab_[2];
-  std::vector<std::vector<signed char>> stage_boxes_[2];
+  // The first chunk_[b][gp].injected slots of port gp in buffer b hold
+  // delayed messages placed there by the fault hook; fresh sends append
+  // after them and the bandwidth budget applies to the fresh suffix only.
+  // chunk_stages_[b][gp] points at the remaining re-delivery passes of
+  // that chunk's slots, in the stages of the chunk's block.
+  std::vector<signed char*> chunk_stages_[2];
   // Delayed messages currently in transit. The run loop keeps executing
   // rounds while this is nonzero so a delayed message cannot be silently
   // discarded by every vertex reporting finished before it lands.

@@ -6,7 +6,7 @@
 // *redundant* work for
 // the simulator: grid cells that share a topology rebuild the same CSR,
 // and cells that additionally share an algorithm/thread/fault shape
-// rebuild the same Network arenas. For small-n cells construction costs
+// rebuild the same Network mailboxes. For small-n cells construction costs
 // more than the run itself, so a grid paying it per cell is
 // construction-bound, not simulation-bound.
 //

@@ -370,7 +370,8 @@ TEST(ChurnReuse, AbortedRunThenChurnRunMatchesFreshConstruction) {
   Network net(g, opt);
 
   // Abort at round 3: two churn events have already fired, the port table
-  // and presence flags are mid-schedule, and the arenas hold round-3 state.
+  // and presence flags are mid-schedule, and the mailboxes hold round-3
+  // state.
   std::vector<std::unique_ptr<VertexAlgorithm>> bad;
   for (VertexId v = 0; v < 4; ++v) {
     bad.push_back(std::make_unique<OversendAlgo>(v == 0, 3));

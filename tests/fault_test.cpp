@@ -85,7 +85,7 @@ ChatterOutcome run_chatter(const Graph& g, const FaultPlan& plan,
                            bool enforce_bandwidth = true) {
   NetworkOptions opt;
   opt.bandwidth_tokens = bandwidth;
-  // Off selects the per-port vector mailboxes instead of the slot arena.
+  // Off is the LOCAL model: the same mailboxes without a token budget.
   opt.enforce_bandwidth = enforce_bandwidth;
   opt.num_threads = num_threads;
   opt.faults = plan;
@@ -186,8 +186,8 @@ TEST(FaultDeterminism, SparseFallbackIdenticalUnderFaultsAndCrashes) {
   EXPECT_EQ(outcome_hash(reference), 0xe88a787fc9975f63ULL);
   for (const int t : {1, 4}) {
     SCOPED_TRACE(t);
-    // Enforcement off moves the mailboxes (and the fault pass) from the
-    // slot arena to per-port vectors; the outcome must not change.
+    // Enforcement off lifts the budget, so regions grow on demand instead
+    // of holding a reserved worst case; the outcome must not change.
     expect_same_outcome(reference,
                         run_chatter(g, plan, t, 12, 1, /*sparse_threshold=*/0,
                                     /*enforce_bandwidth=*/false));

@@ -165,7 +165,7 @@ TEST(Profiler, SteadyStateAllocationsStayZeroWithProfilerAttached) {
     opt.num_threads = threads;
     opt.profiler = &profiler;
     Network net(g, opt);
-    // Warm run grows arena overflow and algorithm-internal capacity; the
+    // Warm run grows algorithm-internal capacity; the
     // audited run must then stay off the heap — profiler hooks included
     // (lanes and rings were sized at bind time, in the Network ctor).
     auto warm = make_saturate(g, 12);

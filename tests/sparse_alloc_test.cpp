@@ -158,8 +158,8 @@ TEST(SparseAlloc, SteadyStateStaysOffTheHeapAcrossBothRoundPaths) {
     // queued and finishes with single-digit stragglers, so one run visits
     // dispatching rounds, fallback rounds, and the crossover.
     Network net(g, opt);
-    // Warm run: worklist capacity, arena overflow, and algorithm-internal
-    // vectors grow here; the audited run must then stay off the heap.
+    // Warm run: worklist capacity and algorithm-internal vectors grow
+    // here; the audited run must then stay off the heap.
     auto warm = make_flood(g);
     net.run(warm);
     auto audit = make_flood(g);
@@ -209,6 +209,69 @@ TEST(SparseAlloc, ChurnRoundsStayOffTheHeap) {
     const std::int64_t delta = allocation_count() - before;
     EXPECT_EQ(delta, 0) << threads << " threads";
     EXPECT_EQ(stats.churn_events, warm_stats.churn_events);
+  }
+}
+
+// Sends `budget` sequence-numbered messages on every port in every round
+// until round `rounds`, and allocates nothing itself.
+class SaturateAlgo final : public VertexAlgorithm {
+ public:
+  SaturateAlgo(int budget, std::int64_t rounds)
+      : budget_(budget), rounds_(rounds) {}
+
+  void round(Context& ctx) override {
+    done_ = ctx.round() >= rounds_;
+    if (done_) return;
+    for (std::int64_t k = 0; k < budget_; ++k) {
+      for (int p = 0; p < ctx.num_ports(); ++p) ctx.send(p, {{k}});
+    }
+  }
+  bool finished() const override { return done_; }
+
+ private:
+  int budget_;
+  std::int64_t rounds_;
+  bool done_ = false;
+};
+
+// An enforced network reserves each mailbox region's worst case at
+// construction: every port it serves filling its budget through the
+// doubling chain of chunks, delayed messages and duplicate copies
+// included. So even a first run, with no warm-up, stays off the heap
+// while every port carries its full budget each round. A reservation short
+// of the worst case, or a region that is never rewound, would have to add
+// blocks mid-run.
+TEST(SparseAlloc, EnforcedMailboxesNeedNoWarmUpRun) {
+  const Graph g = graph::grid(16, 16);
+  constexpr int kBudget = 3;
+  for (const int threads : {1, 4}) {
+    for (const bool faulted : {false, true}) {
+      NetworkOptions opt;
+      opt.bandwidth_tokens = kBudget;
+      opt.num_threads = threads;
+      opt.sparse_serial_threshold = 0;  // dispatch every round to the shards
+      if (faulted) {
+        opt.faults.seed = 5;
+        opt.faults.drop_probability = 0.05;
+        opt.faults.duplicate_probability = 0.3;
+        opt.faults.delay_probability = 0.3;
+        opt.faults.max_delay_rounds = 3;
+      }
+      Network net(g, opt);
+      std::vector<std::unique_ptr<VertexAlgorithm>> algos;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        algos.push_back(std::make_unique<SaturateAlgo>(kBudget, 40));
+      }
+      const std::int64_t before = allocation_count();
+      const RunStats stats = net.run(algos);
+      const std::int64_t delta = allocation_count() - before;
+      EXPECT_EQ(delta, 0) << threads << " threads, faulted " << faulted;
+      EXPECT_GT(stats.messages_sent, 0);
+      if (faulted) {
+        EXPECT_GT(stats.messages_duplicated, 0);
+        EXPECT_GT(stats.messages_delayed, 0);
+      }
+    }
   }
 }
 

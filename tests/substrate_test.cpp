@@ -1,4 +1,4 @@
-// Substrate-level tests for the mailbox arena and the parallel round loop
+// Substrate-level tests for the mailboxes and the parallel round loop
 // (src/congest/network.cpp, src/congest/thread_pool.cpp): per-port FIFO
 // order, double-buffer isolation between rounds, WordBuffer spill
 // behaviour, send-side validation, the max_rounds budget, bit-identical
@@ -9,6 +9,8 @@
 
 #include <array>
 #include <atomic>
+#include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -84,11 +86,85 @@ TEST(Substrate, PerPortDeliveryIsFifo) { run_fifo_burst(1); }
 // single sender, so slot order is send order regardless of sharding.
 TEST(Substrate, PerPortDeliveryIsFifoParallel) { run_fifo_burst(8); }
 
+// Sends kBudget messages per port per round for kRounds rounds, cycling
+// through the ports (p0, p1, p2, p0, …), so every receiver's chunk is
+// claimed in interleaved order and outgrows its first chunk while its
+// neighbours' chunks are claimed around it. Every vertex checks each
+// inbox: exactly kBudget messages from that neighbour, in send order.
+class InterleavedSender final : public VertexAlgorithm {
+ public:
+  static constexpr int kBudget = 9;
+  static constexpr std::int64_t kRounds = 4;
+
+  void round(Context& ctx) override {
+    const std::int64_t r = ctx.round();
+    for (int p = 0; p < ctx.num_ports(); ++p) {
+      const PortInbox box = ctx.inbox(p);
+      const int expected = r == 0 ? 0 : kBudget;
+      EXPECT_EQ(box.size(), expected) << "vertex " << ctx.id() << " port " << p;
+      if (box.size() != expected) continue;
+      for (int k = 0; k < box.size(); ++k) {
+        EXPECT_EQ(box[k].words[0], r - 1);
+        EXPECT_EQ(box[k].words[1], k);
+        EXPECT_EQ(box[k].words[2], ctx.neighbor(p));
+      }
+      received_ += box.size();
+    }
+    if (r < kRounds) {
+      for (std::int64_t k = 0; k < kBudget; ++k) {
+        for (int p = 0; p < ctx.num_ports(); ++p) {
+          ctx.send(p, {{r, k, ctx.id()}});
+        }
+      }
+    }
+    done_ = r >= kRounds;
+  }
+  bool finished() const override { return done_; }
+  std::int64_t received() const { return received_; }
+
+ private:
+  bool done_ = false;
+  std::int64_t received_ = 0;
+};
+
+TEST(Substrate, PerPortDeliveryIsFifoUnderInterleavedSends) {
+  const Graph g = graph::complete(5);
+  for (const bool enforce : {true, false}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "enforce " << enforce << " threads "
+                                      << threads);
+      std::vector<std::unique_ptr<VertexAlgorithm>> algos;
+      std::vector<InterleavedSender*> typed;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        auto a = std::make_unique<InterleavedSender>();
+        typed.push_back(a.get());
+        algos.push_back(std::move(a));
+      }
+      NetworkOptions opt;
+      opt.bandwidth_tokens = InterleavedSender::kBudget;
+      opt.enforce_bandwidth = enforce;
+      opt.num_threads = threads;
+      opt.sparse_serial_threshold = 0;  // dispatch every round to the shards
+      Network net(g, opt);
+      const RunStats stats = net.run(algos);
+      const std::int64_t per_vertex = (g.num_vertices() - 1) *
+                                      InterleavedSender::kBudget *
+                                      InterleavedSender::kRounds;
+      EXPECT_EQ(stats.rounds, InterleavedSender::kRounds + 1);
+      EXPECT_EQ(stats.messages_sent, g.num_vertices() * per_vertex);
+      EXPECT_EQ(stats.max_edge_load, InterleavedSender::kBudget);
+      for (const InterleavedSender* a : typed) {
+        EXPECT_EQ(a->received(), per_vertex);
+      }
+    }
+  }
+}
+
 // --- Double-buffer isolation -----------------------------------------------
 
 // Sends {round} before reading, then asserts this round's inbox holds
 // exactly the previous round's value — a send during round r must never
-// alias the round-r inbox (the two arena buffers back different rounds).
+// alias the round-r inbox (the two mailbox buffers back different rounds).
 class SendThenReadAlgo final : public VertexAlgorithm {
  public:
   static constexpr std::int64_t kRounds = 5;
@@ -127,7 +203,7 @@ TEST(Substrate, RoundBuffersDoNotAliasInArenaMode) {
 
 TEST(Substrate, RoundBuffersDoNotAliasInLocalMode) {
   NetworkOptions opt;
-  opt.enforce_bandwidth = false;  // per-port vector fallback path
+  opt.enforce_bandwidth = false;  // LOCAL model: no token budget
   run_send_then_read(opt);
 }
 
@@ -503,7 +579,8 @@ TEST(SparseFastPath, AutoThreadCountClampsToShardWeightOnTinyGraphs) {
 // A violation aborts a run mid-round with messages already deposited for
 // the next round. The Network must stay reusable: a fresh run() on the
 // same instance starts from clean mailboxes and reports correct stats
-// (the reset_mailboxes path), in arena, fallback, and parallel modes.
+// (the reset_mailboxes path), with enforcement on (a 1-token and a
+// 3M-token budget) and off, and in parallel.
 
 // Sends within budget at round 0 (so both buffers hold state when the
 // abort happens), then overruns the per-edge token budget at round 1.
@@ -529,8 +606,8 @@ class LateBadPortAlgo final : public VertexAlgorithm {
   bool finished() const override { return false; }
 };
 
-// Oversized message at round 1 — the violation reachable in fallback mode
-// with enforcement still on.
+// Oversized message at round 1: a violation a huge token budget still
+// raises, since enforcement stays on.
 class LateFatMessageAlgo final : public VertexAlgorithm {
  public:
   void round(Context& ctx) override {
@@ -545,8 +622,22 @@ class LateFatMessageAlgo final : public VertexAlgorithm {
   bool finished() const override { return false; }
 };
 
+// Resident set size of this process in KiB, read from /proc/self/status;
+// -1 when the file has no VmRSS line.
+std::int64_t resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
+}
+
+// `while_alive` runs after the recovered run, before the Network is
+// destroyed.
 template <typename Violator>
-void abort_then_recover(const NetworkOptions& opt) {
+void abort_then_recover(const NetworkOptions& opt,
+                        const std::function<void()>& while_alive = {}) {
   Graph g = graph::path(2);
   Network net(g, opt);
   {
@@ -565,6 +656,7 @@ void abort_then_recover(const NetworkOptions& opt) {
   EXPECT_EQ(stats.messages_sent, 2 * SendThenReadAlgo::kRounds);
   EXPECT_EQ(stats.words_sent, 2 * SendThenReadAlgo::kRounds);
   EXPECT_EQ(stats.max_edge_load, 1);
+  if (while_alive) while_alive();
 }
 
 TEST(ErrorRecovery, CongestionAbortThenFreshRunInArenaMode) {
@@ -577,16 +669,24 @@ TEST(ErrorRecovery, BadPortAbortThenFreshRunInArenaMode) {
 
 TEST(ErrorRecovery, BadPortAbortThenFreshRunInLocalMode) {
   NetworkOptions opt;
-  opt.enforce_bandwidth = false;  // per-port vector fallback path
+  opt.enforce_bandwidth = false;  // LOCAL model: no token budget
   abort_then_recover<LateBadPortAlgo>(opt);
 }
 
 TEST(ErrorRecovery, MessageSizeAbortThenFreshRunInEnforcedFallbackMode) {
-  // 2 directed ports * 3M tokens exceeds the arena ceiling, so this is the
-  // fallback representation with bandwidth enforcement still active.
+  // Bandwidth enforcement stays on with a 3M-token budget on 2 directed
+  // ports. Enforced and LOCAL networks share one mailbox representation, so
+  // nothing falls back: the Network reserves room for 3M messages per port
+  // without constructing it, and only the slots its traffic reaches become
+  // resident. Its process must grow by less than 64 MiB while it is alive
+  // (slabs of ports × budget messages would take about 960 MB).
   NetworkOptions opt;
   opt.bandwidth_tokens = 3'000'000;
-  abort_then_recover<LateFatMessageAlgo>(opt);
+  const std::int64_t before = resident_kib();
+  ASSERT_GE(before, 0);
+  abort_then_recover<LateFatMessageAlgo>(opt, [before] {
+    EXPECT_LT(resident_kib() - before, 64 * 1024);
+  });
 }
 
 // Parallel abort: the violation is raised on a worker, quiesced at the
