@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "src/congest/metrics.h"
 #include "src/congest/trace.h"
@@ -22,51 +22,59 @@ using graph::VertexId;
 
 namespace {
 
-// Rebuilds G[V_i] exactly as the leader sees it: the vertex set is the union
-// of token endpoints (plus the leader itself), edges and their attributes
-// come from the token payloads [u, v, weight, sign].
+// Rebuilds G[V_i] as the leader sees it: the vertex set is the union of
+// token endpoints (plus the leader itself), edges and their attributes come
+// from the token payloads [u, v, weight, sign]. The numbering is canonical,
+// local ids by increasing parent vertex id and edges by increasing parent
+// edge id, so the leader's view depends on which tokens arrived but not on
+// their route or arrival order. A complete gather therefore yields exactly
+// graph::induced_subgraph(g, members).
 graph::InducedSubgraph reconstruct_cluster(
     const Graph& g, VertexId leader,
     const std::vector<std::vector<std::int64_t>>& payloads) {
   graph::InducedSubgraph out;
-  std::unordered_map<VertexId, VertexId> to_local;
-  auto local_id = [&](VertexId parent) {
-    auto [it, inserted] =
-        to_local.try_emplace(parent, static_cast<VertexId>(out.to_parent.size()));
-    if (inserted) out.to_parent.push_back(parent);
-    return it->second;
+  out.to_parent.push_back(leader);
+  std::vector<std::pair<EdgeId, const std::vector<std::int64_t>*>> edge_tokens;
+  for (const auto& p : payloads) {
+    out.to_parent.push_back(static_cast<VertexId>(p[0]));
+    if (p[1] < 0) continue;  // registration token: names a vertex, not an edge
+    out.to_parent.push_back(static_cast<VertexId>(p[1]));
+    // The parent edge id orders the edges and is kept for downstream
+    // bookkeeping.
+    const EdgeId parent_edge = g.find_edge(static_cast<VertexId>(p[0]),
+                                           static_cast<VertexId>(p[1]));
+    if (parent_edge == graph::kInvalidEdge) {
+      throw std::logic_error("gathered token names a non-edge");
+    }
+    edge_tokens.emplace_back(parent_edge, &p);
+  }
+  std::sort(out.to_parent.begin(), out.to_parent.end());
+  out.to_parent.erase(std::unique(out.to_parent.begin(), out.to_parent.end()),
+                      out.to_parent.end());
+  std::sort(edge_tokens.begin(), edge_tokens.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto local_id = [&](std::int64_t parent) {
+    return static_cast<VertexId>(
+        std::lower_bound(out.to_parent.begin(), out.to_parent.end(), parent) -
+        out.to_parent.begin());
   };
-  local_id(leader);
   std::vector<graph::Edge> edges;
   std::vector<graph::Weight> weights;
   std::vector<graph::EdgeSign> signs;
-  for (const auto& p : payloads) {
-    if (p[1] < 0) {  // registration token: names a vertex, not an edge
-      local_id(static_cast<VertexId>(p[0]));
-      continue;
-    }
-    const VertexId u = local_id(static_cast<VertexId>(p[0]));
-    const VertexId v = local_id(static_cast<VertexId>(p[1]));
-    edges.push_back({u, v});
+  edges.reserve(edge_tokens.size());
+  out.edge_to_parent.reserve(edge_tokens.size());
+  for (const auto& [parent_edge, token] : edge_tokens) {
+    const std::vector<std::int64_t>& p = *token;
+    edges.push_back({local_id(p[0]), local_id(p[1])});
     weights.push_back(p[2]);
     signs.push_back(p[3] > 0 ? graph::EdgeSign::kPositive
                              : graph::EdgeSign::kNegative);
+    out.edge_to_parent.push_back(parent_edge);
   }
   out.graph = Graph::from_edges(static_cast<int>(out.to_parent.size()),
                                 std::move(edges));
   if (g.is_weighted()) out.graph = out.graph.with_weights(std::move(weights));
   if (g.is_signed()) out.graph = out.graph.with_signs(std::move(signs));
-  // Recover parent edge ids for downstream bookkeeping.
-  out.edge_to_parent.reserve(out.graph.num_edges());
-  for (EdgeId e = 0; e < out.graph.num_edges(); ++e) {
-    const graph::Edge ed = out.graph.edge(e);
-    const EdgeId parent_edge =
-        g.find_edge(out.to_parent[ed.u], out.to_parent[ed.v]);
-    if (parent_edge == graph::kInvalidEdge) {
-      throw std::logic_error("gathered token names a non-edge");
-    }
-    out.edge_to_parent.push_back(parent_edge);
-  }
   return out;
 }
 

@@ -108,7 +108,10 @@ struct Cluster {
   std::vector<graph::VertexId> members;  // parent-graph vertex ids
   graph::VertexId leader = graph::kInvalidVertex;
   // G[V_i] as reconstructed by the leader from gathered tokens; local
-  // vertex i corresponds to parent id subgraph.to_parent[i].
+  // vertex i corresponds to parent id subgraph.to_parent[i]. Local ids
+  // follow increasing parent vertex id and edges increasing parent edge id,
+  // so a complete gather gives graph::induced_subgraph(g, members) exactly,
+  // whatever route the tokens took.
   graph::InducedSubgraph subgraph;
   int leader_local = -1;
 };

@@ -132,6 +132,9 @@ class Graph {
                : static_cast<double>(num_edges()) / num_vertices();
   }
 
+  // Same vertices, same edges in the same id order, same attributes.
+  friend bool operator==(const Graph&, const Graph&) = default;
+
  private:
   std::vector<int> offsets_;        // size n+1
   std::vector<VertexId> adjacency_; // size 2m

@@ -19,6 +19,9 @@ struct InducedSubgraph {
   std::vector<VertexId> to_parent;
   // local edge id -> parent edge id (size = graph.num_edges()).
   std::vector<EdgeId> edge_to_parent;
+
+  friend bool operator==(const InducedSubgraph&,
+                         const InducedSubgraph&) = default;
 };
 
 // Builds G[vertices]. `vertices` must be distinct and in range.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/core/correlation.h"
 #include "src/core/ldd.h"
@@ -10,6 +13,7 @@
 #include "src/core/property_testing.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
+#include "src/graph/subgraph.h"
 #include "src/seq/mis.h"
 #include "src/seq/mwm.h"
 #include "src/seq/planarity.h"
@@ -184,6 +188,107 @@ TEST(MwmApprox, HandlesHighWeightSpread) {
   const auto r = mwm_approx(g, 0.3);
   const auto exact = seq::max_weight_matching(g);
   EXPECT_GE(r.weight + 1e-9, 0.7 * seq::matching_weight(g, exact));
+}
+
+// ---- One answer whatever the gather route ------------------------------------
+
+// The gather configurations an application's answer must not depend on: the
+// plain walk gather, the reliable gather, and the reliable gather at 1% drop,
+// each at one and four threads. Each moves the tokens along other routes,
+// but a complete gather delivers the same tokens, and the leader numbers its
+// cluster canonically, so every configuration solves the same subgraphs.
+// The epoch budget is set so that the faulted gathers complete.
+struct GatherConfig {
+  std::string name;
+  FrameworkOptions framework;
+};
+
+std::vector<GatherConfig> gather_configs(std::uint64_t seed) {
+  std::vector<GatherConfig> out;
+  for (const int threads : {1, 4}) {
+    for (const char* route : {"walk", "reliable", "reliable+1%drop"}) {
+      GatherConfig c;
+      c.name = std::string(route) + " threads=" + std::to_string(threads);
+      c.framework.seed = seed;
+      c.framework.num_threads = threads;
+      c.framework.gather_epoch_rounds = 4096;
+      c.framework.reliable_gather = route != std::string("walk");
+      if (route == std::string("reliable+1%drop")) {
+        c.framework.faults.seed = 77;
+        c.framework.faults.drop_probability = 0.01;
+      }
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+TEST(GatherRouteEquivalence, MisAnswerIsTheSameOnEveryRoute) {
+  Rng rng(21);
+  const Graph g = graph::random_maximal_planar(90, rng);
+  const double eps = 0.3;
+  std::vector<VertexId> reference;
+  for (const GatherConfig& c : gather_configs(5)) {
+    SCOPED_TRACE(c.name);
+    const auto r = mis_approx(g, eps, {.framework = c.framework});
+    // The partition mis_approx runs: ε' = ε/(2d+1), density bound 1.
+    FrameworkOptions f = c.framework;
+    f.density_bound = 1;
+    const int d = static_cast<int>(std::ceil(g.edge_density()));
+    ASSERT_TRUE(partition_and_gather(g, eps / (2 * d + 1), f).gather_complete);
+    if (reference.empty()) reference = r.independent_set;
+    EXPECT_EQ(r.independent_set, reference);
+  }
+  EXPECT_FALSE(reference.empty());
+}
+
+TEST(GatherRouteEquivalence, McmAnswerIsTheSameOnEveryRoute) {
+  Rng rng(22);
+  const Graph g = graph::random_planar(120, 200, rng);
+  const double eps = 0.3;
+  // The partition mcm_planar_approx runs: Ḡ after star elimination,
+  // ε' = ε/8, density bound 1.
+  const auto removed = eliminate_stars(g).removed;
+  std::vector<bool> keep_edge(g.num_edges());
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    keep_edge[e] = !removed[g.edge(e).u] && !removed[g.edge(e).v];
+  }
+  const Graph g_bar = graph::edge_subgraph(g, keep_edge);
+  seq::Mates reference;
+  for (const GatherConfig& c : gather_configs(6)) {
+    SCOPED_TRACE(c.name);
+    const auto r = mcm_planar_approx(g, eps, {.framework = c.framework});
+    FrameworkOptions f = c.framework;
+    f.density_bound = 1;
+    ASSERT_TRUE(partition_and_gather(g_bar, eps * 0.125, f).gather_complete);
+    if (reference.empty()) reference = r.mates;
+    EXPECT_EQ(r.mates, reference);
+  }
+}
+
+TEST(GatherRouteEquivalence, MwmAnswerIsTheSameOnEveryRoute) {
+  Rng rng(23);
+  const Graph base = graph::random_planar(100, 170, rng);
+  const Graph g = base.with_weights(graph::random_weights(base, 1000, rng));
+  const double eps = 0.3;
+  seq::Mates reference;
+  for (const GatherConfig& c : gather_configs(7)) {
+    SCOPED_TRACE(c.name);
+    MwmApproxOptions opt;
+    opt.framework = c.framework;
+    opt.phases = 3;
+    const auto r = mwm_approx(g, eps, opt);
+    // The partition each mwm_approx phase runs.
+    for (int phase = 0; phase < opt.phases; ++phase) {
+      FrameworkOptions f = c.framework;
+      f.weighted_volumes = opt.weighted_decomposition;
+      f.seed = c.framework.seed + 0x51ED2701ULL * (phase + 1);
+      ASSERT_TRUE(partition_and_gather(g, eps, f).gather_complete)
+          << "phase " << phase;
+    }
+    if (reference.empty()) reference = r.mates;
+    EXPECT_EQ(r.mates, reference);
+  }
 }
 
 // ---- Theorem 1.3: correlation clustering ------------------------------------

@@ -18,31 +18,30 @@ using graph::VertexId;
 
 // The decisive faithfulness check: the cluster subgraph reconstructed by
 // the leader *from delivered tokens* must equal the induced subgraph
-// G[V_i] (same vertex set, same edges, same attributes).
+// G[V_i] layout for layout: the same local vertex numbering, the same edges
+// in the same order with the same parent ids, and the same attributes. The
+// leader numbers canonically, so no walk route can change any of them.
 void check_reconstruction(const Graph& g, const Partition& p) {
   ASSERT_TRUE(p.gather_complete);
   for (const Cluster& cluster : p.clusters) {
-    // Vertex sets agree.
-    std::vector<VertexId> reconstructed(cluster.subgraph.to_parent);
-    std::vector<VertexId> expected(cluster.members);
-    std::sort(reconstructed.begin(), reconstructed.end());
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(reconstructed, expected);
-    // Edge sets agree with G[V_i].
+    const graph::InducedSubgraph& got = cluster.subgraph;
     const auto reference = graph::induced_subgraph(g, cluster.members);
-    ASSERT_EQ(cluster.subgraph.graph.num_edges(),
-              reference.graph.num_edges());
-    for (graph::EdgeId e = 0; e < cluster.subgraph.graph.num_edges(); ++e) {
-      const graph::Edge ed = cluster.subgraph.graph.edge(e);
-      const VertexId pu = cluster.subgraph.to_parent[ed.u];
-      const VertexId pv = cluster.subgraph.to_parent[ed.v];
-      const graph::EdgeId parent_edge = g.find_edge(pu, pv);
-      ASSERT_NE(parent_edge, graph::kInvalidEdge);
-      EXPECT_EQ(cluster.subgraph.graph.weight(e), g.weight(parent_edge));
+    ASSERT_EQ(got.to_parent, reference.to_parent);
+    ASSERT_EQ(got.edge_to_parent, reference.edge_to_parent);
+    const auto edges = got.graph.edges();
+    const auto reference_edges = reference.graph.edges();
+    ASSERT_EQ(std::vector<graph::Edge>(edges.begin(), edges.end()),
+              std::vector<graph::Edge>(reference_edges.begin(),
+                                       reference_edges.end()));
+    ASSERT_EQ(got.graph.is_weighted(), reference.graph.is_weighted());
+    ASSERT_EQ(got.graph.is_signed(), reference.graph.is_signed());
+    for (graph::EdgeId e = 0; e < got.graph.num_edges(); ++e) {
+      EXPECT_EQ(got.graph.weight(e), reference.graph.weight(e)) << "edge " << e;
       if (g.is_signed()) {
-        EXPECT_EQ(cluster.subgraph.graph.sign(e), g.sign(parent_edge));
+        EXPECT_EQ(got.graph.sign(e), reference.graph.sign(e)) << "edge " << e;
       }
     }
+    EXPECT_TRUE(got == reference);
     // Leader is a member and its local id is correct.
     ASSERT_GE(cluster.leader_local, 0);
     EXPECT_EQ(cluster.subgraph.to_parent[cluster.leader_local],
