@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -247,7 +246,7 @@ class WalkAlgo final : public VertexAlgorithm {
            int bandwidth, std::vector<TokenTrace>* traces)
       : intra_(intra),
         is_leader_(is_leader),
-        rng_(seed),
+        stream_(seed),
         bandwidth_(bandwidth),
         traces_(traces),
         held_(std::move(initial_tokens)),
@@ -266,18 +265,16 @@ class WalkAlgo final : public VertexAlgorithm {
     }
     if (held_.empty() || intra_->empty()) return;
     // Lazy step per token, subject to the per-edge budget; blocked tokens
-    // simply retry next round. RNG draws follow the held order: last
-    // round's kept tokens, then arrivals in port and inbox order.
+    // simply retry next round. Draws follow the held order: last round's
+    // kept tokens, then arrivals in port and inbox order.
     std::fill(port_load_.begin(), port_load_.end(), 0);
-    std::uniform_int_distribution<std::size_t> pick(0, intra_->size() - 1);
-    std::bernoulli_distribution lazy(0.5);
     kept_.clear();
     for (WordBuffer& t : held_) {
-      if (lazy(rng_)) {
+      if (stream_.lazy()) {
         kept_.push_back(std::move(t));
         continue;
       }
-      const std::size_t i = pick(rng_);
+      const std::size_t i = stream_.pick(intra_->size());
       if (port_load_[i] >= bandwidth_) {
         kept_.push_back(std::move(t));
         continue;
@@ -303,7 +300,7 @@ class WalkAlgo final : public VertexAlgorithm {
  private:
   const std::vector<int>* intra_;
   bool is_leader_;
-  std::mt19937_64 rng_;
+  WalkStream stream_;
   int bandwidth_;
   std::vector<TokenTrace>* traces_;
   bool started_ = false;
@@ -343,7 +340,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       : intra_(intra),
         walk_index_(walk_index),
         is_leader_(is_leader),
-        rng_(seed),
+        stream_(seed),
         bandwidth_(bandwidth),
         timeout_(timeout),
         deadline_(deadline),
@@ -429,17 +426,16 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     // a crashed vertex is never acked and would pin the token in unacked_
     // for the rest of the epoch.
     if (held_.empty() || walk_index_->empty()) return;
-    std::uniform_int_distribution<std::size_t> pick(0, walk_index_->size() - 1);
-    std::bernoulli_distribution lazy(0.5);
     std::deque<Token> keep;
     while (!held_.empty()) {
       Token t = std::move(held_.front());
       held_.pop_front();
-      if (lazy(rng_)) {
+      if (stream_.lazy()) {
         keep.push_back(std::move(t));
         continue;
       }
-      const std::size_t i = static_cast<std::size_t>((*walk_index_)[pick(rng_)]);
+      const std::size_t i = static_cast<std::size_t>(
+          (*walk_index_)[stream_.pick(walk_index_->size())]);
       if (load[i] >= bandwidth_) {
         keep.push_back(std::move(t));
         continue;
@@ -504,7 +500,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   const std::vector<int>* intra_;
   const std::vector<int>* walk_index_;  // intra indices with live neighbors
   bool is_leader_;
-  std::mt19937_64 rng_;
+  WalkStream stream_;
   int bandwidth_;
   int timeout_;
   std::int64_t deadline_;

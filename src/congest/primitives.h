@@ -8,11 +8,13 @@
 // leader broadcasts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/congest/network.h"
 #include "src/graph/graph.h"
+#include "src/graph/splitmix.h"
 
 namespace ecd::congest {
 
@@ -68,6 +70,35 @@ struct GatherToken {
 struct GatherOptions {
   NetworkOptions net;
   std::uint64_t seed = 1;
+};
+
+// A walker's random stream: eight bytes of state and one splitmix64 call a
+// draw. Draw i of the stream seeded with s is splitmix64(splitmix64(s) +
+// i·γ), γ the golden-ratio increment splitmix64 itself adds, so the state is
+// a counter over a whitened start. The whitening keeps the gathers'
+// per-vertex seeds, s ^ γ·(v + 1), off each other's counter sequences. Both
+// walk gathers give every vertex one stream and draw from it in held-token
+// order: a lazy coin per token and, when the token moves, a port.
+class WalkStream {
+ public:
+  explicit WalkStream(std::uint64_t seed) : state_(graph::splitmix64(seed)) {}
+
+  std::uint64_t next() {
+    const std::uint64_t draw = graph::splitmix64(state_);
+    state_ += kGamma;
+    return draw;
+  }
+  // The lazy walk's fair coin, the top bit of one draw: true = stay put.
+  bool lazy() { return next() >> 63 != 0; }
+  // An index in [0, k), k > 0: the high word of one draw times k.
+  std::size_t pick(std::size_t k) {
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(next()) * k) >> 64);
+  }
+
+ private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t state_;
 };
 
 // One hop of a forward walk: the vertex the token moved to and the round it

@@ -375,6 +375,44 @@ TEST(SparseAlloc, HopLogStoresAtMostFourBytesPerHop) {
       << log_bytes << " log bytes for " << hops << " hops";
 }
 
+// Everything the walk gather allocates, less what the same Network allocates
+// built alone and less the hop logs, is the gather's own state: ports,
+// walkers, token lists, mailbox growth, traces and the delivered result.
+// The hop logs are measured by appending every walk again to a fresh
+// TokenTrace, so they grow through the same sizes as in the gather. On this
+// grid that state came to 2,280 bytes a vertex with eight-byte walk
+// streams and to 4,771 with a std::mt19937_64 per walker (2,504 bytes
+// each). The bound, 3 KiB, sits between the two: a walker engine of more
+// than about 800 bytes fails it.
+TEST(SparseAlloc, WalkGatherStateStaysSmallPerVertex) {
+  const GridGather grid;
+  const std::int64_t gather_before = allocated_bytes();
+  const GatherResult r = grid.run();
+  const std::int64_t gather_bytes = allocated_bytes() - gather_before;
+  ASSERT_TRUE(r.complete);
+
+  const std::int64_t network_before = allocated_bytes();
+  { const Network network(grid.g, grid.opt.net); }
+  const std::int64_t network_bytes = allocated_bytes() - network_before;
+
+  std::vector<std::vector<TokenHop>> walks;
+  walks.reserve(r.traces.size());
+  for (const TokenTrace& t : r.traces) walks.push_back(t.hops());
+  const std::int64_t logs_before = allocated_bytes();
+  for (std::size_t id = 0; id < walks.size(); ++id) {
+    TokenTrace log(r.traces[id].origin, r.traces[id].cluster);
+    for (const TokenHop& hop : walks[id]) log.append(hop);
+  }
+  const std::int64_t log_bytes = allocated_bytes() - logs_before;
+
+  const double per_vertex =
+      static_cast<double>(gather_bytes - network_bytes - log_bytes) /
+      grid.g.num_vertices();
+  EXPECT_LT(per_vertex, 3072.0)
+      << gather_bytes << " gather bytes, " << network_bytes
+      << " network bytes, " << log_bytes << " hop-log bytes";
+}
+
 // reverse_delivery reads the replied hop logs in place, one round at a
 // time, so what it allocates (scratch and result together) grows with
 // tokens + rounds + n, not with hops. A counting sort that keeps an 8-byte

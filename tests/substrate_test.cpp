@@ -3,8 +3,7 @@
 // order, double-buffer isolation between rounds, WordBuffer spill
 // behaviour, send-side validation, the max_rounds budget, bit-identical
 // results across thread counts, error recovery after aborted runs, and a
-// parity fixture pinning trace/RunStats output to numbers recorded on the
-// pre-arena simulator.
+// parity fixture pinning trace/RunStats output to recorded numbers.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -993,10 +992,14 @@ std::uint64_t gather_schedule_hash(const GatherResult& r) {
   return h;
 }
 
-// Every number below was recorded by running this exact workload on the
-// pre-arena simulator (per-vertex vector mailboxes, commit 85a25a5). The
-// arena rewrite must reproduce RunStats and every trace aggregate exactly —
-// and so must any net options (num_threads included) layered on top.
+// The seven non-walk phases were recorded by running this exact workload on
+// the pre-arena simulator (per-vertex vector mailboxes, commit 85a25a5). The
+// walk gather's values (its RunStats and schedule hash, the run totals, the
+// round count, the kTagWalkToken row and the per-edge sums) were recorded
+// when the walkers moved to WalkStream, on the unchanged round loop. Every
+// later change to the simulator must reproduce RunStats and every trace
+// aggregate exactly, and so must any net options (num_threads included)
+// layered on top.
 void run_parity_workload(NetworkOptions net) {
   graph::Rng rng(77);
   const Graph g = graph::random_maximal_planar(64, rng);
@@ -1026,12 +1029,11 @@ void run_parity_workload(NetworkOptions net) {
   gopt.net.bandwidth_tokens = 4;
   const auto gather =
       random_walk_gather(g, cluster, leaders.leader_of, tokens, gopt);
-  expect_stats(gather.stats, 134, 575, 1725, 2);
+  expect_stats(gather.stats, 100, 477, 1431, 3);
   EXPECT_TRUE(gather.complete);
-  // Recorded on the per-token-vector gather (visited + hop_round traces)
-  // that preceded the wire-form data path: equal totals could hide a
-  // reordering of tokens or RNG draws, equal schedules cannot.
-  EXPECT_EQ(gather_schedule_hash(gather), 0xbd528c3b7323f4d9ULL);
+  // Equal totals could hide a reordering of tokens or stream draws, equal
+  // schedules cannot.
+  EXPECT_EQ(gather_schedule_hash(gather), 0x27d5b8dddb59164cULL);
 
   const auto tg =
       tree_gather(g, cluster, leaders.leader_of, tree.parent, tokens, net);
@@ -1054,14 +1056,14 @@ void run_parity_workload(NetworkOptions net) {
   const auto dc = check_cluster_diameter(g, cluster, 8, net);
   expect_stats(dc.stats, 27, 6966, 6966, 1);
 
-  expect_stats(mc.totals(), 188, 8971, 10797, 2);
+  expect_stats(mc.totals(), 154, 8873, 10503, 3);
   EXPECT_EQ(mc.runs_observed(), 8);
-  EXPECT_EQ(mc.rounds().size(), 188u);
+  EXPECT_EQ(mc.rounds().size(), 154u);
 
   expect_tag(mc, kTagElection, 542, 1084);
   expect_tag(mc, kTagBfs, 258, 258);
   expect_tag(mc, kTagOrientation, 181, 181);
-  expect_tag(mc, kTagWalkToken, 575, 1725);
+  expect_tag(mc, kTagWalkToken, 477, 1431);
   expect_tag(mc, kTagBroadcast, 258, 258);
   expect_tag(mc, kTagConvergecast, 114, 171);
   expect_tag(mc, kTagDiameter, 6966, 6966);
@@ -1074,8 +1076,8 @@ void run_parity_workload(NetworkOptions net) {
     edge_messages += e.messages;
     peak = std::max(peak, e.peak_load);
   }
-  EXPECT_EQ(edge_messages, 8971);
-  EXPECT_EQ(peak, 2);
+  EXPECT_EQ(edge_messages, 8873);
+  EXPECT_EQ(peak, 3);
   EXPECT_EQ(edges.size(), 258u);
 }
 
@@ -1083,9 +1085,34 @@ TEST(SubstrateParity, TraceAndStatsMatchPreArenaRecording) {
   run_parity_workload({});
 }
 
+// Known answers for the walkers' stream: the first draws of vertex 0's
+// stream in the parity gather (gather seed 1234, per-vertex seed
+// 1234 ^ γ·1), computed from WalkStream's definition by an independent
+// implementation. Any change to these values changes every walk.
+TEST(SubstrateParity, WalkStreamFirstDrawsAreFixed) {
+  constexpr std::uint64_t kSeed = 1234 ^ 0x9e3779b97f4a7c15ULL;
+  WalkStream raw(kSeed);
+  EXPECT_EQ(raw.next(), 0x72e2965d089ad614ULL);
+  EXPECT_EQ(raw.next(), 0x60acbbd9f4d3e828ULL);
+  EXPECT_EQ(raw.next(), 0x77e8e8b1fdfed079ULL);
+  EXPECT_EQ(raw.next(), 0x53b90e172ef02220ULL);
+  EXPECT_EQ(raw.next(), 0xab7d5c9bc3c44b1dULL);
+  // A walker's coin is a draw's top bit and its port the high word of the
+  // draw times the port count, one draw each, from the same stream.
+  WalkStream walker(kSeed);
+  EXPECT_FALSE(walker.lazy());
+  EXPECT_EQ(walker.pick(6), 2u);
+  EXPECT_FALSE(walker.lazy());
+  EXPECT_EQ(walker.pick(6), 1u);
+  EXPECT_TRUE(walker.lazy());
+  EXPECT_TRUE(walker.lazy());
+  EXPECT_FALSE(walker.lazy());
+  EXPECT_EQ(walker.pick(4), 2u);
+}
+
 // The event-stream TraceSink used to be serial-only; sharded trace lanes
-// (DESIGN.md §18) made it thread-count-invariant. The pre-arena parity
-// recording must hold — every aggregate, byte for byte in the exporters —
+// (DESIGN.md §18) made it thread-count-invariant. The parity recording
+// must hold — every aggregate, byte for byte in the exporters —
 // at every worker count, because lanes replay in the same sorted
 // (sender-slot, receiver-port) order the serial loop delivers in.
 TEST(SubstrateParity, TraceMatchesPreArenaRecordingAtEveryThreadCount) {
