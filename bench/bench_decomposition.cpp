@@ -10,9 +10,16 @@
 //
 // Series 2 (hypercube, E11): at constant eps the achievable φ degrades as
 // Θ(1/log n) [ALE+18]; watch phi_cert_min fall with dimension.
+//
+// BM_DecomposeWeighted is the gated decomposition row (DESIGN.md §21): the
+// weighted decomposition of one perfbench mwm-multicluster phase, a 48x48
+// grid with weights in [1, 1000] at eps 0.2 and phi 0.1.
+//   decompositions_per_sec  decompositions per wall-clock second
+//   clusters                clusters of the last decomposition
 #include "bench/bench_util.h"
 #include "src/congest/round_ledger.h"
 #include "src/expander/decomposition.h"
+#include "src/expander/weighted.h"
 
 namespace {
 
@@ -63,6 +70,35 @@ void DecompositionArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_Decomposition)->Apply(DecompositionArgs)->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DecomposeWeighted(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  graph::Rng rng(1);
+  const graph::Graph base = graph::grid(side, side);
+  const graph::Graph g =
+      base.with_weights(graph::random_weights(base, 1000, rng));
+  expander::DecompositionOptions opt;
+  opt.phi = 0.1;
+
+  std::int64_t decompositions = 0;
+  int clusters = 0;
+  for (auto _ : state) {
+    const auto d = expander::expander_decompose_weighted(g, 0.2, opt);
+    benchmark::DoNotOptimize(d);
+    clusters = d.base.num_clusters;
+    ++decompositions;
+  }
+  state.counters["n"] = g.num_vertices();
+  state.counters["clusters"] = clusters;
+  state.counters["decompositions_per_sec"] = benchmark::Counter(
+      static_cast<double>(decompositions), benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_DecomposeWeighted)
+    ->ArgNames({"side"})
+    ->Arg(48)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <stdexcept>
 
+#include "src/expander/sweep_cut.h"
 #include "src/graph/metrics.h"
 
 namespace ecd::expander {
@@ -44,58 +44,12 @@ double exact_conductance(const Graph& g) {
 }
 
 double lambda2_normalized(const Graph& g, int iterations, std::uint64_t seed) {
-  const int n = g.num_vertices();
-  if (n < 2 || g.num_edges() == 0) return 0.0;
-  // Power iteration on N = D^{-1/2} A D^{-1/2} shifted to M = (I + N)/2 so
-  // all eigenvalues are nonnegative; deflate the top eigenvector
-  // phi_1(v) = sqrt(deg v). lambda2(L) = 2 - 2*mu where mu is the Rayleigh
-  // quotient of M on the deflated space.
-  std::vector<double> sqrt_deg(n), x(n);
-  double phi1_norm_sq = 0.0;
-  for (VertexId v = 0; v < n; ++v) {
-    sqrt_deg[v] = std::sqrt(static_cast<double>(g.degree(v)));
-    phi1_norm_sq += g.degree(v);
-  }
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  for (auto& xi : x) xi = unit(rng);
-
-  auto deflate = [&](std::vector<double>& v) {
-    double dot = 0.0;
-    for (int i = 0; i < n; ++i) dot += v[i] * sqrt_deg[i];
-    dot /= phi1_norm_sq;
-    for (int i = 0; i < n; ++i) v[i] -= dot * sqrt_deg[i];
-  };
-  auto normalize = [&](std::vector<double>& v) {
-    double norm = 0.0;
-    for (double vi : v) norm += vi * vi;
-    norm = std::sqrt(norm);
-    if (norm < 1e-300) return false;
-    for (double& vi : v) vi /= norm;
-    return true;
-  };
-
-  deflate(x);
-  if (!normalize(x)) return 0.0;
-  std::vector<double> y(n);
-  double mu = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    // y = M x = (x + N x) / 2.
-    for (int v = 0; v < n; ++v) {
-      double acc = 0.0;
-      for (VertexId u : g.neighbors(v)) {
-        if (sqrt_deg[u] > 0) acc += x[u] / sqrt_deg[u];
-      }
-      y[v] = 0.5 * (x[v] + (sqrt_deg[v] > 0 ? acc / sqrt_deg[v] : 0.0));
-    }
-    deflate(y);
-    mu = 0.0;
-    for (int v = 0; v < n; ++v) mu += x[v] * y[v];
-    if (!normalize(y)) return 1.0;  // deflated space collapsed: well expanding
-    x.swap(y);
-  }
-  // mu is the Rayleigh quotient of M = (I+N)/2, so lambda2 = 2(1 - mu).
-  return std::clamp(2.0 * (1.0 - mu), 0.0, 2.0);
+  if (g.num_vertices() < 2 || g.num_edges() == 0) return 0.0;
+  // mu is the Rayleigh quotient of M = (I + N)/2 on the space deflated
+  // against phi_1(v) = sqrt(deg v), so lambda2(L) = 2 - 2 mu.
+  const PowerIteration it = power_iteration(g, false, iterations, seed);
+  if (it.vanished) return 1.0;  // deflated space collapsed: well expanding
+  return std::clamp(2.0 * (1.0 - it.mu), 0.0, 2.0);
 }
 
 CheegerBounds conductance_bounds(const Graph& g, int iterations,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 
 #include "src/expander/conductance.h"
@@ -37,35 +36,6 @@ SweepResult exact_min_cut(const Graph& g) {
   return best;
 }
 
-// Splits `vertices` (a subset of g) into connected components of G[vertices].
-std::vector<std::vector<VertexId>> split_components(
-    const Graph& g, const std::vector<VertexId>& vertices) {
-  std::vector<char> in_set(g.num_vertices(), 0);
-  for (VertexId v : vertices) in_set[v] = 1;
-  std::vector<char> seen(g.num_vertices(), 0);
-  std::vector<std::vector<VertexId>> components;
-  for (VertexId s : vertices) {
-    if (seen[s]) continue;
-    components.emplace_back();
-    auto& comp = components.back();
-    std::queue<VertexId> q;
-    seen[s] = 1;
-    q.push(s);
-    while (!q.empty()) {
-      const VertexId v = q.front();
-      q.pop();
-      comp.push_back(v);
-      for (VertexId u : g.neighbors(v)) {
-        if (in_set[u] && !seen[u]) {
-          seen[u] = 1;
-          q.push(u);
-        }
-      }
-    }
-  }
-  return components;
-}
-
 struct Attempt {
   std::vector<int> cluster_of;
   int num_clusters = 0;
@@ -80,7 +50,9 @@ Attempt decompose_with_phi(const Graph& g, double phi,
 
   std::vector<VertexId> all(n);
   for (VertexId v = 0; v < n; ++v) all[v] = v;
-  std::vector<std::vector<VertexId>> work = split_components(g, all);
+  ComponentSplitter splitter(g);
+  std::vector<std::vector<VertexId>> work;
+  splitter.split(all, work);
   std::uint64_t cut_seed = options.seed;
 
   while (!work.empty()) {
@@ -113,8 +85,8 @@ Attempt decompose_with_phi(const Graph& g, double phi,
       for (int i = 0; i < sub.graph.num_vertices(); ++i) {
         (cut.in_s[i] ? left : right).push_back(sub.to_parent[i]);
       }
-      for (auto& comp : split_components(g, left)) work.push_back(std::move(comp));
-      for (auto& comp : split_components(g, right)) work.push_back(std::move(comp));
+      splitter.split(left, work);
+      splitter.split(right, work);
     } else {
       finalize(piece, certified_conductance_lower_bound(
                           sub.graph, options.exact_cut_threshold,
@@ -157,6 +129,31 @@ ExpanderDecomposition expander_decompose(const Graph& g, double eps,
   }
   throw std::runtime_error(
       "expander_decompose: inter-cluster budget unsatisfied after retries");
+}
+
+ComponentSplitter::ComponentSplitter(const Graph& g)
+    : g_(g), mark_(g.num_vertices(), kOutside) {}
+
+void ComponentSplitter::split(std::span<const VertexId> vertices,
+                              std::vector<std::vector<VertexId>>& out) {
+  for (const VertexId v : vertices) mark_[v] = kWaiting;
+  for (const VertexId s : vertices) {
+    if (mark_[s] != kWaiting) continue;
+    // The component doubles as the BFS queue: members are listed in the
+    // order they are reached.
+    std::vector<VertexId>& comp = out.emplace_back();
+    comp.push_back(s);
+    mark_[s] = kReached;
+    for (std::size_t head = 0; head < comp.size(); ++head) {
+      for (const VertexId u : g_.neighbors(comp[head])) {
+        if (mark_[u] == kWaiting) {
+          mark_[u] = kReached;
+          comp.push_back(u);
+        }
+      }
+    }
+  }
+  for (const VertexId v : vertices) mark_[v] = kOutside;
 }
 
 std::vector<std::vector<VertexId>> cluster_members(

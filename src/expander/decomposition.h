@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -44,7 +45,8 @@ struct ExpanderDecomposition {
   int inter_cluster_edges = 0;
   double phi = 0.0;                      // target φ actually used
   // Certified conductance lower bound per cluster (exact for tiny clusters,
-  // Cheeger λ2/2 otherwise).
+  // the discounted Cheeger bound 0.9·λ2/2 otherwise; weighted conductance
+  // for expander_decompose_weighted).
   std::vector<double> cluster_phi_certified;
 };
 
@@ -57,5 +59,24 @@ ExpanderDecomposition expander_decompose(
 // Members of each cluster (utility shared by framework/tests/benches).
 std::vector<std::vector<graph::VertexId>> cluster_members(
     const ExpanderDecomposition& d);
+
+// Splits vertex subsets of one graph into the connected components they
+// induce; expander_decompose and expander_decompose_weighted split their
+// pieces with it. Components come in the order of their first member in
+// `vertices`, each listed in BFS order from that member. The per-vertex
+// marks live as long as the splitter, so a split costs O(vol(vertices))
+// plus the components it appends.
+class ComponentSplitter {
+ public:
+  explicit ComponentSplitter(const graph::Graph& g);
+  // Appends the components of G[vertices] to `out`.
+  void split(std::span<const graph::VertexId> vertices,
+             std::vector<std::vector<graph::VertexId>>& out);
+
+ private:
+  enum Mark : char { kOutside, kWaiting, kReached };
+  const graph::Graph& g_;
+  std::vector<Mark> mark_;  // per vertex
+};
 
 }  // namespace ecd::expander

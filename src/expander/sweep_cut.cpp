@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <random>
 
 #include "src/graph/splitmix.h"
@@ -53,55 +54,109 @@ SweepResult sweep_cut(const Graph& g, const std::vector<double>& score) {
   return result;
 }
 
-std::vector<double> fiedler_embedding(const Graph& g, int iterations,
-                                      std::uint64_t seed) {
+PowerIteration power_iteration(const Graph& g, bool weighted, int iterations,
+                               std::uint64_t seed) {
   const int n = g.num_vertices();
-  std::vector<double> sqrt_deg(n);
+  const auto edges = g.edges();
+  const auto weight = [&](graph::EdgeId e) {
+    return weighted ? static_cast<double>(g.weight(e)) : 1.0;
+  };
+  PowerIteration it;
+  it.degree.assign(n, 0.0);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    it.degree[edges[e].u] += weight(e);
+    it.degree[edges[e].v] += weight(e);
+  }
+  auto& sqrt_deg = it.sqrt_degree;
+  sqrt_deg.resize(n);
   double phi1_norm_sq = 0.0;
   for (VertexId v = 0; v < n; ++v) {
-    sqrt_deg[v] = std::sqrt(static_cast<double>(g.degree(v)));
-    phi1_norm_sq += g.degree(v);
+    sqrt_deg[v] = std::sqrt(it.degree[v]);
+    phi1_norm_sq += it.degree[v];
   }
+  // One coefficient c_e = w_e / (sqrt(d_u) sqrt(d_v)) per edge, so a step
+  // is division-free.
+  std::vector<double> coef(edges.size());
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    coef[e] = weight(e) / (sqrt_deg[edges[e].u] * sqrt_deg[edges[e].v]);
+  }
+
+  // Writes (y - k sqrt(d)) / |y - k sqrt(d)| to x, k = dot / |sqrt(d)|^2,
+  // from the sums dot = y·sqrt(d) and sq = y·y of the caller's pass over y:
+  // |y - k sqrt(d)|^2 = sq - k dot. Returns k, or nullopt (x untouched) when
+  // the deflated y is 0.
+  auto& x = it.x;
+  std::vector<double> y(n);
+  const auto deflate_normalize = [&](double dot,
+                                     double sq) -> std::optional<double> {
+    const double k = phi1_norm_sq > 0 ? dot / phi1_norm_sq : 0.0;
+    const double norm_sq = sq - k * dot;
+    if (!(norm_sq > 0.0)) return std::nullopt;
+    const double inv_norm = 1.0 / std::sqrt(norm_sq);
+    for (int v = 0; v < n; ++v) x[v] = (y[v] - k * sqrt_deg[v]) * inv_norm;
+    return k;
+  };
+
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  std::vector<double> x(n), y(n);
-  for (auto& xi : x) xi = unit(rng);
-
-  auto deflate = [&](std::vector<double>& v) {
-    if (phi1_norm_sq <= 0) return;
-    double dot = 0.0;
-    for (int i = 0; i < n; ++i) dot += v[i] * sqrt_deg[i];
-    dot /= phi1_norm_sq;
-    for (int i = 0; i < n; ++i) v[i] -= dot * sqrt_deg[i];
-  };
-  auto normalize = [&](std::vector<double>& v) {
-    double norm = 0.0;
-    for (double vi : v) norm += vi * vi;
-    norm = std::sqrt(norm);
-    if (norm < 1e-300) return false;
-    for (double& vi : v) vi /= norm;
-    return true;
-  };
-  deflate(x);
-  normalize(x);
-  for (int it = 0; it < iterations; ++it) {
-    for (int v = 0; v < n; ++v) {
-      double acc = 0.0;
-      for (VertexId u : g.neighbors(v)) {
-        if (sqrt_deg[u] > 0) acc += x[u] / sqrt_deg[u];
-      }
-      y[v] = 0.5 * (x[v] + (sqrt_deg[v] > 0 ? acc / sqrt_deg[v] : 0.0));
-    }
-    deflate(y);
-    if (!normalize(y)) break;
-    x.swap(y);
-  }
-  // Embed back: Fiedler coordinate of v is x[v] / sqrt(deg v).
-  std::vector<double> out(n, 0.0);
+  double dot = 0.0, sq = 0.0;
   for (int v = 0; v < n; ++v) {
-    out[v] = sqrt_deg[v] > 0 ? x[v] / sqrt_deg[v] : 0.0;
+    y[v] = unit(rng);
+    dot += y[v] * sqrt_deg[v];
+    sq += y[v] * y[v];
+  }
+  x = y;
+  if (!deflate_normalize(dot, sq)) {
+    it.vanished = true;
+    return it;
+  }
+  for (int step = 0; step < iterations; ++step) {
+    // y = M x = (x + N x) / 2. The edge pass goes in id order, which is
+    // each vertex's CSR row order, so every vertex sums its terms in the
+    // order the per-row loops did.
+    std::fill(y.begin(), y.end(), 0.0);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const graph::Edge ed = edges[e];
+      y[ed.u] += coef[e] * x[ed.v];
+      y[ed.v] += coef[e] * x[ed.u];
+    }
+    // The Rayleigh quotient x·(y - k sqrt(d)) is only read after the last
+    // step; summing it every step would cost two more dependency chains.
+    const bool last = step + 1 == iterations;
+    double xy = 0.0, xs = 0.0;
+    dot = sq = 0.0;
+    for (VertexId v = 0; v < n; ++v) {
+      const double yv = 0.5 * (x[v] + y[v]);
+      y[v] = yv;
+      dot += yv * sqrt_deg[v];
+      sq += yv * yv;
+      if (last) {
+        xy += x[v] * yv;
+        xs += x[v] * sqrt_deg[v];
+      }
+    }
+    const auto k = deflate_normalize(dot, sq);
+    if (!k) {
+      it.vanished = true;
+      break;
+    }
+    if (last) it.mu = xy - *k * xs;
+  }
+  return it;
+}
+
+std::vector<double> fiedler_coordinates(const PowerIteration& it) {
+  const std::size_t n = it.x.size();
+  std::vector<double> out(n, 0.0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (it.sqrt_degree[v] > 0) out[v] = it.x[v] / it.sqrt_degree[v];
   }
   return out;
+}
+
+std::vector<double> fiedler_embedding(const Graph& g, int iterations,
+                                      std::uint64_t seed) {
+  return fiedler_coordinates(power_iteration(g, false, iterations, seed));
 }
 
 SweepResult spectral_cut(const Graph& g, int iterations, std::uint64_t seed,

@@ -2,6 +2,7 @@
 // into the best prefix cut by conductance.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -18,8 +19,30 @@ struct SweepResult {
 // conductance. O(m + n log n).
 SweepResult sweep_cut(const graph::Graph& g, const std::vector<double>& score);
 
-// Approximate Fiedler embedding: D^{-1/2} times the deflated power-iteration
-// vector (the same operator as lambda2_normalized).
+// Deflated power iteration on the lazy walk operator M = (I + N)/2, with
+// N = D^{-1/2} W D^{-1/2} (DESIGN.md §21). Every spectral routine of the
+// decomposition runs on this one kernel. It starts from an mt19937_64
+// uniform(-1, 1) vector, deflates it against sqrt(d) and normalizes it,
+// then takes `iterations` steps x <- M x / |M x| with the deflation fused
+// in. W is the 0/1 adjacency unless `weighted`, in which case it carries
+// the edge weights.
+struct PowerIteration {
+  std::vector<double> x;            // last unit iterate, orthogonal to sqrt(d)
+  std::vector<double> degree;       // d(v): degree, or weighted degree
+  std::vector<double> sqrt_degree;  // sqrt(d(v))
+  // Rayleigh quotient x·Mx of the iterate the last step started from (0
+  // when the iteration vanished or took no step).
+  double mu = 0.0;
+  bool vanished = false;  // stopped early: the deflated iterate was 0
+};
+PowerIteration power_iteration(const graph::Graph& g, bool weighted,
+                               int iterations, std::uint64_t seed);
+
+// Fiedler coordinates of an iteration: x(v) / sqrt(d(v)), 0 where d(v) = 0.
+std::vector<double> fiedler_coordinates(const PowerIteration& it);
+
+// Approximate Fiedler embedding: fiedler_coordinates of the unweighted
+// power_iteration (the same operator as lambda2_normalized).
 std::vector<double> fiedler_embedding(const graph::Graph& g,
                                       int iterations = 400,
                                       std::uint64_t seed = 1);

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <queue>
-#include <random>
 #include <stdexcept>
 
+#include "src/expander/sweep_cut.h"
 #include "src/graph/subgraph.h"
 
 namespace ecd::expander {
@@ -48,73 +47,24 @@ double weighted_cut_conductance(const Graph& g, const std::vector<bool>& in_s) {
 
 std::vector<double> weighted_fiedler_embedding(const Graph& g, int iterations,
                                                std::uint64_t seed) {
-  const int n = g.num_vertices();
-  const auto wd = weighted_degrees(g);
-  std::vector<double> sqrt_wd(n);
-  double phi1_norm_sq = 0.0;
-  for (int v = 0; v < n; ++v) {
-    sqrt_wd[v] = std::sqrt(wd[v]);
-    phi1_norm_sq += wd[v];
-  }
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  std::vector<double> x(n), y(n);
-  for (auto& xi : x) xi = unit(rng);
-
-  auto deflate = [&](std::vector<double>& v) {
-    if (phi1_norm_sq <= 0) return;
-    double dot = 0.0;
-    for (int i = 0; i < n; ++i) dot += v[i] * sqrt_wd[i];
-    dot /= phi1_norm_sq;
-    for (int i = 0; i < n; ++i) v[i] -= dot * sqrt_wd[i];
-  };
-  auto normalize = [&](std::vector<double>& v) {
-    double norm = 0.0;
-    for (double vi : v) norm += vi * vi;
-    norm = std::sqrt(norm);
-    if (norm < 1e-300) return false;
-    for (double& vi : v) vi /= norm;
-    return true;
-  };
-  deflate(x);
-  normalize(x);
-  for (int it = 0; it < iterations; ++it) {
-    std::fill(y.begin(), y.end(), 0.0);
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const graph::Edge ed = g.edge(e);
-      const double w = static_cast<double>(g.weight(e));
-      if (sqrt_wd[ed.u] > 0 && sqrt_wd[ed.v] > 0) {
-        y[ed.u] += w * x[ed.v] / (sqrt_wd[ed.u] * sqrt_wd[ed.v]);
-        y[ed.v] += w * x[ed.u] / (sqrt_wd[ed.u] * sqrt_wd[ed.v]);
-      }
-    }
-    for (int v = 0; v < n; ++v) y[v] = 0.5 * (x[v] + y[v]);
-    deflate(y);
-    if (!normalize(y)) break;
-    x.swap(y);
-  }
-  std::vector<double> out(n, 0.0);
-  for (int v = 0; v < n; ++v) {
-    out[v] = sqrt_wd[v] > 0 ? x[v] / sqrt_wd[v] : 0.0;
-  }
-  return out;
+  return fiedler_coordinates(power_iteration(g, true, iterations, seed));
 }
 
 namespace {
 
-// Weighted sweep cut over the embedding.
 struct WeightedSweep {
   std::vector<bool> in_s;
   double conductance = 0.0;
   bool valid = false;
 };
 
+// Weighted sweep cut over the embedding; `wd` holds the weighted degrees.
 WeightedSweep weighted_sweep_cut(const Graph& g,
-                                 const std::vector<double>& score) {
+                                 const std::vector<double>& score,
+                                 const std::vector<double>& wd) {
   const int n = g.num_vertices();
   WeightedSweep result;
   if (n < 2 || g.num_edges() == 0) return result;
-  const auto wd = weighted_degrees(g);
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&score](VertexId a, VertexId b) {
@@ -151,34 +101,6 @@ WeightedSweep weighted_sweep_cut(const Graph& g,
   return result;
 }
 
-std::vector<std::vector<VertexId>> components_within(
-    const Graph& g, const std::vector<VertexId>& vertices) {
-  std::vector<char> in_set(g.num_vertices(), 0);
-  for (VertexId v : vertices) in_set[v] = 1;
-  std::vector<char> seen(g.num_vertices(), 0);
-  std::vector<std::vector<VertexId>> components;
-  for (VertexId s : vertices) {
-    if (seen[s]) continue;
-    components.emplace_back();
-    auto& comp = components.back();
-    std::queue<VertexId> q;
-    seen[s] = 1;
-    q.push(s);
-    while (!q.empty()) {
-      const VertexId v = q.front();
-      q.pop();
-      comp.push_back(v);
-      for (VertexId u : g.neighbors(v)) {
-        if (in_set[u] && !seen[u]) {
-          seen[u] = 1;
-          q.push(u);
-        }
-      }
-    }
-  }
-  return components;
-}
-
 }  // namespace
 
 WeightedDecomposition expander_decompose_weighted(
@@ -192,6 +114,7 @@ WeightedDecomposition expander_decompose_weighted(
     phi = eps / (8.0 * logm);
   }
 
+  ComponentSplitter splitter(g);
   for (int attempt = 0; attempt <= options.max_retries; ++attempt, phi /= 2.0) {
     WeightedDecomposition result;
     auto& d = result.base;
@@ -201,7 +124,8 @@ WeightedDecomposition expander_decompose_weighted(
 
     std::vector<VertexId> all(g.num_vertices());
     std::iota(all.begin(), all.end(), 0);
-    std::vector<std::vector<VertexId>> work = components_within(g, all);
+    std::vector<std::vector<VertexId>> work;
+    splitter.split(all, work);
     std::uint64_t seed = options.seed;
     while (!work.empty()) {
       std::vector<VertexId> piece = std::move(work.back());
@@ -213,21 +137,25 @@ WeightedDecomposition expander_decompose_weighted(
         continue;
       }
       const auto sub = graph::induced_subgraph(g, piece);
-      const auto emb = weighted_fiedler_embedding(
-          sub.graph, options.spectral_iterations, seed);
+      const PowerIteration it = power_iteration(
+          sub.graph, true, options.spectral_iterations, seed);
       if (!options.deterministic) seed += 7919;
-      const auto cut = weighted_sweep_cut(sub.graph, emb);
+      const auto cut =
+          weighted_sweep_cut(sub.graph, fiedler_coordinates(it), it.degree);
       if (cut.valid && cut.conductance < phi) {
         std::vector<VertexId> left, right;
         for (int i = 0; i < sub.graph.num_vertices(); ++i) {
           (cut.in_s[i] ? left : right).push_back(sub.to_parent[i]);
         }
-        for (auto& comp : components_within(g, left)) work.push_back(std::move(comp));
-        for (auto& comp : components_within(g, right)) work.push_back(std::move(comp));
+        splitter.split(left, work);
+        splitter.split(right, work);
       } else {
         const int label = d.num_clusters++;
         for (VertexId v : piece) d.cluster_of[v] = label;
-        d.cluster_phi_certified.push_back(cut.valid ? cut.conductance : 1.0);
+        // 0.9 lambda2/2 with lambda2 = 2(1 - mu), the unweighted clusters'
+        // bound; the sweep's conductance bounds the cluster from above.
+        d.cluster_phi_certified.push_back(
+            it.vanished ? 0.0 : 0.9 * std::clamp(1.0 - it.mu, 0.0, 1.0));
       }
     }
 

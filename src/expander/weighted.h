@@ -18,15 +18,17 @@ namespace ecd::expander {
 double weighted_cut_conductance(const graph::Graph& g,
                                 const std::vector<bool>& in_s);
 
-// Weighted Fiedler-style embedding (power iteration on the weighted
-// normalized adjacency W-walk matrix).
+// Weighted Fiedler-style embedding: fiedler_coordinates of the weighted
+// power_iteration (sweep_cut.h), whose walk matrix carries the weights.
 std::vector<double> weighted_fiedler_embedding(const graph::Graph& g,
                                                int iterations = 400,
                                                std::uint64_t seed = 1);
 
 // Decomposition with weighted volumes: inter-cluster weight <= eps * w(E).
 // The result's `inter_cluster_edges` still counts edges; the weighted
-// budget is returned via `inter_cluster_weight`.
+// budget is returned via `inter_cluster_weight`. A cluster of three or
+// more vertices is certified the discounted Cheeger bound 0.9 lambda2/2 of
+// its weighted walk, read off the iteration that tried to cut it.
 struct WeightedDecomposition {
   ExpanderDecomposition base;
   std::int64_t inter_cluster_weight = 0;

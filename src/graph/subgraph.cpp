@@ -1,5 +1,6 @@
 #include "src/graph/subgraph.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ecd::graph {
@@ -19,13 +20,23 @@ InducedSubgraph induced_subgraph(const Graph& g,
     }
     to_local[v] = i;
   }
-  std::vector<Edge> edges;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Edge ed = g.edge(e);
-    if (to_local[ed.u] != kInvalidVertex && to_local[ed.v] != kInvalidVertex) {
-      edges.push_back({to_local[ed.u], to_local[ed.v]});
-      out.edge_to_parent.push_back(e);
+  // Each edge of G[vertices] is found once, from its lower endpoint's
+  // incidence list; sorting by parent id gives the order of a scan over E.
+  for (const VertexId v : vertices) {
+    const auto nbrs = g.neighbors(v);
+    const auto eids = g.incident_edges(v);
+    for (std::size_t j = 0; j < nbrs.size(); ++j) {
+      if (v < nbrs[j] && to_local[nbrs[j]] != kInvalidVertex) {
+        out.edge_to_parent.push_back(eids[j]);
+      }
     }
+  }
+  std::sort(out.edge_to_parent.begin(), out.edge_to_parent.end());
+  std::vector<Edge> edges;
+  edges.reserve(out.edge_to_parent.size());
+  for (const EdgeId e : out.edge_to_parent) {
+    const Edge ed = g.edge(e);
+    edges.push_back({to_local[ed.u], to_local[ed.v]});
   }
   out.graph = Graph::from_edges(static_cast<int>(vertices.size()),
                                 std::move(edges));

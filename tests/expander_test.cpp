@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
+#include <random>
+#include <string>
 
 #include "src/expander/conductance.h"
 #include "src/expander/decomposition.h"
 #include "src/expander/random_walk.h"
 #include "src/expander/sweep_cut.h"
+#include "src/expander/weighted.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
 #include "src/graph/subgraph.h"
@@ -274,6 +279,406 @@ TEST(ClusterMembers, PartitionsVertices) {
   int total = 0;
   for (const auto& m : members) total += static_cast<int>(m.size());
   EXPECT_EQ(total, g.num_vertices());
+}
+
+
+// --- The power-iteration kernel against the loops it replaced --------------
+
+// The three power iterations that power_iteration replaced, kept verbatim
+// as oracles (DESIGN.md §21): the same operator and start vector, with two
+// divisions per term and separate deflate and normalize passes.
+std::vector<double> reference_fiedler_embedding(const Graph& g, int iterations,
+                                                std::uint64_t seed) {
+  const int n = g.num_vertices();
+  std::vector<double> sqrt_deg(n);
+  double phi1_norm_sq = 0.0;
+  for (VertexId v = 0; v < n; ++v) {
+    sqrt_deg[v] = std::sqrt(static_cast<double>(g.degree(v)));
+    phi1_norm_sq += g.degree(v);
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> x(n), y(n);
+  for (auto& xi : x) xi = unit(rng);
+
+  auto deflate = [&](std::vector<double>& v) {
+    if (phi1_norm_sq <= 0) return;
+    double dot = 0.0;
+    for (int i = 0; i < n; ++i) dot += v[i] * sqrt_deg[i];
+    dot /= phi1_norm_sq;
+    for (int i = 0; i < n; ++i) v[i] -= dot * sqrt_deg[i];
+  };
+  auto normalize = [&](std::vector<double>& v) {
+    double norm = 0.0;
+    for (double vi : v) norm += vi * vi;
+    norm = std::sqrt(norm);
+    if (norm < 1e-300) return false;
+    for (double& vi : v) vi /= norm;
+    return true;
+  };
+  deflate(x);
+  normalize(x);
+  for (int it = 0; it < iterations; ++it) {
+    for (int v = 0; v < n; ++v) {
+      double acc = 0.0;
+      for (VertexId u : g.neighbors(v)) {
+        if (sqrt_deg[u] > 0) acc += x[u] / sqrt_deg[u];
+      }
+      y[v] = 0.5 * (x[v] + (sqrt_deg[v] > 0 ? acc / sqrt_deg[v] : 0.0));
+    }
+    deflate(y);
+    if (!normalize(y)) break;
+    x.swap(y);
+  }
+  // Embed back: Fiedler coordinate of v is x[v] / sqrt(deg v).
+  std::vector<double> out(n, 0.0);
+  for (int v = 0; v < n; ++v) {
+    out[v] = sqrt_deg[v] > 0 ? x[v] / sqrt_deg[v] : 0.0;
+  }
+  return out;
+}
+
+double reference_lambda2_normalized(const Graph& g, int iterations,
+                                    std::uint64_t seed) {
+  const int n = g.num_vertices();
+  if (n < 2 || g.num_edges() == 0) return 0.0;
+  // Power iteration on N = D^{-1/2} A D^{-1/2} shifted to M = (I + N)/2 so
+  // all eigenvalues are nonnegative; deflate the top eigenvector
+  // phi_1(v) = sqrt(deg v). lambda2(L) = 2 - 2*mu where mu is the Rayleigh
+  // quotient of M on the deflated space.
+  std::vector<double> sqrt_deg(n), x(n);
+  double phi1_norm_sq = 0.0;
+  for (VertexId v = 0; v < n; ++v) {
+    sqrt_deg[v] = std::sqrt(static_cast<double>(g.degree(v)));
+    phi1_norm_sq += g.degree(v);
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (auto& xi : x) xi = unit(rng);
+
+  auto deflate = [&](std::vector<double>& v) {
+    double dot = 0.0;
+    for (int i = 0; i < n; ++i) dot += v[i] * sqrt_deg[i];
+    dot /= phi1_norm_sq;
+    for (int i = 0; i < n; ++i) v[i] -= dot * sqrt_deg[i];
+  };
+  auto normalize = [&](std::vector<double>& v) {
+    double norm = 0.0;
+    for (double vi : v) norm += vi * vi;
+    norm = std::sqrt(norm);
+    if (norm < 1e-300) return false;
+    for (double& vi : v) vi /= norm;
+    return true;
+  };
+
+  deflate(x);
+  if (!normalize(x)) return 0.0;
+  std::vector<double> y(n);
+  double mu = 0.0;
+  for (int it = 0; it < iterations; ++it) {
+    // y = M x = (x + N x) / 2.
+    for (int v = 0; v < n; ++v) {
+      double acc = 0.0;
+      for (VertexId u : g.neighbors(v)) {
+        if (sqrt_deg[u] > 0) acc += x[u] / sqrt_deg[u];
+      }
+      y[v] = 0.5 * (x[v] + (sqrt_deg[v] > 0 ? acc / sqrt_deg[v] : 0.0));
+    }
+    deflate(y);
+    mu = 0.0;
+    for (int v = 0; v < n; ++v) mu += x[v] * y[v];
+    if (!normalize(y)) return 1.0;  // deflated space collapsed: well expanding
+    x.swap(y);
+  }
+  // mu is the Rayleigh quotient of M = (I+N)/2, so lambda2 = 2(1 - mu).
+  return std::clamp(2.0 * (1.0 - mu), 0.0, 2.0);
+}
+
+std::vector<double> reference_weighted_degrees(const Graph& g) {
+  std::vector<double> wd(g.num_vertices(), 0.0);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    wd[ed.u] += static_cast<double>(g.weight(e));
+    wd[ed.v] += static_cast<double>(g.weight(e));
+  }
+  return wd;
+}
+
+std::vector<double> reference_weighted_fiedler_embedding(const Graph& g,
+                                                         int iterations,
+                                                         std::uint64_t seed) {
+  const int n = g.num_vertices();
+  const auto wd = reference_weighted_degrees(g);
+  std::vector<double> sqrt_wd(n);
+  double phi1_norm_sq = 0.0;
+  for (int v = 0; v < n; ++v) {
+    sqrt_wd[v] = std::sqrt(wd[v]);
+    phi1_norm_sq += wd[v];
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> x(n), y(n);
+  for (auto& xi : x) xi = unit(rng);
+
+  auto deflate = [&](std::vector<double>& v) {
+    if (phi1_norm_sq <= 0) return;
+    double dot = 0.0;
+    for (int i = 0; i < n; ++i) dot += v[i] * sqrt_wd[i];
+    dot /= phi1_norm_sq;
+    for (int i = 0; i < n; ++i) v[i] -= dot * sqrt_wd[i];
+  };
+  auto normalize = [&](std::vector<double>& v) {
+    double norm = 0.0;
+    for (double vi : v) norm += vi * vi;
+    norm = std::sqrt(norm);
+    if (norm < 1e-300) return false;
+    for (double& vi : v) vi /= norm;
+    return true;
+  };
+  deflate(x);
+  normalize(x);
+  for (int it = 0; it < iterations; ++it) {
+    std::fill(y.begin(), y.end(), 0.0);
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      const graph::Edge ed = g.edge(e);
+      const double w = static_cast<double>(g.weight(e));
+      if (sqrt_wd[ed.u] > 0 && sqrt_wd[ed.v] > 0) {
+        y[ed.u] += w * x[ed.v] / (sqrt_wd[ed.u] * sqrt_wd[ed.v]);
+        y[ed.v] += w * x[ed.u] / (sqrt_wd[ed.u] * sqrt_wd[ed.v]);
+      }
+    }
+    for (int v = 0; v < n; ++v) y[v] = 0.5 * (x[v] + y[v]);
+    deflate(y);
+    if (!normalize(y)) break;
+    x.swap(y);
+  }
+  std::vector<double> out(n, 0.0);
+  for (int v = 0; v < n; ++v) {
+    out[v] = sqrt_wd[v] > 0 ? x[v] / sqrt_wd[v] : 0.0;
+  }
+  return out;
+}
+
+// Inputs for the kernel comparisons. The first seven are connected, as
+// every piece the decomposition cuts is: regular and irregular, bipartite
+// and not, with leaves. The last two are disconnected, one with an isolated
+// vertex.
+constexpr std::size_t kConnectedKernelInputs = 7;
+std::vector<Graph> kernel_inputs() {
+  Rng rng(2024);
+  std::vector<Graph> out;
+  out.push_back(graph::grid(12, 12));
+  out.push_back(graph::random_maximal_planar(200, rng));
+  out.push_back(graph::random_tree(120, rng));
+  out.push_back(graph::barbell(9, 3));
+  out.push_back(graph::hypercube(6));
+  out.push_back(graph::cycle(31));
+  out.push_back(graph::complete(7));
+  out.push_back(graph::random_planar(150, 300, rng));
+  out.push_back(graph::disjoint_union({graph::path(5), graph::path(1)}));
+  return out;
+}
+
+double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    worst = std::max(worst, std::abs(a[i] - b[i]));
+  }
+  return worst;
+}
+
+// The weighted sweep's choice over `score`: the prefix of the ascending
+// stable order with the least weighted conductance, the first on ties.
+std::vector<bool> weighted_sweep_choice(const Graph& g,
+                                        const std::vector<double>& score) {
+  const int n = g.num_vertices();
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&score](VertexId a, VertexId b) {
+    return score[a] < score[b];
+  });
+  std::vector<bool> in_s(n, false), best_s;
+  double best = 1e18;
+  for (int k = 0; k + 1 < n; ++k) {
+    in_s[order[k]] = true;
+    const double phi = weighted_cut_conductance(g, in_s);
+    if (phi < best) {
+      best = phi;
+      best_s = in_s;
+    }
+  }
+  return best_s;
+}
+
+TEST(PowerIterationKernel, FiedlerEmbeddingMatchesReference) {
+  const auto inputs = kernel_inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Graph& g = inputs[i];
+    for (const int iterations : {0, 1, 37, 300}) {
+      for (const std::uint64_t seed : {1ull, 9ull, 0x9e3779b97f4a7c15ull}) {
+        const auto got = fiedler_embedding(g, iterations, seed);
+        const auto want = reference_fiedler_embedding(g, iterations, seed);
+        EXPECT_LE(max_abs_diff(got, want), 1e-9)
+            << "input " << i << " iterations " << iterations << " seed " << seed;
+        if (i >= kConnectedKernelInputs) continue;
+        const auto cut = sweep_cut(g, got);
+        const auto ref_cut = sweep_cut(g, want);
+        EXPECT_EQ(cut.valid, ref_cut.valid);
+        EXPECT_EQ(cut.in_s, ref_cut.in_s)
+            << "input " << i << " iterations " << iterations << " seed " << seed;
+        EXPECT_EQ(cut.conductance, ref_cut.conductance);
+      }
+    }
+  }
+}
+
+TEST(PowerIterationKernel, WeightedEmbeddingMatchesReference) {
+  Rng rng(77);
+  const auto inputs = kernel_inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (const graph::Weight max_weight : {1, 1000}) {
+      const Graph g = inputs[i].with_weights(
+          graph::random_weights(inputs[i], max_weight, rng));
+      for (const int iterations : {1, 37, 300}) {
+        for (const std::uint64_t seed : {1ull, 7920ull}) {
+          const auto got = weighted_fiedler_embedding(g, iterations, seed);
+          const auto want =
+              reference_weighted_fiedler_embedding(g, iterations, seed);
+          EXPECT_LE(max_abs_diff(got, want), 1e-9)
+              << "input " << i << " max weight " << max_weight
+              << " iterations " << iterations << " seed " << seed;
+          if (i >= kConnectedKernelInputs) continue;
+          EXPECT_EQ(weighted_sweep_choice(g, got),
+                    weighted_sweep_choice(g, want))
+              << "input " << i << " max weight " << max_weight
+              << " iterations " << iterations << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(PowerIterationKernel, Lambda2MatchesReference) {
+  const auto inputs = kernel_inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (const int iterations : {0, 1, 37, 300, 2000}) {
+      for (const std::uint64_t seed : {1ull, 5ull}) {
+        EXPECT_NEAR(lambda2_normalized(inputs[i], iterations, seed),
+                    reference_lambda2_normalized(inputs[i], iterations, seed),
+                    1e-9)
+            << "input " << i << " iterations " << iterations << " seed " << seed;
+      }
+    }
+  }
+  // The two-vertex path collapses on the first step in both.
+  EXPECT_EQ(lambda2_normalized(graph::path(2), 10, 1),
+            reference_lambda2_normalized(graph::path(2), 10, 1));
+}
+
+TEST(PowerIterationKernel, ReportsUnitIterateAndDegrees) {
+  Rng rng(5);
+  const Graph base = graph::random_maximal_planar(60, rng);
+  const Graph g = base.with_weights(graph::random_weights(base, 50, rng));
+  for (const bool weighted : {false, true}) {
+    const PowerIteration it = power_iteration(g, weighted, 100, 3);
+    EXPECT_FALSE(it.vanished);
+    const auto wd = reference_weighted_degrees(g);
+    double norm_sq = 0.0, dot = 0.0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(it.degree[v], weighted ? wd[v] : g.degree(v));
+      EXPECT_EQ(it.sqrt_degree[v], std::sqrt(it.degree[v]));
+      norm_sq += it.x[v] * it.x[v];
+      dot += it.x[v] * it.sqrt_degree[v];
+    }
+    EXPECT_NEAR(norm_sq, 1.0, 1e-12);
+    EXPECT_NEAR(dot, 0.0, 1e-9);
+    EXPECT_GT(it.mu, 0.0);
+    EXPECT_LT(it.mu, 1.0);
+  }
+}
+
+// --- Pinned decompositions --------------------------------------------------
+
+// FNV-1a over a decomposition's labels: num_clusters, then cluster_of in
+// vertex order.
+std::uint64_t cluster_hash(const ExpanderDecomposition& d) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::int64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(d.num_clusters);
+  for (const int c : d.cluster_of) mix(c);
+  return h;
+}
+
+// Labels recorded before the power iterations became one division-free
+// kernel (DESIGN.md §21). The kernel changes only the rounding of each
+// term, so no decomposition may change a label. The weighted inputs are
+// the perfbench mwm-multicluster shape: a 48x48 grid with weights in
+// [1, 1000], decomposed at eps 0.2 and phi 0.1 as one MWM phase does.
+TEST(PinnedDecomposition, WeightedGrids) {
+  struct Case {
+    std::uint64_t input_seed;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {1, 1, 0x6459b9042009dfc9ull},    {1, 2, 0x739cc3fb5dc3c903ull},
+      {7919, 1, 0x8f45ff4fb25a702cull}, {7919, 2, 0x61a14d3529dd8828ull},
+      {3, 1, 0x7c0201ba95b0042full},    {3, 2, 0xe5f156855a1805a4ull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.input_seed);
+    const Graph base = graph::grid(48, 48);
+    const Graph g = base.with_weights(graph::random_weights(base, 1000, rng));
+    DecompositionOptions opt;
+    opt.phi = 0.1;
+    opt.seed = c.seed;
+    const auto d = expander_decompose_weighted(g, 0.2, opt);
+    EXPECT_EQ(cluster_hash(d.base), c.hash)
+        << "input seed " << c.input_seed << " seed " << c.seed;
+  }
+}
+
+// The bench_decomposition families at n = 1024 (same generators and input
+// seed as that bench), at the default phi and at phi = 0.2.
+TEST(PinnedDecomposition, UnweightedBenchFamilies) {
+  struct Case {
+    const char* family;
+    double phi;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"grid", 0.0, 0xee0c18234cc007c2ull},
+      {"grid", 0.2, 0x0bba1d4cd6522db9ull},
+      {"triangulation", 0.0, 0xee0c18234cc007c2ull},
+      {"triangulation", 0.2, 0xc785dc303471440eull},
+      {"random_planar", 0.0, 0x7835478b1511265bull},
+      {"random_planar", 0.2, 0xeacba2c99d1d0283ull},
+      {"outerplanar", 0.0, 0xee0c18234cc007c2ull},
+      {"outerplanar", 0.2, 0x93e459b5f9e40a30ull},
+      {"tree", 0.0, 0xee0c18234cc007c2ull},
+      {"tree", 0.2, 0x553fb16e4a761c5eull},
+  };
+  const int n = 1024;
+  for (const Case& c : cases) {
+    Rng rng(12345 + n);
+    const std::string family = c.family;
+    const Graph g = family == "grid"            ? graph::grid(32, 32)
+                    : family == "triangulation" ? graph::random_maximal_planar(n, rng)
+                    : family == "random_planar" ? graph::random_planar(n, 2 * n, rng)
+                    : family == "outerplanar"   ? graph::random_outerplanar(n, rng)
+                                                : graph::random_tree(n, rng);
+    DecompositionOptions opt;
+    opt.phi = c.phi;
+    opt.seed = 9;
+    const auto d = expander_decompose(g, 0.2, opt);
+    EXPECT_EQ(cluster_hash(d), c.hash) << family << " phi " << c.phi;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 // and distributed triangle counting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/core/mwm.h"
 #include "src/core/property_testing.h"
 #include "src/core/triangles.h"
@@ -49,6 +54,53 @@ TEST(WeightedDecomposition, WeightBudgetHolds) {
       EXPECT_TRUE(graph::is_connected(sub.graph));
     }
   }
+}
+
+// Exact weighted conductance of a small connected graph: the least
+// weighted_cut_conductance over every nontrivial cut (vertex 0 kept out of
+// S, so each cut is enumerated once).
+double exact_weighted_conductance(const Graph& g) {
+  const int n = g.num_vertices();
+  double best = 1e18;
+  std::vector<bool> in_s(n, false);
+  for (std::uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
+    for (int v = 1; v < n; ++v) in_s[v] = (mask >> (v - 1)) & 1u;
+    best = std::min(best, expander::weighted_cut_conductance(g, in_s));
+  }
+  return best;
+}
+
+// The weighted twin of check_contract's honesty check (expander_test.cpp):
+// a cluster's certified value must not exceed its exact weighted
+// conductance. The inputs are weighted 24x24 grids at phi 0.1 and weighted
+// 150-vertex triangulations at the default phi.
+TEST(WeightedDecomposition, CertifiedConductanceIsHonest) {
+  int checked = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    const Graph grid = graph::grid(24, 24);
+    const Graph tri = graph::random_maximal_planar(150, rng);
+    const std::pair<Graph, double> inputs[] = {
+        {grid.with_weights(graph::random_weights(grid, 1000, rng)), 0.1},
+        {tri.with_weights(graph::random_weights(tri, 1000, rng)), 0.0}};
+    for (const auto& [g, phi] : inputs) {
+      expander::DecompositionOptions opt;
+      opt.phi = phi;
+      opt.seed = seed;
+      const auto d = expander::expander_decompose_weighted(g, 0.2, opt);
+      const auto members = expander::cluster_members(d.base);
+      ASSERT_EQ(d.base.cluster_phi_certified.size(), members.size());
+      for (std::size_t c = 0; c < members.size(); ++c) {
+        if (members[c].size() < 3 || members[c].size() > 14) continue;
+        const auto sub = graph::induced_subgraph(g, members[c]);
+        EXPECT_GE(exact_weighted_conductance(sub.graph) + 1e-9,
+                  d.base.cluster_phi_certified[c])
+            << "seed " << seed << " n " << g.num_vertices() << " cluster " << c;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 50);
 }
 
 TEST(WeightedDecomposition, HeavyBottleneckGetsCutOnlyIfCheap) {

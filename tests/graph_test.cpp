@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <numeric>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -382,6 +385,84 @@ TEST(Subgraph, InducedCarriesAttributes) {
   EXPECT_EQ(sub.graph.weight(0), 4);
   EXPECT_EQ(sub.graph.sign(0), EdgeSign::kNegative);
   EXPECT_EQ(sub.to_parent[0], 1);
+}
+
+// induced_subgraph as it was before it read incidence lists, kept verbatim
+// as the oracle: one scan over all m edges of the parent per call.
+InducedSubgraph reference_induced_subgraph(const Graph& g,
+                                           std::span<const VertexId> vertices) {
+  InducedSubgraph out;
+  out.to_parent.assign(vertices.begin(), vertices.end());
+  std::vector<VertexId> to_local(g.num_vertices(), kInvalidVertex);
+  for (int i = 0; i < static_cast<int>(vertices.size()); ++i) {
+    const VertexId v = vertices[i];
+    if (v < 0 || v >= g.num_vertices()) {
+      throw std::invalid_argument("vertex out of range");
+    }
+    if (to_local[v] != kInvalidVertex) {
+      throw std::invalid_argument("duplicate vertex in induced set");
+    }
+    to_local[v] = i;
+  }
+  std::vector<Edge> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge ed = g.edge(e);
+    if (to_local[ed.u] != kInvalidVertex && to_local[ed.v] != kInvalidVertex) {
+      edges.push_back({to_local[ed.u], to_local[ed.v]});
+      out.edge_to_parent.push_back(e);
+    }
+  }
+  out.graph = Graph::from_edges(static_cast<int>(vertices.size()),
+                                std::move(edges));
+  if (g.is_weighted()) {
+    std::vector<Weight> w(out.edge_to_parent.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = g.weight(out.edge_to_parent[i]);
+    }
+    out.graph = out.graph.with_weights(std::move(w));
+  }
+  if (g.is_signed()) {
+    std::vector<EdgeSign> s(out.edge_to_parent.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      s[i] = g.sign(out.edge_to_parent[i]);
+    }
+    out.graph = out.graph.with_signs(std::move(s));
+  }
+  return out;
+}
+
+TEST(Subgraph, InducedMatchesReferenceOnShuffledSubsets) {
+  Rng rng(19);
+  const Graph plain = random_maximal_planar(300, rng);
+  std::vector<EdgeSign> signs(plain.num_edges());
+  for (auto& s : signs) {
+    s = rng() % 2 ? EdgeSign::kPositive : EdgeSign::kNegative;
+  }
+  const Graph attributed =
+      plain.with_weights(random_weights(plain, 1000, rng)).with_signs(signs);
+  for (const Graph* g : {&plain, &attributed}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      // A random subset of random size, in random (unsorted) order.
+      std::vector<VertexId> subset(g->num_vertices());
+      std::iota(subset.begin(), subset.end(), 0);
+      std::shuffle(subset.begin(), subset.end(), rng);
+      subset.resize(rng() % (g->num_vertices() + 1));
+      const auto got = induced_subgraph(*g, subset);
+      EXPECT_EQ(got, reference_induced_subgraph(*g, subset))
+          << "trial " << trial << " size " << subset.size();
+    }
+  }
+  // Whole graph, empty set, and the rejected inputs.
+  std::vector<VertexId> all(plain.num_vertices());
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(induced_subgraph(attributed, all),
+            reference_induced_subgraph(attributed, all));
+  EXPECT_EQ(induced_subgraph(attributed, std::vector<VertexId>{}),
+            reference_induced_subgraph(attributed, std::vector<VertexId>{}));
+  EXPECT_THROW(induced_subgraph(plain, std::vector<VertexId>{3, 5, 3}),
+               std::invalid_argument);
+  EXPECT_THROW(induced_subgraph(plain, std::vector<VertexId>{1, 300}),
+               std::invalid_argument);
 }
 
 TEST(Subgraph, EdgeSubgraphKeepsVertexCount) {
