@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -40,47 +41,30 @@ enum class Family : int {
   kRegularExpander = 7,
 };
 
+// Each family's row label and its graph::make_family name.
+struct FamilyNames {
+  const char* label;
+  const char* generator;
+};
+inline constexpr std::array<FamilyNames, 8> kFamilyNames = {{
+    {"grid", "grid"},
+    {"random_planar", "planar"},
+    {"triangulation", "tri"},
+    {"outerplanar", "outer"},
+    {"two_tree", "twotree"},
+    {"tree", "tree"},
+    {"hypercube", "hypercube"},
+    {"regular_expander", "expander"},
+}};
+
 inline const char* family_name(Family f) {
-  switch (f) {
-    case Family::kGrid: return "grid";
-    case Family::kRandomPlanar: return "random_planar";
-    case Family::kTriangulation: return "triangulation";
-    case Family::kOuterplanar: return "outerplanar";
-    case Family::kTwoTree: return "two_tree";
-    case Family::kTree: return "tree";
-    case Family::kHypercube: return "hypercube";
-    case Family::kRegularExpander: return "regular_expander";
-  }
-  return "?";
+  return kFamilyNames.at(static_cast<std::size_t>(f)).label;
 }
 
 // Generates a member of the family with ~n vertices.
 inline graph::Graph make_graph(Family f, int n, graph::Rng& rng) {
-  switch (f) {
-    case Family::kGrid: {
-      int side = 1;
-      while (side * side < n) ++side;
-      return graph::grid(side, side);
-    }
-    case Family::kRandomPlanar:
-      return graph::random_planar(n, 2 * n, rng);
-    case Family::kTriangulation:
-      return graph::random_maximal_planar(n, rng);
-    case Family::kOuterplanar:
-      return graph::random_outerplanar(n, rng);
-    case Family::kTwoTree:
-      return graph::random_two_tree(n, rng);
-    case Family::kTree:
-      return graph::random_tree(n, rng);
-    case Family::kHypercube: {
-      int dim = 1;
-      while ((1 << dim) < n) ++dim;
-      return graph::hypercube(dim);
-    }
-    case Family::kRegularExpander:
-      return graph::random_regular(n - (n % 2), 6, rng);
-  }
-  throw std::invalid_argument("unknown family");
+  const char* name = kFamilyNames.at(static_cast<std::size_t>(f)).generator;
+  return graph::make_family(name, n, rng);
 }
 
 // eps encoded as an integer benchmark arg (per-mille).

@@ -126,12 +126,15 @@
 //
 // families for `gen`/`trace`: grid, tri, planar, outer, twotree, tree,
 // torus, hypercube, expander.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -193,8 +196,11 @@ struct Options {
       "        [--workers <k>] [--repeat <k>] [--cold] [--jsonl <path>]\n"
       "        [--out <path>] [--top <k>] [--progress <path|->]\n"
       "        [--progress-interval-ms <k>] [--stall-seconds <k>]\n"
-      "families: grid, tri, planar, outer, twotree, tree, torus, hypercube,"
-      " expander\n");
+      "families:");
+  for (const std::string& f : ecd::graph::family_names()) {
+    std::fprintf(stderr, " %s", f.c_str());
+  }
+  std::fprintf(stderr, "\n");
   std::exit(2);
 }
 
@@ -246,31 +252,25 @@ void maybe_write_dot(const Options& o, const Graph& g,
   std::printf("wrote %s\n", o.dot_path.c_str());
 }
 
+// graph::make_family, with the usage line on an unknown family.
 Graph make_family(const std::string& family, int n, ecd::graph::Rng& rng) {
-  if (family == "grid") {
-    int side = 1;
-    while (side * side < n) ++side;
-    return ecd::graph::grid(side, side);
+  const auto& names = ecd::graph::family_names();
+  if (std::find(names.begin(), names.end(), family) == names.end()) usage();
+  return ecd::graph::make_family(family, n, rng);
+}
+
+// Sends each vertex its own id back along the reversed walks, so the
+// return's rounds join the ledger. A gather that left registration tokens
+// undelivered has no walks for them: the error is printed and the caller
+// still reports the partition.
+void return_ids(ecd::core::Partition& p) {
+  std::vector<std::int64_t> ids(p.leader_of.size());
+  std::iota(ids.begin(), ids.end(), std::int64_t{0});
+  try {
+    ecd::core::return_results(p, ids, "result return (reversed walks)");
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s; the ledger has no result return\n", e.what());
   }
-  if (family == "tri") return ecd::graph::random_maximal_planar(n, rng);
-  if (family == "planar") return ecd::graph::random_planar(n, 2 * n, rng);
-  if (family == "outer") return ecd::graph::random_outerplanar(n, rng);
-  if (family == "twotree") return ecd::graph::random_two_tree(n, rng);
-  if (family == "tree") return ecd::graph::random_tree(n, rng);
-  if (family == "torus") {
-    int side = 3;
-    while (side * side < n) ++side;
-    return ecd::graph::torus_grid(side, side);
-  }
-  if (family == "hypercube") {
-    int dim = 1;
-    while ((1 << dim) < n) ++dim;
-    return ecd::graph::hypercube(dim);
-  }
-  if (family == "expander") {
-    return ecd::graph::random_regular(n - (n % 2), 6, rng);
-  }
-  usage();
 }
 
 int cmd_gen(int argc, char** argv) {
@@ -378,10 +378,7 @@ int cmd_trace(int argc, char** argv) {
   ecd::congest::MetricsCollector collector;
   fopt.trace = &collector;
   auto p = ecd::core::partition_and_gather(g, eps, fopt);
-  // Exercise the reversed delivery too so its rounds join the ledger.
-  std::vector<std::int64_t> answers(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-  ecd::core::return_results(p, answers, "result return (reversed walks)");
+  return_ids(p);
 
   std::printf("family=%s n=%d m=%d eps=%.3f clusters=%d gather_complete=%d\n",
               family.c_str(), g.num_vertices(), g.num_edges(), eps,
@@ -464,11 +461,9 @@ int cmd_report(int argc, char** argv) {
     fopt.faults.seed = seed;
   }
   auto p = ecd::core::partition_and_gather(g, eps, fopt);
-  std::vector<std::int64_t> answers(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
   // Host-side reversed replay: rounds are charged to the ledger, not the
   // simulator, so no metrics phase wraps it.
-  ecd::core::return_results(p, answers, "result return (reversed walks)");
+  return_ids(p);
 
   std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d "
               "gather_complete=%d\n",
@@ -666,9 +661,7 @@ int cmd_profile(int argc, char** argv) {
       fopt.faults.seed = seed;
     }
     auto p = ecd::core::partition_and_gather(g, eps, fopt);
-    std::vector<std::int64_t> answers(g.num_vertices());
-    for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-    ecd::core::return_results(p, answers, "result return (reversed walks)");
+    return_ids(p);
     std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d\n",
                 family.c_str(), g.num_vertices(), g.num_edges(), eps, threads,
                 p.decomposition.num_clusters);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/congest/metrics.h"
@@ -80,9 +81,13 @@ graph::InducedSubgraph reconstruct_cluster(
 
 }  // namespace
 
+void check_eps(double eps) {
+  if (!(eps > 0 && eps < 1)) throw std::invalid_argument("eps out of (0,1)");
+}
+
 Partition partition_and_gather(const Graph& g, double eps,
                                const FrameworkOptions& options) {
-  if (eps <= 0.0 || eps >= 1.0) throw std::invalid_argument("eps out of (0,1)");
+  check_eps(eps);
   const int n = g.num_vertices();
   Partition out;
 
@@ -102,13 +107,13 @@ Partition partition_and_gather(const Graph& g, double eps,
   // phase. The distributed decomposition and the control traffic (election,
   // orientation) run on it as is, at the default bandwidth of one message
   // per edge per round; the gather derives its own budget from it below.
-  congest::NetworkOptions base_net;
-  base_net.trace = options.trace;
-  base_net.trace_config = options.trace_config;
-  base_net.metrics = options.metrics;
-  base_net.profiler = options.profiler;
-  base_net.num_threads = options.num_threads;
-  base_net.sparse_serial_threshold = options.sparse_serial_threshold;
+  congest::NetworkOptions& net = out.net;
+  net.trace = options.trace;
+  net.trace_config = options.trace_config;
+  net.metrics = options.metrics;
+  net.profiler = options.profiler;
+  net.num_threads = options.num_threads;
+  net.sparse_serial_threshold = options.sparse_serial_threshold;
   {
     TRACE_SPAN(options.trace, "phase:decomposition");
     congest::MetricsPhase mphase(options.metrics, "phase:decomposition");
@@ -117,7 +122,7 @@ Partition partition_and_gather(const Graph& g, double eps,
       ddopt.phi = dopt.phi;
       ddopt.seed = dopt.seed;
       ddopt.max_retries = dopt.max_retries;
-      ddopt.net = base_net;
+      ddopt.net = net;
       const auto dd =
           expander::distributed_expander_decompose(g, out.eps_effective, ddopt);
       out.decomposition = dd.decomposition;
@@ -146,7 +151,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   {
     TRACE_SPAN(options.trace, "phase:election");
     congest::MetricsPhase mphase(options.metrics, "phase:election");
-    election = congest::elect_cluster_leaders(g, cluster_of, base_net);
+    election = congest::elect_cluster_leaders(g, cluster_of, net);
   }
   out.leader_of = election.leader_of;
   out.ledger.add_measured("leader election (flooding)", election.stats);
@@ -163,7 +168,7 @@ Partition partition_and_gather(const Graph& g, double eps,
     TRACE_SPAN(options.trace, "phase:orientation");
     congest::MetricsPhase mphase(options.metrics, "phase:orientation");
     orientation =
-        congest::orient_cluster_edges(g, cluster_of, threshold, base_net);
+        congest::orient_cluster_edges(g, cluster_of, threshold, net);
   }
   out.ledger.add_measured("edge orientation (Barenboim-Elkin)",
                           orientation.stats);
@@ -191,7 +196,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   }
   GatherOptions gopt;
   gopt.seed = graph::splitmix64(options.seed ^ 0x2545F4914F6CDD1DULL);
-  gopt.net = base_net;
+  gopt.net = net;
   gopt.net.bandwidth_tokens =
       options.walk_bandwidth > 0
           ? options.walk_bandwidth
@@ -264,9 +269,23 @@ std::int64_t return_results(Partition& partition,
                             const char* label) {
   // Attach each vertex's answer to its registration token and replay the
   // forward schedule backwards; the schedule is verified, not just charged.
+  // A token that never reached its leader has no walk to reverse.
+  std::vector<bool> delivered(partition.gather.traces.size(), false);
+  for (const auto& ids : partition.gather.delivered_ids) {
+    for (const std::int64_t id : ids) delivered[id] = true;
+  }
   std::vector<std::vector<std::int64_t>> reply(partition.gather.traces.size());
+  std::size_t missing = 0;
   for (std::size_t v = 0; v < per_vertex_word.size(); ++v) {
-    reply[partition.hello_token_of[v]] = {per_vertex_word[v]};
+    const std::int64_t id = partition.hello_token_of[v];
+    if (delivered[id]) reply[id] = {per_vertex_word[v]};
+    missing += !delivered[id];
+  }
+  if (missing > 0) {
+    throw std::runtime_error(
+        "return_results: " + std::to_string(missing) + " of " +
+        std::to_string(per_vertex_word.size()) +
+        " registration tokens never reached their leader");
   }
   // Checked against the budget the forward walk actually ran under
   // (GatherResult::bandwidth_tokens), walk_bandwidth included.
@@ -284,6 +303,23 @@ std::int64_t return_results(Partition& partition,
   }
   partition.ledger.add_measured(label, delivery.stats);
   return delivery.stats.rounds;
+}
+
+std::vector<std::int64_t> solve_clusters(Partition& partition,
+                                         const ClusterSolver& solve) {
+  std::vector<std::int64_t> words(partition.leader_of.size());
+  for (const Cluster& cluster : partition.clusters) {
+    const std::vector<std::int64_t> local = solve(cluster);
+    const auto& to_parent = cluster.subgraph.to_parent;
+    if (local.size() != to_parent.size()) {
+      throw std::logic_error("a cluster solve must return one word per vertex");
+    }
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      words[to_parent[i]] = local[i];
+    }
+  }
+  return_results(partition, words, "result return (reversed walks)");
+  return words;
 }
 
 std::vector<HighDegreeDiagnostic> high_degree_diagnostics(

@@ -12,11 +12,13 @@
 //   5. leader-side reconstruction of G[V_i] from the delivered tokens.
 //
 // Applications then run any sequential algorithm on each reconstructed
-// cluster and return per-vertex answers along the reversed walk schedule
-// (same measured round count as the forward gather).
+// cluster through solve_clusters(), which returns the per-vertex answers
+// along the reversed walk schedule (same measured round count as the
+// forward gather).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/congest/primitives.h"
@@ -121,6 +123,10 @@ struct Partition {
   std::vector<graph::VertexId> leader_of;
   std::vector<Cluster> clusters;
   congest::RoundLedger ledger;
+  // The caller's observers and threading, as the simulated phases ran on
+  // them (one message per edge per round, no faults). Phases an
+  // application simulates after the partition run on them too.
+  congest::NetworkOptions net;
   bool gather_complete = false;
   // Reliable-gather diagnostics (zero unless the faulted path ran).
   std::int64_t gather_retransmissions = 0;
@@ -133,16 +139,33 @@ struct Partition {
   std::vector<std::int64_t> hello_token_of;
 };
 
+// Throws std::invalid_argument unless 0 < eps < 1.
+void check_eps(double eps);
+
 Partition partition_and_gather(const graph::Graph& g, double eps,
                                const FrameworkOptions& options = {});
 
 // Returns one O(log n)-bit answer from each leader to every vertex of its
 // cluster by *executing* the reversed forward-walk schedule (§2.2, last
-// paragraph): same congestion, same round count, verified per edge.
-// Adds the measured rounds to the ledger and returns them.
+// paragraph): same congestion, same round count, verified per edge. Only a
+// registration token that reached its leader has a walk to reverse: if any
+// vertex's did not, throws std::runtime_error naming how many, before the
+// ledger changes. Adds the measured rounds to the ledger and returns them.
 std::int64_t return_results(Partition& partition,
                             const std::vector<std::int64_t>& per_vertex_word,
                             const char* label);
+
+// A leader's sequential solve of its reconstructed G[V_i]: one word per
+// local vertex of cluster.subgraph.
+using ClusterSolver =
+    std::function<std::vector<std::int64_t>(const Cluster& cluster)>;
+
+// Theorem 2.6's application step: calls `solve` once per cluster, in
+// cluster order, writes each cluster's words at their parent ids, returns
+// them to the vertices through return_results ("result return (reversed
+// walks)") and returns the per-vertex words.
+std::vector<std::int64_t> solve_clusters(Partition& partition,
+                                         const ClusterSolver& solve);
 
 // Diagnostics for Lemma 2.3: for every cluster, deg(v*) and φ²·|V_i|.
 struct HighDegreeDiagnostic {

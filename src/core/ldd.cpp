@@ -5,10 +5,10 @@
 namespace ecd::core {
 
 using graph::Graph;
-using graph::VertexId;
 
 LddApproxResult ldd_approx(const Graph& g, double eps,
                            const LddApproxOptions& options) {
+  check_eps(eps);
   // §3.5: both stages run with ε̃ = ε/2 so the total cut stays <= ε|E|.
   const double eps_half = eps / 2.0;
   FrameworkOptions fopt = options.framework;
@@ -16,26 +16,19 @@ LddApproxResult ldd_approx(const Graph& g, double eps,
   Partition partition = partition_and_gather(g, eps_half, fopt);
 
   LddApproxResult result;
-  result.cluster_of.assign(g.num_vertices(), -1);
   int label_base = 0;
   std::mt19937_64 leader_rng(options.framework.seed * 7349 + 11);
-  for (const Cluster& cluster : partition.clusters) {
+  const auto labels = solve_clusters(partition, [&](const Cluster& cluster) {
     const auto local = seq::ldd_minor_free(cluster.subgraph.graph, eps_half,
                                            leader_rng, options.sequential);
-    for (int i = 0; i < static_cast<int>(local.cluster_of.size()); ++i) {
-      result.cluster_of[cluster.subgraph.to_parent[i]] =
-          label_base + local.cluster_of[i];
+    std::vector<std::int64_t> label(local.cluster_of.size());
+    for (std::size_t i = 0; i < label.size(); ++i) {
+      label[i] = label_base + local.cluster_of[i];
     }
     label_base += local.num_clusters;
-  }
-  {
-    std::vector<std::int64_t> words(g.num_vertices());
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      words[v] = result.cluster_of[v];
-    }
-    return_results(partition, words, "result return (reversed walks)");
-  }
-
+    return label;
+  });
+  result.cluster_of.assign(labels.begin(), labels.end());
   result.num_clusters = label_base;
   result.cut_edges = seq::ldd_cut_edges(g, result.cluster_of);
   result.max_diameter = seq::ldd_max_diameter(g, result.cluster_of);

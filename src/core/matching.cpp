@@ -81,6 +81,7 @@ StarEliminationResult eliminate_stars(const Graph& g) {
 
 McmApproxResult mcm_planar_approx(const Graph& g, double eps,
                                   const McmApproxOptions& options) {
+  check_eps(eps);
   // Preprocess: Ḡ keeps every vertex id but drops edges incident to
   // removed vertices; removed vertices become isolated singletons.
   const auto elimination = eliminate_stars(g);
@@ -101,23 +102,16 @@ McmApproxResult mcm_planar_approx(const Graph& g, double eps,
   McmApproxResult result;
   result.removed_vertices = elimination.removed_count;
   result.num_clusters = static_cast<int>(partition.clusters.size());
-  result.mates.assign(g.num_vertices(), graph::kInvalidVertex);
-  for (const Cluster& cluster : partition.clusters) {
+  const auto mates = solve_clusters(partition, [](const Cluster& cluster) {
+    const auto& to_parent = cluster.subgraph.to_parent;
     const auto local = seq::max_cardinality_matching(cluster.subgraph.graph);
-    for (VertexId i = 0; i < static_cast<VertexId>(local.size()); ++i) {
-      if (local[i] != graph::kInvalidVertex) {
-        result.mates[cluster.subgraph.to_parent[i]] =
-            cluster.subgraph.to_parent[local[i]];
-      }
+    std::vector<std::int64_t> mate(local.size(), graph::kInvalidVertex);
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      if (local[i] != graph::kInvalidVertex) mate[i] = to_parent[local[i]];
     }
-  }
-  {
-    std::vector<std::int64_t> words(g_bar.num_vertices());
-    for (VertexId v = 0; v < g_bar.num_vertices(); ++v) {
-      words[v] = result.mates[v];
-    }
-    return_results(partition, words, "result return (reversed walks)");
-  }
+    return mate;
+  });
+  result.mates.assign(mates.begin(), mates.end());
   result.matching_size = seq::matching_size(result.mates);
   result.ledger = std::move(partition.ledger);
   return result;

@@ -11,6 +11,7 @@ using graph::VertexId;
 
 MisApproxResult mis_approx(const Graph& g, double eps,
                            const MisApproxOptions& options) {
+  check_eps(eps);
   // §3.1: ε' = ε / (2d + 1).
   const int d = std::max(1, static_cast<int>(std::ceil(g.edge_density())));
   const double eps_prime = eps / (2 * d + 1);
@@ -23,22 +24,17 @@ MisApproxResult mis_approx(const Graph& g, double eps,
 
   MisApproxResult result;
   result.num_clusters = static_cast<int>(partition.clusters.size());
-  std::vector<bool> in_set(g.num_vertices(), false);
   result.all_clusters_exact = true;
-  for (const Cluster& cluster : partition.clusters) {
-    const auto mis =
-        seq::best_effort_mis(cluster.subgraph.graph, options.exact_node_budget);
-    result.clusters_exact += mis.exact;
-    result.all_clusters_exact = result.all_clusters_exact && mis.exact;
-    for (VertexId local : mis.vertices) {
-      in_set[cluster.subgraph.to_parent[local]] = true;
-    }
-  }
-  {
-    std::vector<std::int64_t> words(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) words[v] = in_set[v];
-    return_results(partition, words, "result return (reversed walks)");
-  }
+  std::vector<std::int64_t> in_set =
+      solve_clusters(partition, [&](const Cluster& cluster) {
+        const auto mis = seq::best_effort_mis(cluster.subgraph.graph,
+                                              options.exact_node_budget);
+        result.clusters_exact += mis.exact;
+        result.all_clusters_exact = result.all_clusters_exact && mis.exact;
+        std::vector<std::int64_t> chosen(cluster.subgraph.graph.num_vertices());
+        for (VertexId local : mis.vertices) chosen[local] = 1;
+        return chosen;
+      });
 
   // Conflict removal: both endpoints of an inter-cluster edge may have been
   // chosen; drop the larger id (one CONGEST round: neighbors exchange their
@@ -47,7 +43,7 @@ MisApproxResult mis_approx(const Graph& g, double eps,
     if (!partition.decomposition.is_inter_cluster[e]) continue;
     const graph::Edge ed = g.edge(e);
     if (in_set[ed.u] && in_set[ed.v]) {
-      in_set[std::max(ed.u, ed.v)] = false;
+      in_set[std::max(ed.u, ed.v)] = 0;
       ++result.conflicts_removed;
     }
   }

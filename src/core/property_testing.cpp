@@ -2,6 +2,9 @@
 
 #include <cmath>
 
+#include "src/congest/metrics.h"
+#include "src/congest/trace.h"
+
 namespace ecd::core {
 
 using graph::Graph;
@@ -25,6 +28,7 @@ PropertyTestResult property_test(const Graph& g,
                                  const seq::MinorClosedProperty& property,
                                  double eps,
                                  const PropertyTestOptions& options) {
+  check_eps(eps);
   FrameworkOptions fopt = options.framework;
   fopt.density_bound =
       density_bound_for_clique_threshold(property.clique_threshold);
@@ -41,10 +45,12 @@ PropertyTestResult property_test(const Graph& g,
   if (options.diameter_check_factor > 0.0) {
     const int bound = static_cast<int>(
         std::ceil(options.diameter_check_factor / std::max(phi, 1e-9)));
+    TRACE_SPAN(partition.net.trace, "phase:diameter-check");
+    congest::MetricsPhase mphase(partition.net.metrics, "phase:diameter-check");
     const auto check = congest::check_cluster_diameter(
-        g, partition.decomposition.cluster_of, bound);
+        g, partition.decomposition.cluster_of, bound, partition.net);
     partition.ledger.add_measured("diameter self-check (Sec 2.3)",
-                                  check.stats.rounds);
+                                  check.stats);
     for (std::size_t c = 0; c < partition.clusters.size(); ++c) {
       for (graph::VertexId v : partition.clusters[c].members) {
         if (!check.within_bound[v]) diameter_ok[c] = false;
@@ -78,13 +84,16 @@ PropertyTestResult property_test(const Graph& g,
     }
   }
   // Leaders broadcast the verdict to their clusters.
+  TRACE_SPAN(partition.net.trace, "phase:verdict-broadcast");
+  congest::MetricsPhase phase(partition.net.metrics, "phase:verdict-broadcast");
   std::vector<std::int64_t> verdict(g.num_vertices(), 0);
   for (const Cluster& cluster : partition.clusters) {
     verdict[cluster.leader] = result.vertex_accepts[cluster.leader] ? 1 : 2;
   }
   const auto bc = congest::broadcast_from_leaders(
-      g, partition.decomposition.cluster_of, partition.leader_of, verdict);
-  partition.ledger.add_measured("verdict broadcast", bc.stats.rounds);
+      g, partition.decomposition.cluster_of, partition.leader_of, verdict,
+      partition.net);
+  partition.ledger.add_measured("verdict broadcast", bc.stats);
 
   result.accept = true;
   for (bool a : result.vertex_accepts) result.accept = result.accept && a;

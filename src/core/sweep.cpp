@@ -197,45 +197,10 @@ class LubySweep final : public SweepAlgo {
 
 // --- Topology families ------------------------------------------------------
 
-// The `ecd_cli gen` family vocabulary (kept in sync with make_family there;
-// validate() rejects anything else before construction is attempted).
-Graph make_family_graph(const std::string& family, int n,
-                        std::uint64_t topo_seed) {
-  graph::Rng rng(topo_seed);
-  if (family == "grid") {
-    int side = 1;
-    while (side * side < n) ++side;
-    return graph::grid(side, side);
-  }
-  if (family == "tri") return graph::random_maximal_planar(n, rng);
-  if (family == "planar") return graph::random_planar(n, 2 * n, rng);
-  if (family == "outer") return graph::random_outerplanar(n, rng);
-  if (family == "twotree") return graph::random_two_tree(n, rng);
-  if (family == "tree") return graph::random_tree(n, rng);
-  if (family == "torus") {
-    int side = 3;
-    while (side * side < n) ++side;
-    return graph::torus_grid(side, side);
-  }
-  if (family == "hypercube") {
-    int dim = 1;
-    while ((1 << dim) < n) ++dim;
-    return graph::hypercube(dim);
-  }
-  if (family == "expander") {
-    return graph::random_regular(n - (n % 2), 6, rng);
-  }
-  throw std::invalid_argument("sweep: unknown family '" + family + "'");
-}
-
-bool known_family(const std::string& family) {
-  static constexpr const char* kFamilies[] = {
-      "grid", "tri",  "planar",    "outer",    "twotree",
-      "tree", "torus", "hypercube", "expander"};
-  for (const char* f : kFamilies) {
-    if (family == f) return true;
-  }
-  return false;
+// The cell's topology, drawn from its own seed.
+Graph cell_graph(const SweepCell& cell) {
+  graph::Rng rng(cell.topo_seed);
+  return graph::make_family(cell.family, cell.n, rng);
 }
 
 bool known_algorithm(const std::string& algorithm) {
@@ -484,7 +449,8 @@ void SweepSpec::validate() const {
   require(!fault_permille.empty(), "'fault_permille' must not be empty");
   require(!churn_permille.empty(), "'churn_permille' must not be empty");
   for (const std::string& f : families) {
-    if (!known_family(f)) {
+    const auto& names = graph::family_names();
+    if (std::find(names.begin(), names.end(), f) == names.end()) {
       throw std::invalid_argument("sweep spec: unknown family '" + f + "'");
     }
   }
@@ -804,7 +770,7 @@ struct SweepEngine::Impl {
     std::unique_ptr<Graph>& gslot = topo_cache[tk];
     if (!gslot) {
       gslot = std::make_unique<Graph>(
-          make_family_graph(cell.family, cell.n, cell.topo_seed));
+          cell_graph(cell));
       ++result.graphs_built;
     }
     NetKey nk{cell.family,          cell.n,
@@ -867,7 +833,7 @@ struct SweepEngine::Impl {
       const SweepCell& cell = cells[static_cast<std::size_t>(i)];
       MetricsRegistry metrics;
       const Graph graph =
-          make_family_graph(cell.family, cell.n, cell.topo_seed);
+          cell_graph(cell);
       result.records[static_cast<std::size_t>(i)] = run_fresh_on(
           graph, spec, cell, options.jsonl ? &metrics : nullptr);
       // graphs_built/networks_built are accounted on the caller thread
@@ -1025,14 +991,14 @@ const SweepResult& SweepEngine::run(const SweepSpec& spec,
 SweepRunRecord SweepEngine::run_cell_fresh(const SweepSpec& spec,
                                            const SweepCell& cell,
                                            MetricsRegistry* metrics) {
-  const Graph g = make_family_graph(cell.family, cell.n, cell.topo_seed);
+  const Graph g = cell_graph(cell);
   return run_fresh_on(g, spec, cell, metrics);
 }
 
 std::string SweepEngine::reference_report_line(const SweepSpec& spec,
                                                const SweepCell& cell,
                                                int top_edges) {
-  const Graph g = make_family_graph(cell.family, cell.n, cell.topo_seed);
+  const Graph g = cell_graph(cell);
   MetricsRegistry metrics;
   const SweepRunRecord rec = run_fresh_on(g, spec, cell, &metrics);
   std::ostringstream os;

@@ -97,7 +97,7 @@ TriangleCountResult count_triangles_distributed(const Graph& g) {
   const auto orientation =
       congest::orient_cluster_edges(g, one_cluster, threshold);
   result.ledger.add_measured("orientation (Barenboim-Elkin)",
-                             orientation.stats.rounds);
+                             orientation.stats);
   result.out_degree_bound = orientation.max_out_degree;
 
   // Phase B: out-list announcements + local counting (measured).
@@ -115,7 +115,7 @@ TriangleCountResult count_triangles_distributed(const Graph& g) {
   }
   congest::Network network(g);
   const auto stats = network.run(algos);
-  result.ledger.add_measured("out-list exchange + local count", stats.rounds);
+  result.ledger.add_measured("out-list exchange + local count", stats);
 
   result.local_count.resize(n);
   for (VertexId v = 0; v < n; ++v) {

@@ -421,4 +421,36 @@ Graph disjoint_union(const std::vector<Graph>& parts) {
   return Graph::from_edges(n, std::move(edges));
 }
 
+const std::vector<std::string>& family_names() {
+  static const std::vector<std::string> kNames = {
+      "grid", "tri",   "planar",    "outer",   "twotree",
+      "tree", "torus", "hypercube", "expander"};
+  return kNames;
+}
+
+Graph make_family(const std::string& name, int n, Rng& rng) {
+  if (name == "grid") {
+    int side = 1;
+    while (side * side < n) ++side;
+    return grid(side, side);
+  }
+  if (name == "tri") return random_maximal_planar(n, rng);
+  if (name == "planar") return random_planar(n, 2 * n, rng);
+  if (name == "outer") return random_outerplanar(n, rng);
+  if (name == "twotree") return random_two_tree(n, rng);
+  if (name == "tree") return random_tree(n, rng);
+  if (name == "torus") {
+    int side = 3;
+    while (side * side < n) ++side;
+    return torus_grid(side, side);
+  }
+  if (name == "hypercube") {
+    int dim = 1;
+    while ((1 << dim) < n) ++dim;
+    return hypercube(dim);
+  }
+  if (name == "expander") return random_regular(n - (n % 2), 6, rng);
+  throw std::invalid_argument("unknown graph family '" + name + "'");
+}
+
 }  // namespace ecd::graph

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -88,5 +89,18 @@ std::vector<EdgeSign> planted_signs(const Graph& g, int target_cluster_size,
 // --- Composition ---------------------------------------------------------------
 
 Graph disjoint_union(const std::vector<Graph>& parts);
+
+// --- Named families --------------------------------------------------------------
+
+// The names make_family accepts, the vocabulary of `ecd_cli gen`, the sweep
+// specs and the benches: grid, tri, planar, outer, twotree, tree, torus,
+// hypercube, expander.
+const std::vector<std::string>& family_names();
+
+// A member of the named family with about n vertices: the square grid and
+// torus (side >= 3) and the hypercube round n up, the 6-regular expander
+// rounds it down to even, and `planar` keeps 2n edges of a triangulation.
+// Throws std::invalid_argument on an unknown name.
+Graph make_family(const std::string& name, int n, Rng& rng);
 
 }  // namespace ecd::graph

@@ -2,9 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <limits>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/congest/metrics.h"
+#include "src/congest/profiler.h"
+#include "src/congest/trace.h"
 #include "src/core/correlation.h"
 #include "src/core/ldd.h"
 #include "src/core/matching.h"
@@ -291,6 +299,43 @@ TEST(GatherRouteEquivalence, MwmAnswerIsTheSameOnEveryRoute) {
   }
 }
 
+TEST(GatherRouteEquivalence, CorrelationAnswerIsTheSameOnEveryRoute) {
+  Rng rng(24);
+  const Graph base = graph::random_planar(120, 220, rng);
+  const Graph g = base.with_signs(graph::planted_signs(base, 8, 0.1, rng));
+  const double eps = 0.3;
+  seq::Clustering reference;
+  for (const GatherConfig& c : gather_configs(8)) {
+    SCOPED_TRACE(c.name);
+    const auto r = correlation_approx(g, eps, {.framework = c.framework});
+    // The partition correlation_approx runs: ε' = ε/2, density bound 1.
+    FrameworkOptions f = c.framework;
+    f.density_bound = 1;
+    ASSERT_TRUE(partition_and_gather(g, eps / 2, f).gather_complete);
+    if (reference.empty()) reference = r.clustering;
+    EXPECT_EQ(r.clustering, reference);
+  }
+}
+
+TEST(GatherRouteEquivalence, LddAnswerIsTheSameOnEveryRoute) {
+  Rng rng(25);
+  const Graph g = graph::random_planar(120, 200, rng);
+  const double eps = 0.3;
+  std::vector<int> reference;
+  for (const GatherConfig& c : gather_configs(9)) {
+    SCOPED_TRACE(c.name);
+    LddApproxOptions opt;
+    opt.framework = c.framework;
+    const auto r = ldd_approx(g, eps, opt);
+    // The partition ldd_approx runs: ε' = ε/2, density bound 1.
+    FrameworkOptions f = c.framework;
+    f.density_bound = 1;
+    ASSERT_TRUE(partition_and_gather(g, eps / 2, f).gather_complete);
+    if (reference.empty()) reference = r.cluster_of;
+    EXPECT_EQ(r.cluster_of, reference);
+  }
+}
+
 // ---- Theorem 1.3: correlation clustering ------------------------------------
 
 TEST(CorrelationApprox, BeatsHalfEdgesBaseline) {
@@ -376,6 +421,83 @@ TEST(PropertyTest, Treewidth2Property) {
   EXPECT_TRUE(property_test(yes, seq::treewidth2_property(), 0.2).accept);
 }
 
+const congest::RunStats& ledger_entry(const congest::RoundLedger& ledger,
+                                      const std::string& label) {
+  for (const auto& e : ledger.entries()) {
+    if (e.label == label) return e.stats;
+  }
+  ADD_FAILURE() << "no ledger entry " << label;
+  static const congest::RunStats kNone;
+  return kNone;
+}
+
+// The diameter self-check and the verdict broadcast run on the options the
+// partition ran on: the caller's trace, registry and profiler see their
+// runs, each in its own top-level phase, and the verdicts, the ledger and
+// the registry snapshot do not depend on the thread count.
+TEST(PropertyTest, PostPartitionPhasesRunOnThePartitionsOptions) {
+  Rng rng(26);
+  const Graph g = graph::random_maximal_planar(150, rng);
+  struct Run {
+    PropertyTestResult result;
+    std::string snapshot;
+  };
+  const auto run = [&](int threads) {
+    congest::MetricsCollector trace;
+    congest::MetricsRegistry metrics;
+    congest::ExecutionProfiler profiler;
+    PropertyTestOptions opt;
+    opt.framework.decomposition.phi = 0.08;
+    opt.framework.num_threads = threads;
+    opt.framework.sparse_serial_threshold = 0;  // shard every round
+    opt.framework.trace = &trace;
+    opt.framework.metrics = &metrics;
+    opt.framework.profiler = &profiler;
+    opt.diameter_check_factor = 2.0;
+    Run out{property_test(g, seq::planar_property(), 0.3, opt),
+            metrics.to_json()};
+    const congest::RunStats& check =
+        ledger_entry(out.result.ledger, "diameter self-check (Sec 2.3)");
+    const congest::RunStats& broadcast =
+        ledger_entry(out.result.ledger, "verdict broadcast");
+    EXPECT_GT(check.messages_sent, 0);
+    EXPECT_EQ(metrics.tag_messages(congest::kTagDiameter), check.messages_sent);
+    EXPECT_GT(broadcast.messages_sent, 0);
+    EXPECT_EQ(metrics.tag_messages(congest::kTagBroadcast),
+              broadcast.messages_sent);
+    // Each run has its own top-level phase, and the phases cover every round.
+    std::map<std::string, std::int64_t> phase_messages, span_messages;
+    std::int64_t phase_rounds = 0;
+    for (const auto& ph : metrics.phases()) {
+      if (ph.depth != 0) continue;
+      phase_rounds += ph.stats.rounds;
+      phase_messages[ph.name] = ph.stats.messages_sent;
+    }
+    for (const auto& span : trace.spans()) {
+      if (span.depth == 0) span_messages[span.name] = span.messages;
+    }
+    EXPECT_EQ(phase_rounds, metrics.totals().rounds);
+    EXPECT_EQ(phase_messages["phase:diameter-check"], check.messages_sent);
+    EXPECT_EQ(phase_messages["phase:verdict-broadcast"],
+              broadcast.messages_sent);
+    EXPECT_EQ(span_messages["phase:diameter-check"], check.messages_sent);
+    EXPECT_EQ(span_messages["phase:verdict-broadcast"],
+              broadcast.messages_sent);
+    EXPECT_EQ(trace.totals().messages_sent, metrics.totals().messages_sent);
+    // The profiler saw every run and round the registry saw, on every shard.
+    EXPECT_EQ(profiler.summary().runs, metrics.runs_observed());
+    EXPECT_EQ(profiler.summary().rounds, metrics.totals().rounds);
+    EXPECT_EQ(profiler.summary().num_shards, threads);
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  EXPECT_TRUE(one.result.accept);
+  EXPECT_EQ(four.result.vertex_accepts, one.result.vertex_accepts);
+  EXPECT_EQ(four.result.ledger.to_string(), one.result.ledger.to_string());
+  EXPECT_EQ(four.snapshot, one.snapshot);
+}
+
 // ---- Theorem 1.5: low-diameter decomposition -------------------------------------
 
 TEST(LddApprox, CutAndDiameterBounds) {
@@ -412,6 +534,223 @@ TEST(LddApprox, ClustersAreConnected) {
     if (m.size() <= 1) continue;
     const auto sub = graph::induced_subgraph(g, m);
     EXPECT_TRUE(graph::is_connected(sub.graph));
+  }
+}
+
+// ---- Every application checks its ε -------------------------------------------
+
+TEST(Applications, RejectEpsOutsideTheOpenUnitInterval) {
+  const Graph g = graph::grid(4, 4);
+  for (const double eps : {-0.5, 0.0, 1.0, 1.5, 3.0,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(eps);
+    EXPECT_THROW(mis_approx(g, eps), std::invalid_argument);
+    EXPECT_THROW(mcm_planar_approx(g, eps), std::invalid_argument);
+    EXPECT_THROW(mwm_approx(g, eps), std::invalid_argument);
+    EXPECT_THROW(correlation_approx(g, eps), std::invalid_argument);
+    EXPECT_THROW(ldd_approx(g, eps), std::invalid_argument);
+    EXPECT_THROW(property_test(g, seq::planar_property(), eps),
+                 std::invalid_argument);
+  }
+}
+
+// ---- Pinned answers and ledgers ------------------------------------------------
+
+// Hashes recorded before the applications shared one cluster loop
+// (core::solve_clusters): moving the loop may not move any answer or any
+// ledger entry. Property testing pins verdicts and ledger rounds only: its
+// diameter check and verdict broadcast gained their message counts in the
+// same change.
+class Fnv {
+ public:
+  void mix(std::int64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void mix(const std::string& s) {
+    mix(static_cast<std::int64_t>(s.size()));
+    for (const char c : s) mix(c);
+  }
+  template <class Range>
+  void mix_all(const Range& r) {
+    mix(static_cast<std::int64_t>(r.size()));
+    for (const auto x : r) mix(static_cast<std::int64_t>(x));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+std::uint64_t ledger_hash(const congest::RoundLedger& ledger,
+                          bool rounds_only = false) {
+  Fnv h;
+  for (const auto& e : ledger.entries()) {
+    h.mix(e.label);
+    h.mix(e.measured);
+    h.mix(e.stats.rounds);
+    if (rounds_only) continue;
+    h.mix(e.stats.messages_sent);
+    h.mix(e.stats.words_sent);
+    h.mix(e.stats.max_edge_load);
+  }
+  return h.value();
+}
+
+std::string hex(std::uint64_t x) {
+  std::ostringstream os;
+  os << "0x" << std::hex << x;
+  return os.str();
+}
+
+// A `planar`-family input (random_planar(n, 2n), six components) at the
+// derived φ and at a φ and ε that split the components too.
+struct PinCase {
+  double phi;
+  std::uint64_t output;
+  std::uint64_t ledger;
+};
+
+FrameworkOptions pin_framework(double phi) {
+  FrameworkOptions f;
+  f.decomposition.phi = phi;
+  f.seed = 3;
+  return f;
+}
+
+Graph pin_planar() {
+  Rng rng(31);
+  return graph::random_planar(300, 600, rng);
+}
+
+TEST(PinnedApplications, Mis) {
+  const Graph g = pin_planar();
+  for (const PinCase& c :
+       {PinCase{0.0, 0x2d92fd97a27e3e43ull, 0xdb7d1c051bb4e451ull},
+        PinCase{0.1, 0xdca76321eb6eeab3ull, 0x2941a83ec293443full}}) {
+    const auto r = mis_approx(g, 0.6, {.framework = pin_framework(c.phi)});
+    EXPECT_GT(r.num_clusters, 1);
+    Fnv h;
+    h.mix_all(r.independent_set);
+    h.mix(r.all_clusters_exact);
+    h.mix(r.clusters_exact);
+    h.mix(r.num_clusters);
+    h.mix(r.conflicts_removed);
+    EXPECT_EQ(hex(h.value()), hex(c.output)) << "phi " << c.phi;
+    EXPECT_EQ(hex(ledger_hash(r.ledger)), hex(c.ledger)) << "phi " << c.phi;
+  }
+}
+
+TEST(PinnedApplications, Mcm) {
+  const Graph g = pin_planar();
+  for (const PinCase& c :
+       {PinCase{0.0, 0x44ec27b3d0c72a75ull, 0xe8ee2c2df212c41aull},
+        PinCase{0.3, 0x21c3521c89d37decull, 0x7d6499285cf69c6eull}}) {
+    const auto r =
+        mcm_planar_approx(g, 0.9, {.framework = pin_framework(c.phi)});
+    EXPECT_GT(r.num_clusters, 1);
+    Fnv h;
+    h.mix_all(r.mates);
+    h.mix(r.matching_size);
+    h.mix(r.removed_vertices);
+    h.mix(r.num_clusters);
+    EXPECT_EQ(hex(h.value()), hex(c.output)) << "phi " << c.phi;
+    EXPECT_EQ(hex(ledger_hash(r.ledger)), hex(c.ledger)) << "phi " << c.phi;
+  }
+}
+
+TEST(PinnedApplications, Mwm) {
+  const Graph base = pin_planar();
+  Rng rng(32);
+  const Graph g = base.with_weights(graph::random_weights(base, 1000, rng));
+  for (const PinCase& c :
+       {PinCase{0.0, 0x21a2e354669b8c2eull, 0xcffc31b9ce858d3dull},
+        PinCase{0.1, 0x2e6f4c099aee2ecdull, 0x13eb65d03604115dull}}) {
+    MwmApproxOptions opt;
+    opt.framework = pin_framework(c.phi);
+    opt.exact_cluster_cap = 60;  // some clusters take the greedy path
+    const auto r = mwm_approx(g, 0.4, opt);
+    Fnv h;
+    h.mix_all(r.mates);
+    h.mix(r.weight);
+    h.mix(r.phases);
+    h.mix(r.clusters_greedy);
+    EXPECT_EQ(hex(h.value()), hex(c.output)) << "phi " << c.phi;
+    EXPECT_EQ(hex(ledger_hash(r.ledger)), hex(c.ledger)) << "phi " << c.phi;
+  }
+}
+
+TEST(PinnedApplications, Correlation) {
+  Rng rng(33);
+  const Graph base = graph::random_planar(300, 600, rng);
+  const Graph g = base.with_signs(graph::planted_signs(base, 10, 0.1, rng));
+  for (const PinCase& c :
+       {PinCase{0.0, 0x15023d44f4d4c959ull, 0x6ca0f15507010164ull},
+        PinCase{0.1, 0x020dc4e931e8e2dcull, 0x44adf85dbac96de9ull}}) {
+    const auto r =
+        correlation_approx(g, 0.3, {.framework = pin_framework(c.phi)});
+    EXPECT_GT(r.num_clusters, 1);
+    Fnv h;
+    h.mix_all(r.clustering);
+    h.mix(r.score);
+    h.mix(r.clusters_exact);
+    h.mix(r.num_clusters);
+    EXPECT_EQ(hex(h.value()), hex(c.output)) << "phi " << c.phi;
+    EXPECT_EQ(hex(ledger_hash(r.ledger)), hex(c.ledger)) << "phi " << c.phi;
+  }
+}
+
+TEST(PinnedApplications, Ldd) {
+  const Graph g = pin_planar();
+  for (const PinCase& c :
+       {PinCase{0.0, 0xbbc5e70a82e8f906ull, 0x016fc8091b8a8107ull},
+        PinCase{0.1, 0x28dbdbc5a02efcb7ull, 0xafce4d272c589ee1ull}}) {
+    LddApproxOptions opt;
+    opt.framework = pin_framework(c.phi);
+    const auto r = ldd_approx(g, 0.3, opt);
+    Fnv h;
+    h.mix_all(r.cluster_of);
+    h.mix(r.num_clusters);
+    h.mix(r.cut_edges);
+    h.mix(r.max_diameter);
+    EXPECT_EQ(hex(h.value()), hex(c.output)) << "phi " << c.phi;
+    EXPECT_EQ(hex(ledger_hash(r.ledger)), hex(c.ledger)) << "phi " << c.phi;
+  }
+}
+
+TEST(PinnedApplications, PropertyTestVerdictsAndRounds) {
+  Rng rng(34);
+  const Graph planar = graph::random_maximal_planar(200, rng);
+  const Graph far =
+      graph::plus_random_edges(planar, planar.num_edges() / 2, rng);
+  struct Case {
+    const Graph* g;
+    double check_factor;
+    std::uint64_t verdicts;
+    std::uint64_t rounds;
+  };
+  const Case cases[] = {
+      {&planar, 0.0, 0x6072d4191f875d4aull, 0xfbb3f2894a3a512cull},
+      {&planar, 2.0, 0x6072d4191f875d4aull, 0x4a7a053f59bb6562ull},
+      {&far, 2.0, 0x50658cbadb108a0aull, 0x96c14ac4cda7e208ull},
+  };
+  int k = 0;
+  for (const Case& c : cases) {
+    PropertyTestOptions opt;
+    opt.framework = pin_framework(0.08);
+    opt.diameter_check_factor = c.check_factor;
+    const auto r = property_test(*c.g, seq::planar_property(), 0.3, opt);
+    Fnv h;
+    h.mix(r.accept);
+    h.mix_all(r.vertex_accepts);
+    h.mix(r.clusters_failing_property);
+    h.mix(r.clusters_failing_degree_condition);
+    EXPECT_EQ(hex(h.value()), hex(c.verdicts)) << "case " << k;
+    EXPECT_EQ(hex(ledger_hash(r.ledger, /*rounds_only=*/true)), hex(c.rounds))
+        << "case " << k;
+    ++k;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "src/congest/metrics.h"
 #include "src/congest/profiler.h"
@@ -213,6 +215,80 @@ TEST(Framework, DistributedDecompositionRunsOnTheCallersNetworkOptions) {
   // The profiler saw every run the registry saw, on four shards.
   EXPECT_EQ(profiler.summary().runs, metrics.runs_observed());
   EXPECT_EQ(profiler.summary().num_shards, 4);
+}
+
+// solve_clusters hands each leader its cluster once, in cluster order, and
+// returns every vertex the word its leader computed for it, along the
+// reversed walks.
+TEST(Framework, SolveClustersReturnsEachLeadersWords) {
+  Graph g = graph::grid(16, 16);
+  FrameworkOptions opt;
+  opt.decomposition.phi = 0.08;  // several clusters
+  Partition p = partition_and_gather(g, 0.35, opt);
+  ASSERT_GT(p.clusters.size(), 1u);
+  const auto entries = p.ledger.entries().size();
+  std::vector<const Cluster*> seen;
+  const auto words = solve_clusters(p, [&](const Cluster& cluster) {
+    seen.push_back(&cluster);
+    std::vector<std::int64_t> local(cluster.subgraph.to_parent.size());
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      local[i] = 3 * cluster.subgraph.to_parent[i] + cluster.leader;
+    }
+    return local;
+  });
+  ASSERT_EQ(seen.size(), p.clusters.size());
+  for (std::size_t c = 0; c < seen.size(); ++c) {
+    EXPECT_EQ(seen[c], &p.clusters[c]);
+  }
+  ASSERT_EQ(words.size(), static_cast<std::size_t>(g.num_vertices()));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(words[v], 3 * v + p.leader_of[v]) << "vertex " << v;
+  }
+  ASSERT_EQ(p.ledger.entries().size(), entries + 1);
+  EXPECT_EQ(p.ledger.entries().back().label, "result return (reversed walks)");
+  EXPECT_GT(p.ledger.entries().back().stats.rounds, 0);
+
+  // A solve must answer for every vertex of its cluster.
+  EXPECT_THROW(solve_clusters(p, [](const Cluster&) {
+                 return std::vector<std::int64_t>{};
+               }),
+               std::logic_error);
+  EXPECT_EQ(p.ledger.entries().size(), entries + 1);
+}
+
+// A registration token that never reached its leader has no path to reverse.
+// The smoke configuration of `ecd_cli report` (16x16 grid, eps 0.2, 2% drop,
+// four threads, seed 1) ends its reliable gather with some registration
+// tokens undelivered: the return refuses, names how many, and leaves the
+// ledger as it was.
+TEST(Framework, ReturnRefusesUndeliveredRegistrations) {
+  const Graph g = graph::grid(16, 16);
+  FrameworkOptions opt;
+  opt.num_threads = 4;
+  opt.faults.drop_probability = 0.02;
+  opt.faults.seed = 1;
+  Partition p = partition_and_gather(g, 0.2, opt);
+  ASSERT_FALSE(p.gather_complete);
+  std::vector<bool> delivered(p.gather.traces.size(), false);
+  for (const auto& ids : p.gather.delivered_ids) {
+    for (const std::int64_t id : ids) delivered[id] = true;
+  }
+  int missing = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    missing += !delivered[p.hello_token_of[v]];
+  }
+  ASSERT_GT(missing, 0);
+  const auto entries = p.ledger.entries().size();
+  const std::vector<std::int64_t> words(g.num_vertices(), 7);
+  try {
+    return_results(p, words, "result return");
+    ADD_FAILURE() << "a return without " << missing << " registrations passed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(missing) + " of 256"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(p.ledger.entries().size(), entries);
 }
 
 TEST(Framework, RejectsBadEps) {
