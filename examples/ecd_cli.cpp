@@ -723,6 +723,12 @@ int cmd_mis(const Options& o) {
               "%d conflicts removed)\n",
               r.independent_set.size(), r.num_clusters, r.clusters_exact,
               r.conflicts_removed);
+  const double ratio =
+      r.upper_bound > 0
+          ? static_cast<double>(r.independent_set.size()) / r.upper_bound
+          : 1.0;
+  std::printf("upper bound: %d (certified ratio %.4f)\n", r.upper_bound,
+              ratio);
   std::printf("%s", r.ledger.to_string().c_str());
   return 0;
 }

@@ -30,6 +30,7 @@ MisApproxResult mis_approx(const Graph& g, double eps,
         const auto mis = seq::best_effort_mis(cluster.subgraph.graph,
                                               options.exact_node_budget);
         result.clusters_exact += mis.exact;
+        result.upper_bound += mis.upper_bound;
         result.all_clusters_exact = result.all_clusters_exact && mis.exact;
         std::vector<std::int64_t> chosen(cluster.subgraph.graph.num_vertices());
         for (VertexId local : mis.vertices) chosen[local] = 1;

@@ -11,8 +11,10 @@ namespace ecd::core {
 
 struct MisApproxOptions {
   FrameworkOptions framework;
-  // Budget for each cluster's exact branch-and-bound solve; clusters whose
-  // search exceeds it fall back to greedy + local search (reported).
+  // Budget for each cluster's exact branch-and-bound solve, which runs only
+  // when greedy + local search does not meet the cluster's clique-partition
+  // bound; clusters whose search exceeds it fall back to greedy + local
+  // search (reported).
   std::int64_t exact_node_budget = 4'000'000;
 };
 
@@ -23,6 +25,10 @@ struct MisApproxResult {
   bool all_clusters_exact = false;
   int clusters_exact = 0;
   int num_clusters = 0;
+  // Σ over clusters of seq::MisResult::upper_bound. α(G) <= Σ α(G[V_i]), so
+  // |independent_set| / upper_bound is a certified lower bound on the
+  // approximation ratio of every run, exact clusters or not.
+  int upper_bound = 0;
   int conflicts_removed = 0;  // |Z| in the §3.1 analysis
   congest::RoundLedger ledger;
 };

@@ -68,13 +68,20 @@ Attempt decompose_with_phi(const Graph& g, double phi,
       continue;
     }
     const auto sub = graph::induced_subgraph(g, piece);
+    // The certificate comes from the cut search itself. A piece is
+    // connected, so every cut is nontrivial and the exact minimum is Φ; a
+    // larger piece takes the discounted Cheeger bound 0.9·λ2/2 of the
+    // restarts' iterations.
     SweepResult cut;
+    double phi_cert = 0.0;
     if (sub.graph.num_vertices() <=
         std::min(options.exact_cut_threshold, 16)) {
       cut = exact_min_cut(sub.graph);
+      phi_cert = cut.conductance;
     } else {
       cut = spectral_cut(sub.graph, options.spectral_iterations, cut_seed,
                          options.deterministic ? 1 : options.spectral_restarts);
+      phi_cert = 0.9 * (cut.lambda2 / 2.0);
       // Chain per-piece sub-seeds through splitmix64 (the canonical
       // splitmix stream) instead of += 104729, which reused streams across
       // nearby user seeds and pieces.
@@ -88,9 +95,7 @@ Attempt decompose_with_phi(const Graph& g, double phi,
       splitter.split(left, work);
       splitter.split(right, work);
     } else {
-      finalize(piece, certified_conductance_lower_bound(
-                          sub.graph, options.exact_cut_threshold,
-                          options.spectral_iterations, options.seed));
+      finalize(piece, phi_cert);
     }
   }
   return attempt;

@@ -162,20 +162,24 @@ std::vector<double> fiedler_embedding(const Graph& g, int iterations,
 SweepResult spectral_cut(const Graph& g, int iterations, std::uint64_t seed,
                          int restarts) {
   SweepResult best;
+  std::optional<double> mu;  // largest Rayleigh quotient of a kept iteration
   for (int r = 0; r < restarts; ++r) {
     // Per-restart sub-seeds are splitmix-derived, not small additive
     // offsets: seed + 7919·r made nearby user seeds share restart streams
     // (seed 1 restart 1 == seed 7920 restart 0) and fed mt19937_64 with
     // correlated state.
-    const auto emb = fiedler_embedding(
-        g, iterations,
+    const PowerIteration it = power_iteration(
+        g, false, iterations,
         graph::splitmix64(seed + 0x9e3779b97f4a7c15ULL *
                                      static_cast<std::uint64_t>(r)));
-    const auto cut = sweep_cut(g, emb);
+    if (!it.vanished) mu = std::max(mu.value_or(it.mu), it.mu);
+    auto cut = sweep_cut(g, fiedler_coordinates(it));
     if (cut.valid && (!best.valid || cut.conductance < best.conductance)) {
-      best = cut;
+      best = std::move(cut);
     }
   }
+  best.lambda2 = mu ? std::clamp(2.0 * (1.0 - *mu), 0.0, 2.0)
+                    : restarts > 0 ? 1.0 : 0.0;
   return best;
 }
 

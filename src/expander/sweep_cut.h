@@ -13,6 +13,11 @@ struct SweepResult {
   std::vector<bool> in_s;
   double conductance = 0.0;
   bool valid = false;  // false when no nontrivial cut exists
+  // spectral_cut only: λ2 = 2(1 − μ) of the normalized Laplacian, clamped
+  // to [0, 2], from the largest Rayleigh quotient μ among the restarts
+  // whose iteration did not vanish; 1 when every restart vanished (as in
+  // lambda2_normalized), 0 when there was no restart.
+  double lambda2 = 0.0;
 };
 
 // Sorts vertices by `score` ascending and returns the prefix cut minimizing
@@ -47,7 +52,8 @@ std::vector<double> fiedler_embedding(const graph::Graph& g,
                                       int iterations = 400,
                                       std::uint64_t seed = 1);
 
-// Convenience: fiedler_embedding + sweep_cut, best over `restarts` seeds.
+// Convenience: fiedler_embedding + sweep_cut, best over `restarts` seeds,
+// with the restarts' λ2 estimate.
 SweepResult spectral_cut(const graph::Graph& g, int iterations = 400,
                          std::uint64_t seed = 1, int restarts = 2);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -271,11 +272,59 @@ std::vector<VertexId> mis_local_search(const Graph& g,
   return result;
 }
 
-MisResult best_effort_mis(const Graph& g, std::int64_t node_budget) {
-  if (auto exact = max_independent_set_exact(g, node_budget)) {
-    return {std::move(*exact), true};
+namespace {
+
+// Greedy clique partition (DESIGN.md §20): vertices by increasing degree,
+// lowest id on ties; each uncovered vertex opens a clique that takes every
+// uncovered neighbor adjacent to all of its members so far. An independent
+// set holds at most one vertex per clique, so the count bounds α(g).
+// O(n log n + m).
+int clique_partition_bound(const Graph& g) {
+  const int n = g.num_vertices();
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&g](VertexId a, VertexId b) {
+    return g.degree(a) < g.degree(b);
+  });
+  std::vector<bool> covered(n, false);
+  // hits[u]: members of the open clique adjacent to u. g is simple, so u is
+  // adjacent to all of them exactly when hits[u] equals the clique's size.
+  std::vector<int> hits(n, 0);
+  std::vector<VertexId> clique;
+  const auto join = [&](VertexId v) {
+    covered[v] = true;
+    clique.push_back(v);
+    for (VertexId x : g.neighbors(v)) ++hits[x];
+  };
+  int cliques = 0;
+  for (VertexId v : order) {
+    if (covered[v]) continue;
+    ++cliques;
+    clique.clear();
+    join(v);
+    for (VertexId u : g.neighbors(v)) {
+      if (!covered[u] && hits[u] == static_cast<int>(clique.size())) join(u);
+    }
+    for (VertexId w : clique) {
+      for (VertexId x : g.neighbors(w)) hits[x] = 0;
+    }
   }
-  return {mis_local_search(g, greedy_mis_min_degree(g)), false};
+  return cliques;
+}
+
+}  // namespace
+
+MisResult best_effort_mis(const Graph& g, std::int64_t node_budget) {
+  std::vector<VertexId> greedy = mis_local_search(g, greedy_mis_min_degree(g));
+  const int bound = clique_partition_bound(g);
+  if (static_cast<int>(greedy.size()) >= bound) {
+    return {std::move(greedy), true, bound};
+  }
+  if (auto exact = max_independent_set_exact(g, node_budget)) {
+    const int size = static_cast<int>(exact->size());
+    return {std::move(*exact), true, size};
+  }
+  return {std::move(greedy), false, bound};
 }
 
 std::vector<VertexId> max_independent_set_bruteforce(const Graph& g) {

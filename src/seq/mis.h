@@ -2,9 +2,11 @@
 // budget), greedy minimum-degree, local search, and a brute-force oracle.
 //
 // MaxIS is NP-hard; the CONGEST model nevertheless grants cluster leaders
-// unlimited local computation (§3.1). On a real machine we solve clusters
-// exactly while a search budget lasts and fall back to greedy + local search
-// beyond it; results report which path ran.
+// unlimited local computation (§3.1). On a real machine best_effort_mis
+// first certifies greedy + local search against a clique-partition upper
+// bound, searches exactly only when that bound does not close, and falls
+// back to greedy + local search when the search budget runs out; results
+// report whether the answer is certified maximum, and an upper bound on α.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +35,15 @@ std::vector<graph::VertexId> mis_local_search(
     const graph::Graph& g, std::vector<graph::VertexId> initial,
     int max_iterations = 100);
 
-// Exact if the budget suffices, otherwise greedy + local search.
+// Greedy + local search when its size meets a greedy clique-partition
+// bound on α (no search runs); otherwise the exact search, or the greedy +
+// local search set if the search exceeds `node_budget`.
 struct MisResult {
   std::vector<graph::VertexId> vertices;
-  bool exact = false;
+  bool exact = false;  // vertices is a maximum independent set
+  // α(g) <= upper_bound: the clique-partition bound, or the exact set's size
+  // when the search finished. Equals vertices.size() iff exact.
+  int upper_bound = 0;
 };
 MisResult best_effort_mis(const graph::Graph& g,
                           std::int64_t node_budget = 4'000'000);

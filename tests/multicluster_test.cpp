@@ -53,6 +53,20 @@ Graph grid_chain(int blocks) {
   return std::move(b).build();
 }
 
+// α of a grid chain. The chain is bipartite (each grid is, and the bridges
+// join the grids in a path), so König's theorem gives α = n − ν. The exact
+// MIS search does not finish on these 384- and 512-vertex chains.
+int grid_chain_alpha(const Graph& g) {
+  return g.num_vertices() -
+         seq::matching_size(seq::max_cardinality_matching(g));
+}
+
+// mis_approx's upper bound holds whether or not its clusters were exact.
+void expect_certified(const Graph& g, const MisApproxResult& r) {
+  EXPECT_GE(r.upper_bound, static_cast<int>(r.independent_set.size()));
+  EXPECT_GE(r.upper_bound, grid_chain_alpha(g));
+}
+
 TEST(MultiCluster, MisStillOneMinusEpsWithConflicts) {
   Graph g = grid_chain(8);  // alpha >= 8 * 32 = 256
   const double eps = 0.35;
@@ -62,6 +76,8 @@ TEST(MultiCluster, MisStillOneMinusEpsWithConflicts) {
   ASSERT_TRUE(seq::is_independent_set(g, r.independent_set));
   EXPECT_GT(r.num_clusters, 1);
   EXPECT_GE(r.independent_set.size() + 1e-9, (1.0 - eps) * 256);
+  EXPECT_EQ(grid_chain_alpha(g), 256);
+  expect_certified(g, r);
 }
 
 TEST(MultiCluster, MisConflictRemovalTriggers) {
@@ -75,6 +91,7 @@ TEST(MultiCluster, MisConflictRemovalTriggers) {
     opt.framework = forced_split(0.05, 100 + seed);
     const auto r = mis_approx(g, 0.4, opt);
     ASSERT_TRUE(seq::is_independent_set(g, r.independent_set));
+    expect_certified(g, r);
     total_conflicts += r.conflicts_removed;
   }
   EXPECT_GT(total_conflicts, 0);

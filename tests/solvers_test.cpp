@@ -277,8 +277,52 @@ TEST(BestEffortMis, FallsBackGracefully) {
   Rng rng(6);
   const Graph g = graph::random_regular(60, 8, rng);
   const auto r = best_effort_mis(g, 10);  // force the fallback
+  // The clique bound does not close here, so the search and its fallback
+  // both run.
+  EXPECT_GT(r.upper_bound, static_cast<int>(r.vertices.size()));
   EXPECT_FALSE(r.exact);
   EXPECT_TRUE(is_independent_set(g, r.vertices));
+}
+
+// The mis-tri shape: the search exhausts its budget on this triangulation
+// (ExactMis.ExhaustsLikeReferenceOnLargeTriangulation), but greedy + local
+// search already meets the clique-partition bound, so it is returned as a
+// certified maximum without a search.
+TEST(BestEffortMis, CliqueBoundCertifiesTheFallbackOnATriangulation) {
+  Rng rng(1);
+  const Graph g = graph::random_maximal_planar(500, rng);
+  const auto r = best_effort_mis(g, 400'000);
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.vertices, mis_local_search(g, greedy_mis_min_degree(g)));
+  EXPECT_EQ(r.upper_bound, static_cast<int>(r.vertices.size()));
+}
+
+// At budget 0 the search never finishes, so upper_bound is the clique bound.
+TEST(BestEffortMis, CliqueBoundIsAtLeastAlpha) {
+  const auto check = [](const Graph& g, const std::string& label) {
+    const auto r = best_effort_mis(g, 0);
+    const auto alpha =
+        static_cast<int>(max_independent_set_bruteforce(g).size());
+    EXPECT_GE(r.upper_bound, alpha) << label;
+    EXPECT_TRUE(is_independent_set(g, r.vertices)) << label;
+    EXPECT_EQ(r.exact, static_cast<int>(r.vertices.size()) == r.upper_bound)
+        << label;
+  };
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = 6 + trial % 14;  // 6..19
+    const std::string at = " trial " + std::to_string(trial);
+    check(graph::erdos_renyi(n, 0.3, rng), "erdos_renyi" + at);
+    check(graph::random_maximal_planar(n, rng), "triangulation" + at);
+    check(graph::random_planar(n, 2 * n, rng), "planar" + at);
+    check(graph::random_outerplanar(n, rng), "outerplanar" + at);
+    check(graph::random_tree(n, rng), "tree" + at);
+  }
+  check(graph::complete(7), "complete 7");
+  check(graph::cycle(9), "cycle 9");
+  check(graph::grid(4, 5), "grid 4x5");
+  check(graph::complete_bipartite(4, 6), "complete_bipartite 4,6");
+  check(graph::star(12), "star 12");
 }
 
 // ---------------- Correlation clustering ---------------------------------------
