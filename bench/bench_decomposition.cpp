@@ -11,9 +11,11 @@
 // Series 2 (hypercube, E11): at constant eps the achievable φ degrades as
 // Θ(1/log n) [ALE+18]; watch phi_cert_min fall with dimension.
 //
-// BM_DecomposeWeighted is the gated decomposition row (DESIGN.md §21): the
-// weighted decomposition of one perfbench mwm-multicluster phase, a 48x48
-// grid with weights in [1, 1000] at eps 0.2 and phi 0.1.
+// BM_DecomposeWeighted and BM_DecomposeUnweighted are the gated
+// decomposition rows (DESIGN.md §21), one per host driver: the weighted
+// decomposition of one perfbench mwm-multicluster phase, a 48x48 grid with
+// weights in [1, 1000] at eps 0.2 and phi 0.1, and the unweighted
+// decomposition of the same grid without weights.
 //   decompositions_per_sec  decompositions per wall-clock second
 //   clusters                clusters of the last decomposition
 #include "bench/bench_util.h"
@@ -72,21 +74,24 @@ void DecompositionArgs(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_Decomposition)->Apply(DecompositionArgs)->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_DecomposeWeighted(benchmark::State& state) {
+void decompose_grid(benchmark::State& state, bool weighted) {
   const int side = static_cast<int>(state.range(0));
   graph::Rng rng(1);
   const graph::Graph base = graph::grid(side, side);
   const graph::Graph g =
-      base.with_weights(graph::random_weights(base, 1000, rng));
+      weighted ? base.with_weights(graph::random_weights(base, 1000, rng))
+               : base;
   expander::DecompositionOptions opt;
   opt.phi = 0.1;
 
   std::int64_t decompositions = 0;
   int clusters = 0;
   for (auto _ : state) {
-    const auto d = expander::expander_decompose_weighted(g, 0.2, opt);
+    const auto d = weighted
+                       ? expander::expander_decompose_weighted(g, 0.2, opt).base
+                       : expander::expander_decompose(g, 0.2, opt);
     benchmark::DoNotOptimize(d);
-    clusters = d.base.num_clusters;
+    clusters = d.num_clusters;
     ++decompositions;
   }
   state.counters["n"] = g.num_vertices();
@@ -95,7 +100,19 @@ void BM_DecomposeWeighted(benchmark::State& state) {
       static_cast<double>(decompositions), benchmark::Counter::kIsRate);
 }
 
+void BM_DecomposeWeighted(benchmark::State& state) {
+  decompose_grid(state, /*weighted=*/true);
+}
+void BM_DecomposeUnweighted(benchmark::State& state) {
+  decompose_grid(state, /*weighted=*/false);
+}
+
 BENCHMARK(BM_DecomposeWeighted)
+    ->ArgNames({"side"})
+    ->Arg(48)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecomposeUnweighted)
     ->ArgNames({"side"})
     ->Arg(48)
     ->UseRealTime()

@@ -13,10 +13,14 @@
 // ε^{-O(1)} 2^{O(sqrt(log n log log n))} deterministic); see
 // congest::RoundLedger for how modeled rounds are reported separately from
 // measured ones.
+//
+// Every driver — expander_decompose, expander_decompose_weighted
+// (weighted.h) and distributed_expander_decompose — runs on one skeleton
+// (skeleton.h, DESIGN.md §21); the two host drivers differ only in the
+// per-piece cut search they pass to it.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -44,14 +48,19 @@ struct ExpanderDecomposition {
   std::vector<bool> is_inter_cluster;    // per edge id of the input graph
   int inter_cluster_edges = 0;
   double phi = 0.0;                      // target φ actually used
-  // Certified conductance lower bound per cluster (exact for tiny clusters,
-  // the discounted Cheeger bound 0.9·λ2/2 otherwise; weighted conductance
-  // for expander_decompose_weighted).
+  // Certified conductance lower bound per cluster: 1 for a cluster of at
+  // most 2 vertices, else its exact conductance up to exact_cut_threshold
+  // vertices, else the discounted Cheeger bound 0.9·λ2/2.
+  // expander_decompose_weighted certifies weighted conductance, always by
+  // the Cheeger bound.
   std::vector<double> cluster_phi_certified;
 };
 
-// Decomposes g so that inter-cluster edges <= eps * |E|. Throws
-// std::runtime_error if the budget still fails after max_retries.
+// Decomposes g so that inter-cluster edges <= eps * |E|. A piece of at
+// most exact_cut_threshold vertices is cut by exact_min_cut, a larger one
+// by spectral_cut on a splitmix64 seed chain. Throws
+// std::invalid_argument unless 0 < eps < 1, and std::runtime_error if the
+// budget still fails after max_retries.
 ExpanderDecomposition expander_decompose(
     const graph::Graph& g, double eps,
     const DecompositionOptions& options = {});
@@ -59,24 +68,5 @@ ExpanderDecomposition expander_decompose(
 // Members of each cluster (utility shared by framework/tests/benches).
 std::vector<std::vector<graph::VertexId>> cluster_members(
     const ExpanderDecomposition& d);
-
-// Splits vertex subsets of one graph into the connected components they
-// induce; expander_decompose and expander_decompose_weighted split their
-// pieces with it. Components come in the order of their first member in
-// `vertices`, each listed in BFS order from that member. The per-vertex
-// marks live as long as the splitter, so a split costs O(vol(vertices))
-// plus the components it appends.
-class ComponentSplitter {
- public:
-  explicit ComponentSplitter(const graph::Graph& g);
-  // Appends the components of G[vertices] to `out`.
-  void split(std::span<const graph::VertexId> vertices,
-             std::vector<std::vector<graph::VertexId>>& out);
-
- private:
-  enum Mark : char { kOutside, kWaiting, kReached };
-  const graph::Graph& g_;
-  std::vector<Mark> mark_;  // per vertex
-};
 
 }  // namespace ecd::expander

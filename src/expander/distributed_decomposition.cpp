@@ -5,12 +5,13 @@
 #include <memory>
 #include <queue>
 #include <random>
-#include <stdexcept>
 
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
 #include "src/congest/trace.h"
 #include "src/expander/conductance.h"
+#include "src/expander/skeleton.h"
+#include "src/graph/subgraph.h"
 
 namespace ecd::expander {
 
@@ -153,8 +154,7 @@ struct LevelOutcome {
 LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
                        int num_pieces, double phi,
                        const DistributedDecompositionOptions& options,
-                       std::vector<bool>& finalized, int level,
-                       std::vector<double>& best_cut_seen) {
+                       int level) {
   const congest::NetworkOptions& net = options.net;
   TRACE_SPAN(net.trace, "decomposition_level");
   LevelOutcome outcome;
@@ -258,7 +258,7 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
     piece_vol[piece_of[v]] += static_cast<std::int64_t>(intra[v].size());
   }
   for (int p = 0; p < num_pieces; ++p) {
-    if (finalized[p] || piece_vol[p] == 0) continue;
+    if (piece_vol[p] == 0) continue;
     for (int b = 0; b < buckets; ++b) {
       const std::int64_t packed = packed_by_bucket[b][p];
       const std::int64_t crossing = packed >> kPackShift;  // = 2*cut
@@ -272,12 +272,10 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
         piece_choice[p] = b;
       }
     }
-    best_cut_seen[p] = piece_best[p];
     if (piece_best[p] < phi) {
       outcome.any_split = true;
     } else {
-      piece_choice[p] = -1;  // piece certified: no cut below phi was found
-      finalized[p] = true;
+      piece_choice[p] = -1;  // no cut below phi was found: keep the piece
     }
   }
   for (VertexId v = 0; v < n; ++v) {
@@ -306,56 +304,41 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
 DistributedDecompositionResult distributed_expander_decompose(
     const Graph& g, double eps,
     const DistributedDecompositionOptions& options) {
-  if (eps <= 0.0 || eps >= 1.0) throw std::invalid_argument("eps out of (0,1)");
   const int n = g.num_vertices();
-  const int m = g.num_edges();
-  double phi = options.phi;
-  if (phi <= 0.0) {
-    const double logm = std::max(1.0, std::log2(static_cast<double>(std::max(2, m))));
-    phi = eps / (8.0 * logm);
-  }
-
   DistributedDecompositionResult result;
-  for (int attempt = 0; attempt <= options.max_retries; ++attempt, phi /= 2.0) {
+  const auto attempt = [&](double phi) {
     std::vector<int> piece_of(n, 0);
     int num_pieces = relabel_components(g, piece_of);
-    std::vector<bool> finalized(num_pieces, false);
-    std::vector<double> best_cut(num_pieces, 2.0);
-    congest::RunStats stats;
-    int level = 0;
-    for (; level < options.max_levels; ++level) {
-      const auto outcome = run_level(g, piece_of, num_pieces, phi, options,
-                                     finalized, level, best_cut);
-      stats += outcome.stats;
+    result.stats = {};
+    for (result.levels = 0; result.levels < options.max_levels;
+         ++result.levels) {
+      const auto outcome =
+          run_level(g, piece_of, num_pieces, phi, options, result.levels);
+      result.stats += outcome.stats;
       if (!outcome.any_split) break;
       num_pieces = relabel_components(g, piece_of);
-      finalized.assign(num_pieces, false);
-      best_cut.assign(num_pieces, 2.0);
     }
-
     ExpanderDecomposition d;
-    d.cluster_of = piece_of;
+    d.cluster_of = std::move(piece_of);
     d.num_clusters = num_pieces;
-    d.phi = phi;
-    d.is_inter_cluster.assign(m, false);
-    d.inter_cluster_edges = 0;
-    for (graph::EdgeId e = 0; e < m; ++e) {
-      const graph::Edge ed = g.edge(e);
-      if (piece_of[ed.u] != piece_of[ed.v]) {
-        d.is_inter_cluster[e] = true;
-        ++d.inter_cluster_edges;
-      }
-    }
-    d.cluster_phi_certified.assign(num_pieces, phi);
-    if (d.inter_cluster_edges <= eps * m) {
-      result.decomposition = std::move(d);
-      result.stats = stats;
-      result.levels = level;
-      return result;
-    }
+    return d;
+  };
+  result.decomposition =
+      decompose_within_budget(g, eps, options.phi, options.max_retries,
+                              /*weighted=*/false,
+                              "distributed_expander_decompose", attempt);
+  // Certify each cluster on the host as expander_decompose does: the exact
+  // minimum cut up to its threshold, otherwise the discounted Cheeger bound
+  // of one power iteration.
+  const DecompositionOptions host;
+  for (const auto& members : cluster_members(result.decomposition)) {
+    result.decomposition.cluster_phi_certified.push_back(
+        certified_conductance_lower_bound(
+            graph::induced_subgraph(g, members).graph,
+            host.exact_cut_threshold, host.spectral_iterations,
+            options.seed));
   }
-  throw std::runtime_error(
-      "distributed_expander_decompose: budget unsatisfied after retries");
+  return result;
 }
 
 }  // namespace ecd::expander

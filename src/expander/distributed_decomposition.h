@@ -22,7 +22,12 @@
 // the same contract as expander_decompose. It makes no claim to the
 // theoretical round bound — that remains the modeled entry — but it shows
 // the entire pipeline, decomposition included, can run under the model's
-// bandwidth constraints.
+// bandwidth constraints. The ε check, φ default, halving retry and
+// inter-cluster count are the host drivers' (skeleton.h). Each final
+// cluster is certified on the host, uncharged, as the host drivers certify
+// theirs: certified_conductance_lower_bound at their default threshold and
+// iteration count, i.e. the exact cut up to 12 vertices, otherwise
+// 0.9·λ2/2 of one power iteration.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/expander/skeleton.h"
 #include "src/graph/subgraph.h"
 
 namespace ecd::expander {
@@ -53,25 +54,6 @@ Graph apply_churn_to_graph(const Graph& g,
   return Graph::from_edges(g.num_vertices(), std::move(list));
 }
 
-namespace {
-
-// Recomputes the inter-cluster edge set of `d` against `g` (labels are
-// taken as-is). The splice below changes labels without touching edges, so
-// this is the one place the edge-level contract fields are derived.
-void recount_inter_cluster(ExpanderDecomposition& d, const Graph& g) {
-  d.is_inter_cluster.assign(g.num_edges(), false);
-  d.inter_cluster_edges = 0;
-  const auto es = g.edges();
-  for (int e = 0; e < g.num_edges(); ++e) {
-    if (d.cluster_of[es[e].u] != d.cluster_of[es[e].v]) {
-      d.is_inter_cluster[e] = true;
-      ++d.inter_cluster_edges;
-    }
-  }
-}
-
-}  // namespace
-
 IncrementalRefreshResult refresh_decomposition(
     const ExpanderDecomposition& old_d, const Graph& new_graph,
     std::span<const ChurnEvent> events, double eps,
@@ -103,7 +85,7 @@ IncrementalRefreshResult refresh_decomposition(
     // need re-deriving against the new graph (a no-event call is a cheap
     // way to re-anchor a decomposition on a rebuilt Graph object).
     result.decomposition = old_d;
-    recount_inter_cluster(result.decomposition, new_graph);
+    count_inter_cluster(new_graph, result.decomposition);
     return result;
   }
 
@@ -176,7 +158,7 @@ IncrementalRefreshResult refresh_decomposition(
     }
   }
   merged.phi = old_d.phi > 0.0 ? std::min(old_d.phi, piece_phi) : piece_phi;
-  recount_inter_cluster(merged, new_graph);
+  count_inter_cluster(new_graph, merged);
   result.decomposition = std::move(merged);
   return result;
 }

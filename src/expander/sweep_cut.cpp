@@ -13,7 +13,8 @@ namespace ecd::expander {
 using graph::Graph;
 using graph::VertexId;
 
-SweepResult sweep_cut(const Graph& g, const std::vector<double>& score) {
+SweepResult sweep_cut(const Graph& g, const std::vector<double>& score,
+                      bool weighted) {
   const int n = g.num_vertices();
   SweepResult result;
   if (n < 2 || g.num_edges() == 0) return result;
@@ -24,22 +25,22 @@ SweepResult sweep_cut(const Graph& g, const std::vector<double>& score) {
                    [&score](VertexId a, VertexId b) { return score[a] < score[b]; });
 
   std::vector<bool> inside(n, false);
-  std::int64_t vol_s = 0;
-  const std::int64_t vol_total = g.volume();
-  std::int64_t cut = 0;
+  const std::int64_t vol_total = weighted ? 2 * g.total_weight() : g.volume();
+  std::int64_t vol_s = 0, cut = 0;
   double best = 1e18;
   int best_k = -1;
   for (int k = 0; k + 1 < n; ++k) {
     const VertexId v = order[k];
-    int inside_nbrs = 0;
-    for (VertexId u : g.neighbors(v)) {
-      if (inside[u]) ++inside_nbrs;
+    const auto nbrs = g.neighbors(v);
+    const auto eids = g.incident_edges(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const std::int64_t w = weighted ? g.weight(eids[i]) : 1;
+      cut += inside[nbrs[i]] ? -w : w;
+      vol_s += w;
     }
-    cut += g.degree(v) - 2 * inside_nbrs;
     inside[v] = true;
-    vol_s += g.degree(v);
     const std::int64_t small_vol = std::min(vol_s, vol_total - vol_s);
-    if (small_vol == 0) continue;
+    if (small_vol <= 0) continue;
     const double phi = static_cast<double>(cut) / static_cast<double>(small_vol);
     if (phi < best) {
       best = phi;
@@ -154,15 +155,14 @@ std::vector<double> fiedler_coordinates(const PowerIteration& it) {
   return out;
 }
 
-std::vector<double> fiedler_embedding(const Graph& g, int iterations,
-                                      std::uint64_t seed) {
-  return fiedler_coordinates(power_iteration(g, false, iterations, seed));
+double lambda2(const PowerIteration& it) {
+  return it.vanished ? 1.0 : std::clamp(2.0 * (1.0 - it.mu), 0.0, 2.0);
 }
 
 SweepResult spectral_cut(const Graph& g, int iterations, std::uint64_t seed,
                          int restarts) {
   SweepResult best;
-  std::optional<double> mu;  // largest Rayleigh quotient of a kept iteration
+  std::optional<double> l2;  // smallest λ2 of a kept iteration
   for (int r = 0; r < restarts; ++r) {
     // Per-restart sub-seeds are splitmix-derived, not small additive
     // offsets: seed + 7919·r made nearby user seeds share restart streams
@@ -172,14 +172,13 @@ SweepResult spectral_cut(const Graph& g, int iterations, std::uint64_t seed,
         g, false, iterations,
         graph::splitmix64(seed + 0x9e3779b97f4a7c15ULL *
                                      static_cast<std::uint64_t>(r)));
-    if (!it.vanished) mu = std::max(mu.value_or(it.mu), it.mu);
+    if (!it.vanished) l2 = std::min(l2.value_or(lambda2(it)), lambda2(it));
     auto cut = sweep_cut(g, fiedler_coordinates(it));
     if (cut.valid && (!best.valid || cut.conductance < best.conductance)) {
       best = std::move(cut);
     }
   }
-  best.lambda2 = mu ? std::clamp(2.0 * (1.0 - *mu), 0.0, 2.0)
-                    : restarts > 0 ? 1.0 : 0.0;
+  best.lambda2 = l2 ? *l2 : restarts > 0 ? 1.0 : 0.0;
   return best;
 }
 

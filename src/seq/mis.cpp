@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <numeric>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -189,26 +191,31 @@ std::optional<std::vector<VertexId>> max_independent_set_exact(
 std::vector<VertexId> greedy_mis_min_degree(const Graph& g) {
   const int n = g.num_vertices();
   std::vector<bool> alive(n, true);
-  std::vector<int> degree(n);
-  for (VertexId v = 0; v < n; ++v) degree[v] = g.degree(v);
-  std::vector<VertexId> result;
-  int remaining = n;
-  while (remaining > 0) {
-    VertexId pick = graph::kInvalidVertex;
-    for (VertexId v = 0; v < n; ++v) {
-      if (alive[v] && (pick == graph::kInvalidVertex ||
-                       degree[v] < degree[pick])) {
-        pick = v;
-      }
+  std::vector<int> degree(n);  // alive neighbours of each alive vertex
+  // A lazy min-heap of (degree, id): a vertex is pushed again whenever its
+  // degree drops, and a popped entry that is dead or out of date is
+  // skipped. So each pick is the alive vertex of least degree, the lowest
+  // id on ties, and the greedy costs O((n + m) log n).
+  using Entry = std::pair<int, VertexId>;
+  std::vector<Entry> entries(n);
+  for (VertexId v = 0; v < n; ++v) {
+    degree[v] = g.degree(v);
+    entries[v] = {degree[v], v};
+  }
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap(
+      std::greater<>(), std::move(entries));
+  const auto kill = [&](VertexId v) {
+    alive[v] = false;
+    for (VertexId u : g.neighbors(v)) {
+      if (alive[u]) heap.push({--degree[u], u});
     }
+  };
+  std::vector<VertexId> result;
+  while (!heap.empty()) {
+    const auto [d, pick] = heap.top();
+    heap.pop();
+    if (!alive[pick] || d != degree[pick]) continue;
     result.push_back(pick);
-    auto kill = [&](VertexId v) {
-      alive[v] = false;
-      --remaining;
-      for (VertexId u : g.neighbors(v)) {
-        if (alive[u]) --degree[u];
-      }
-    };
     kill(pick);
     for (VertexId u : g.neighbors(pick)) {
       if (alive[u]) kill(u);

@@ -26,8 +26,9 @@ namespace ecd::seq {
 std::optional<std::vector<graph::VertexId>> max_independent_set_exact(
     const graph::Graph& g, std::int64_t node_budget = 4'000'000);
 
-// Repeatedly takes a minimum-degree vertex and deletes its neighborhood.
-// For a graph of edge density d this yields >= n/(2d+1) vertices (§3.1).
+// Repeatedly takes a minimum-degree vertex (the lowest id on ties) and
+// deletes its neighborhood, in O((n + m) log n). For a graph of edge
+// density d this yields >= n/(2d+1) vertices (§3.1).
 std::vector<graph::VertexId> greedy_mis_min_degree(const graph::Graph& g);
 
 // Hill climbing with (1,2)-swaps starting from `initial`.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -9,6 +11,8 @@
 
 #include "src/expander/conductance.h"
 #include "src/expander/decomposition.h"
+#include "src/expander/distributed_decomposition.h"
+#include "src/expander/incremental.h"
 #include "src/expander/random_walk.h"
 #include "src/expander/sweep_cut.h"
 #include "src/expander/weighted.h"
@@ -256,10 +260,15 @@ TEST(Decomposition, DeterministicModeIsReproducible) {
   EXPECT_EQ(d1.cluster_of, d2.cluster_of);
 }
 
+// NaN fails every comparison, so a check written as eps <= 0 || eps >= 1
+// let it through to a NaN φ and five futile attempts.
 TEST(Decomposition, RejectsBadEps) {
   Graph g = graph::path(4);
-  EXPECT_THROW(expander_decompose(g, 0.0), std::invalid_argument);
-  EXPECT_THROW(expander_decompose(g, 1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double eps : {0.0, 1.0, nan}) {
+    EXPECT_THROW(expander_decompose(g, eps), std::invalid_argument);
+    EXPECT_THROW(expander_decompose_weighted(g, eps), std::invalid_argument);
+  }
 }
 
 TEST(Decomposition, HypercubeTightness) {
@@ -502,7 +511,7 @@ std::vector<bool> weighted_sweep_choice(const Graph& g,
   double best = 1e18;
   for (int k = 0; k + 1 < n; ++k) {
     in_s[order[k]] = true;
-    const double phi = weighted_cut_conductance(g, in_s);
+    const double phi = cut_conductance(g, in_s, /*weighted=*/true);
     if (phi < best) {
       best = phi;
       best_s = in_s;
@@ -517,7 +526,8 @@ TEST(PowerIterationKernel, FiedlerEmbeddingMatchesReference) {
     const Graph& g = inputs[i];
     for (const int iterations : {0, 1, 37, 300}) {
       for (const std::uint64_t seed : {1ull, 9ull, 0x9e3779b97f4a7c15ull}) {
-        const auto got = fiedler_embedding(g, iterations, seed);
+        const auto got =
+            fiedler_coordinates(power_iteration(g, false, iterations, seed));
         const auto want = reference_fiedler_embedding(g, iterations, seed);
         EXPECT_LE(max_abs_diff(got, want), 1e-9)
             << "input " << i << " iterations " << iterations << " seed " << seed;
@@ -542,7 +552,8 @@ TEST(PowerIterationKernel, WeightedEmbeddingMatchesReference) {
           graph::random_weights(inputs[i], max_weight, rng));
       for (const int iterations : {1, 37, 300}) {
         for (const std::uint64_t seed : {1ull, 7920ull}) {
-          const auto got = weighted_fiedler_embedding(g, iterations, seed);
+          const auto got =
+              fiedler_coordinates(power_iteration(g, true, iterations, seed));
           const auto want =
               reference_weighted_fiedler_embedding(g, iterations, seed);
           EXPECT_LE(max_abs_diff(got, want), 1e-9)
@@ -598,38 +609,235 @@ TEST(PowerIterationKernel, ReportsUnitIterateAndDegrees) {
   }
 }
 
+// --- One sweep and one cut conductance for both weightings ----------------
+
+// The sweeps and the weighted cut conductance that the weight switches of
+// sweep_cut and cut_conductance replaced, kept verbatim as oracles: the
+// unweighted sweep summed integer cuts and degrees, the weighted code summed
+// weights and weighted degrees in doubles.
+SweepResult reference_sweep_cut(const Graph& g,
+                                const std::vector<double>& score) {
+  const int n = g.num_vertices();
+  SweepResult result;
+  if (n < 2 || g.num_edges() == 0) return result;
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&score](VertexId a, VertexId b) {
+    return score[a] < score[b];
+  });
+  std::vector<bool> inside(n, false);
+  std::int64_t vol_s = 0;
+  const std::int64_t vol_total = g.volume();
+  std::int64_t cut = 0;
+  double best = 1e18;
+  int best_k = -1;
+  for (int k = 0; k + 1 < n; ++k) {
+    const VertexId v = order[k];
+    int inside_nbrs = 0;
+    for (VertexId u : g.neighbors(v)) {
+      if (inside[u]) ++inside_nbrs;
+    }
+    cut += g.degree(v) - 2 * inside_nbrs;
+    inside[v] = true;
+    vol_s += g.degree(v);
+    const std::int64_t small_vol = std::min(vol_s, vol_total - vol_s);
+    if (small_vol == 0) continue;
+    const double phi = static_cast<double>(cut) / static_cast<double>(small_vol);
+    if (phi < best) {
+      best = phi;
+      best_k = k + 1;
+    }
+  }
+  if (best_k < 0) return result;
+  result.in_s.assign(n, false);
+  for (int i = 0; i < best_k; ++i) result.in_s[order[i]] = true;
+  result.conductance = best;
+  result.valid = true;
+  return result;
+}
+
+SweepResult reference_weighted_sweep_cut(const Graph& g,
+                                         const std::vector<double>& score) {
+  const int n = g.num_vertices();
+  const auto wd = reference_weighted_degrees(g);
+  SweepResult result;
+  if (n < 2 || g.num_edges() == 0) return result;
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&score](VertexId a, VertexId b) {
+    return score[a] < score[b];
+  });
+  std::vector<bool> inside(n, false);
+  double vol_total = 0.0;
+  for (double w : wd) vol_total += w;
+  double vol_s = 0.0, cut = 0.0, best = 1e18;
+  int best_k = -1;
+  for (int k = 0; k + 1 < n; ++k) {
+    const VertexId v = order[k];
+    const auto nbrs = g.neighbors(v);
+    const auto eids = g.incident_edges(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const double w = static_cast<double>(g.weight(eids[i]));
+      cut += inside[nbrs[i]] ? -w : w;
+    }
+    inside[v] = true;
+    vol_s += wd[v];
+    const double small = std::min(vol_s, vol_total - vol_s);
+    if (small <= 0) continue;
+    const double phi = cut / small;
+    if (phi < best) {
+      best = phi;
+      best_k = k + 1;
+    }
+  }
+  if (best_k < 0) return result;
+  result.in_s.assign(n, false);
+  for (int i = 0; i < best_k; ++i) result.in_s[order[i]] = true;
+  result.conductance = best;
+  result.valid = true;
+  return result;
+}
+
+double reference_weighted_cut_conductance(const Graph& g,
+                                          const std::vector<bool>& in_s) {
+  const auto wd = reference_weighted_degrees(g);
+  double vol_s = 0.0, vol_total = 0.0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    vol_total += wd[v];
+    if (in_s[v]) vol_s += wd[v];
+  }
+  const double vol_rest = vol_total - vol_s;
+  if (vol_s <= 0.0 || vol_rest <= 0.0) return 0.0;
+  double cut = 0.0;
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge ed = g.edge(e);
+    if (in_s[ed.u] != in_s[ed.v]) cut += static_cast<double>(g.weight(e));
+  }
+  return cut / std::min(vol_s, vol_rest);
+}
+
+void expect_same_cut(const SweepResult& got, const SweepResult& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.valid, want.valid) << where;
+  EXPECT_EQ(got.in_s, want.in_s) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.conductance),
+            std::bit_cast<std::uint64_t>(want.conductance))
+      << where;
+}
+
+// Every kernel input, unweighted and with weights up to 1000, swept by
+// Fiedler coordinates of both kernels and by small integer scores full of
+// ties; a weighted graph is also swept unweighted, as expander_decompose
+// sweeps one. Cuts and conductances must match bit for bit.
+TEST(SweepCut, WeightSwitchMatchesTheSweepsItReplaced) {
+  Rng rng(31);
+  const auto inputs = kernel_inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Graph weighted =
+        inputs[i].with_weights(graph::random_weights(inputs[i], 1000, rng));
+    for (const Graph* g : {&inputs[i], &weighted}) {
+      std::vector<std::vector<double>> scores;
+      for (const bool w : {false, true}) {
+        scores.push_back(fiedler_coordinates(power_iteration(*g, w, 300, i)));
+      }
+      std::uniform_int_distribution<int> small(0, 3);
+      std::vector<double>& ties = scores.emplace_back(g->num_vertices());
+      for (double& x : ties) x = small(rng);
+      scores.emplace_back(g->num_vertices(), 0.0);
+      for (std::size_t s = 0; s < scores.size(); ++s) {
+        const std::string where = "input " + std::to_string(i) + " weighted " +
+                                  std::to_string(g == &weighted) + " score " +
+                                  std::to_string(s);
+        expect_same_cut(sweep_cut(*g, scores[s]),
+                        reference_sweep_cut(*g, scores[s]), where);
+        expect_same_cut(sweep_cut(*g, scores[s], /*weighted=*/true),
+                        reference_weighted_sweep_cut(*g, scores[s]), where);
+      }
+      std::bernoulli_distribution coin(0.5);
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<bool> in_s(g->num_vertices());
+        for (std::size_t v = 0; v < in_s.size(); ++v) in_s[v] = coin(rng);
+        EXPECT_EQ(cut_conductance(*g, in_s, /*weighted=*/true),
+                  reference_weighted_cut_conductance(*g, in_s))
+            << "input " << i << " trial " << trial;
+      }
+    }
+  }
+}
+
 // --- Pinned decompositions --------------------------------------------------
 
-// FNV-1a over a decomposition's labels: num_clusters, then cluster_of in
-// vertex order.
-std::uint64_t cluster_hash(const ExpanderDecomposition& d) {
+// FNV-1a over 64-bit words, eight bytes each, low byte first.
+struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::int64_t x) {
+  void mix(std::uint64_t x) {
     for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xff;
+      h ^= (x >> (8 * i)) & 0xff;
       h *= 1099511628211ull;
     }
-  };
-  mix(d.num_clusters);
-  for (const int c : d.cluster_of) mix(c);
-  return h;
+  }
+};
+
+// A decomposition's labels: num_clusters, then cluster_of in vertex order.
+std::uint64_t cluster_hash(const ExpanderDecomposition& d) {
+  Fnv1a f;
+  f.mix(d.num_clusters);
+  for (const int c : d.cluster_of) f.mix(c);
+  return f.h;
+}
+
+// Every other field but the certificates: the labels, then the bits of phi,
+// is_inter_cluster in edge order, inter_cluster_edges and the inter-cluster
+// weight (0 for the unweighted drivers).
+std::uint64_t field_hash(const ExpanderDecomposition& d,
+                         std::int64_t inter_cluster_weight = 0) {
+  Fnv1a f;
+  f.mix(cluster_hash(d));
+  f.mix(std::bit_cast<std::uint64_t>(d.phi));
+  for (const bool inter : d.is_inter_cluster) f.mix(inter);
+  f.mix(d.inter_cluster_edges);
+  f.mix(inter_cluster_weight);
+  return f.h;
+}
+
+// The bits of every cluster_phi_certified, in cluster order. Kept apart
+// from field_hash so that a declared certificate change re-records only
+// this column.
+std::uint64_t certificate_hash(const ExpanderDecomposition& d) {
+  Fnv1a f;
+  f.mix(d.cluster_phi_certified.size());
+  for (const double c : d.cluster_phi_certified) {
+    f.mix(std::bit_cast<std::uint64_t>(c));
+  }
+  return f.h;
 }
 
 // Labels recorded before the power iterations became one division-free
-// kernel (DESIGN.md §21). The kernel changes only the rounding of each
-// term, so no decomposition may change a label. The weighted inputs are
-// the perfbench mwm-multicluster shape: a 48x48 grid with weights in
-// [1, 1000], decomposed at eps 0.2 and phi 0.1 as one MWM phase does.
+// kernel (DESIGN.md §21); the other fields were recorded before the drivers
+// shared one skeleton. The weighted inputs are the perfbench
+// mwm-multicluster shape: a 48x48 grid with weights in [1, 1000],
+// decomposed at eps 0.2 and phi 0.1 as one MWM phase does.
 TEST(PinnedDecomposition, WeightedGrids) {
   struct Case {
     std::uint64_t input_seed;
     std::uint64_t seed;
     std::uint64_t hash;
+    std::uint64_t fields;
+    std::uint64_t certificates;
   };
   const Case cases[] = {
-      {1, 1, 0x6459b9042009dfc9ull},    {1, 2, 0x739cc3fb5dc3c903ull},
-      {7919, 1, 0x8f45ff4fb25a702cull}, {7919, 2, 0x61a14d3529dd8828ull},
-      {3, 1, 0x7c0201ba95b0042full},    {3, 2, 0xe5f156855a1805a4ull},
+      {1, 1, 0x6459b9042009dfc9ull, 0xa6b8e182451f1f69ull,
+       0xecb885faddff46b0ull},
+      {1, 2, 0x739cc3fb5dc3c903ull, 0xf6d148524f3a091eull,
+       0xc5d7ccb6abc7c401ull},
+      {7919, 1, 0x8f45ff4fb25a702cull, 0xb3957864ad0341a7ull,
+       0x2b660d4a5b5d6cfdull},
+      {7919, 2, 0x61a14d3529dd8828ull, 0x367b0d50d5f7b4fcull,
+       0xda1532531202a5f4ull},
+      {3, 1, 0x7c0201ba95b0042full, 0x8e30ade580376025ull,
+       0xefa39c971bccbee8ull},
+      {3, 2, 0xe5f156855a1805a4ull, 0x8ee79d71f13d23efull,
+       0x0803a57db13c0163ull},
   };
   for (const Case& c : cases) {
     Rng rng(c.input_seed);
@@ -641,6 +849,10 @@ TEST(PinnedDecomposition, WeightedGrids) {
     const auto d = expander_decompose_weighted(g, 0.2, opt);
     EXPECT_EQ(cluster_hash(d.base), c.hash)
         << "input seed " << c.input_seed << " seed " << c.seed;
+    EXPECT_EQ(field_hash(d.base, d.inter_cluster_weight), c.fields)
+        << "input seed " << c.input_seed << " seed " << c.seed;
+    EXPECT_EQ(certificate_hash(d.base), c.certificates)
+        << "input seed " << c.input_seed << " seed " << c.seed;
   }
 }
 
@@ -651,18 +863,30 @@ TEST(PinnedDecomposition, UnweightedBenchFamilies) {
     const char* family;
     double phi;
     std::uint64_t hash;
+    std::uint64_t fields;
+    std::uint64_t certificates;
   };
   const Case cases[] = {
-      {"grid", 0.0, 0xee0c18234cc007c2ull},
-      {"grid", 0.2, 0x0bba1d4cd6522db9ull},
-      {"triangulation", 0.0, 0xee0c18234cc007c2ull},
-      {"triangulation", 0.2, 0xc785dc303471440eull},
-      {"random_planar", 0.0, 0x7835478b1511265bull},
-      {"random_planar", 0.2, 0xeacba2c99d1d0283ull},
-      {"outerplanar", 0.0, 0xee0c18234cc007c2ull},
-      {"outerplanar", 0.2, 0x93e459b5f9e40a30ull},
-      {"tree", 0.0, 0xee0c18234cc007c2ull},
-      {"tree", 0.2, 0x553fb16e4a761c5eull},
+      {"grid", 0.0, 0xee0c18234cc007c2ull, 0xfe1fade6ae440995ull,
+       0x370164ca8762c70dull},
+      {"grid", 0.2, 0x0bba1d4cd6522db9ull, 0x7d94d1f687d968fdull,
+       0xb32e6faf56ba212bull},
+      {"triangulation", 0.0, 0xee0c18234cc007c2ull, 0xfe8ba16920e73436ull,
+       0xeda64f6bbb7e45b7ull},
+      {"triangulation", 0.2, 0xc785dc303471440eull, 0xeeac5da22ebe403aull,
+       0x680f06835dc44649ull},
+      {"random_planar", 0.0, 0x7835478b1511265bull, 0xc31fad3160b47735ull,
+       0xfa044628ff52fd6cull},
+      {"random_planar", 0.2, 0xeacba2c99d1d0283ull, 0xb988b68c00e0312eull,
+       0xcbc2c4a500f6bb57ull},
+      {"outerplanar", 0.0, 0xee0c18234cc007c2ull, 0xfb71065a62344d43ull,
+       0x0b3b47c87af738cfull},
+      {"outerplanar", 0.2, 0x93e459b5f9e40a30ull, 0x28d819f50d9a4422ull,
+       0x5ca83f57679034d1ull},
+      {"tree", 0.0, 0xee0c18234cc007c2ull, 0x896ca3ea988655c2ull,
+       0x88c56fbc3ffe0f1bull},
+      {"tree", 0.2, 0x553fb16e4a761c5eull, 0x8ce00af8e415ff5full,
+       0x81f3dfb075422a22ull},
   };
   const int n = 1024;
   for (const Case& c : cases) {
@@ -678,6 +902,86 @@ TEST(PinnedDecomposition, UnweightedBenchFamilies) {
     opt.seed = 9;
     const auto d = expander_decompose(g, 0.2, opt);
     EXPECT_EQ(cluster_hash(d), c.hash) << family << " phi " << c.phi;
+    EXPECT_EQ(field_hash(d), c.fields) << family << " phi " << c.phi;
+    EXPECT_EQ(certificate_hash(d), c.certificates)
+        << family << " phi " << c.phi;
+  }
+}
+
+// The distributed_decomposition_test inputs, at their eps and phi. The
+// certificate columns here and in Refresh were re-recorded once, when the
+// distributed driver began to certify each cluster (the exact cut or
+// 0.9·λ2/2) instead of writing the target φ; the field columns are the ones
+// recorded before the drivers shared one skeleton.
+TEST(PinnedDecomposition, Distributed) {
+  Rng tri_rng(3), tree_rng(5);
+  const struct {
+    const char* name;
+    Graph g;
+    double eps, phi;
+    std::uint64_t fields, certificates;
+  } cases[] = {
+      {"grid12", graph::grid(12, 12), 0.3, 0.0, 0xfffb871539f031e2ull,
+       0x6e7334cf5f557027ull},
+      {"grid14", graph::grid(14, 14), 0.45, 0.06, 0x70e6844cdd586dbaull,
+       0x3126b4a9e8fef3faull},
+      {"triangulation", graph::random_maximal_planar(200, tri_rng), 0.25, 0.0,
+       0x0ce7c4a048bb8fadull, 0x6b9958add850f4b7ull},
+      {"tree", graph::random_tree(150, tree_rng), 0.3, 0.0,
+       0x839b20b943c5f56dull, 0x720a9469b5aaa544ull},
+      {"barbell", graph::barbell(10, 2), 0.3, 0.05, 0xa0f0bf2c8b984b83ull,
+       0xb6349849b8601b11ull},
+      {"union", graph::disjoint_union({graph::grid(6, 6), graph::cycle(20)}),
+       0.3, 0.0, 0x1b047018a9c31642ull, 0xef65eea95a7cc549ull},
+  };
+  for (const auto& c : cases) {
+    DistributedDecompositionOptions opt;
+    opt.phi = c.phi;
+    const auto r = distributed_expander_decompose(c.g, c.eps, opt);
+    EXPECT_EQ(field_hash(r.decomposition), c.fields) << c.name;
+    EXPECT_EQ(certificate_hash(r.decomposition), c.certificates) << c.name;
+  }
+}
+
+// One refresh per path of refresh_decomposition on a 14x14 grid cut at
+// phi 0.06: no event (the old labels are re-anchored), two edge events in
+// one corner (the dirty clusters are re-run and spliced), and a vertex
+// leaving together with a quarter of the edges (the full rebuild).
+TEST(PinnedDecomposition, Refresh) {
+  const Graph g = graph::grid(14, 14);
+  IncrementalRefreshOptions opt;
+  opt.decomposition.phi = 0.06;
+  const ExpanderDecomposition old_d =
+      distributed_expander_decompose(g, 0.45, opt.decomposition).decomposition;
+  using congest::ChurnEvent;
+  using congest::ChurnKind;
+  std::vector<ChurnEvent> corner = {
+      {ChurnKind::kEdgeDelete, 0, 0, 1},
+      {ChurnKind::kEdgeInsert, 0, 0, 15},
+  };
+  std::vector<ChurnEvent> wide = {{ChurnKind::kNodeLeave, 0, 100}};
+  for (graph::EdgeId e = 0; e < g.num_edges(); e += 4) {
+    wide.push_back({ChurnKind::kEdgeDelete, 0, g.edge(e).u, g.edge(e).v});
+  }
+  struct Case {
+    const char* name;
+    const std::vector<ChurnEvent>* events;
+    std::uint64_t fields;
+    std::uint64_t certificates;
+  };
+  const std::vector<ChurnEvent> none;
+  const Case cases[] = {
+      {"none", &none, 0x70e6844cdd586dbaull, 0x3126b4a9e8fef3faull},
+      {"corner", &corner, 0x8872a517e127d3e6ull, 0xb8b1736de72e1d96ull},
+      {"wide", &wide, 0xaf881404dad2c759ull, 0xad18eb6929f9d98eull},
+  };
+  for (const Case& c : cases) {
+    const Graph churned = apply_churn_to_graph(g, *c.events);
+    const auto r = refresh_decomposition(old_d, churned, *c.events, 0.45, opt);
+    EXPECT_EQ(r.fell_back_to_full, c.events == &wide) << c.name;
+    EXPECT_EQ(r.dirty_clusters > 0, c.events != &none) << c.name;
+    EXPECT_EQ(field_hash(r.decomposition), c.fields) << c.name;
+    EXPECT_EQ(certificate_hash(r.decomposition), c.certificates) << c.name;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "src/core/mwm.h"
 #include "src/core/property_testing.h"
 #include "src/core/triangles.h"
+#include "src/expander/conductance.h"
 #include "src/expander/weighted.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
@@ -27,8 +28,8 @@ using graph::VertexId;
 
 TEST(WeightedDecomposition, ReducesToUnweightedNotionOnUnitWeights) {
   Graph g = graph::path(4);
-  EXPECT_DOUBLE_EQ(expander::weighted_cut_conductance(
-                       g, {true, true, false, false}),
+  EXPECT_DOUBLE_EQ(expander::cut_conductance(g, {true, true, false, false},
+                                             /*weighted=*/true),
                    1.0 / 3.0);
 }
 
@@ -57,7 +58,7 @@ TEST(WeightedDecomposition, WeightBudgetHolds) {
 }
 
 // Exact weighted conductance of a small connected graph: the least
-// weighted_cut_conductance over every nontrivial cut (vertex 0 kept out of
+// weighted cut_conductance over every nontrivial cut (vertex 0 kept out of
 // S, so each cut is enumerated once).
 double exact_weighted_conductance(const Graph& g) {
   const int n = g.num_vertices();
@@ -65,7 +66,7 @@ double exact_weighted_conductance(const Graph& g) {
   std::vector<bool> in_s(n, false);
   for (std::uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
     for (int v = 1; v < n; ++v) in_s[v] = (mask >> (v - 1)) & 1u;
-    best = std::min(best, expander::weighted_cut_conductance(g, in_s));
+    best = std::min(best, expander::cut_conductance(g, in_s, true));
   }
   return best;
 }

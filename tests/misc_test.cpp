@@ -5,7 +5,6 @@
 
 #include "src/congest/network.h"
 #include "src/expander/conductance.h"
-#include "src/expander/weighted.h"
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/graph/metrics.h"
@@ -119,9 +118,11 @@ TEST(SolverGuards, IndependentSetValidationCatchesViolations) {
 TEST(WeightedConductance, DegenerateCutsAreZero) {
   Graph g = graph::path(3);
   EXPECT_DOUBLE_EQ(
-      expander::weighted_cut_conductance(g, {false, false, false}), 0.0);
+      expander::cut_conductance(g, {false, false, false}, /*weighted=*/true),
+      0.0);
   EXPECT_DOUBLE_EQ(
-      expander::weighted_cut_conductance(g, {true, true, true}), 0.0);
+      expander::cut_conductance(g, {true, true, true}, /*weighted=*/true),
+      0.0);
 }
 
 TEST(Degeneracy, EmptyAndSingletonGraphs) {

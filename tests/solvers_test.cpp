@@ -254,6 +254,64 @@ TEST(ExactMis, ExhaustsLikeReferenceOnLargeTriangulation) {
   EXPECT_FALSE(max_independent_set_exact(g, 400'000).has_value());
 }
 
+// The quadratic loop greedy_mis_min_degree replaced, kept as its oracle:
+// each pick scans every vertex for the least degree, the lowest id on ties.
+std::vector<VertexId> reference_greedy_mis_min_degree(const Graph& g) {
+  const int n = g.num_vertices();
+  std::vector<bool> alive(n, true);
+  std::vector<int> degree(n);
+  for (VertexId v = 0; v < n; ++v) degree[v] = g.degree(v);
+  std::vector<VertexId> result;
+  int remaining = n;
+  while (remaining > 0) {
+    VertexId pick = graph::kInvalidVertex;
+    for (VertexId v = 0; v < n; ++v) {
+      if (alive[v] && (pick == graph::kInvalidVertex ||
+                       degree[v] < degree[pick])) {
+        pick = v;
+      }
+    }
+    result.push_back(pick);
+    auto kill = [&](VertexId v) {
+      alive[v] = false;
+      --remaining;
+      for (VertexId u : g.neighbors(v)) {
+        if (alive[u]) --degree[u];
+      }
+    };
+    kill(pick);
+    for (VertexId u : g.neighbors(pick)) {
+      if (alive[u]) kill(u);
+    }
+  }
+  return result;
+}
+
+// Grids, cycles and regular graphs tie on every degree at the start; trees,
+// triangulations and sparse Erdős–Rényi graphs tie on many. The picks must
+// come in the same order.
+TEST(GreedyMis, SamePicksAsTheScanningLoop) {
+  Rng rng(12);
+  std::vector<Graph> inputs = {
+      Graph::from_edges(0, {}), Graph::from_edges(5, {}), graph::grid(1, 9),
+      graph::grid(17, 23), graph::cycle(40), graph::complete(6),
+      graph::hypercube(6)};
+  for (int trial = 0; trial < 3; ++trial) {
+    inputs.push_back(graph::random_tree(300, rng));
+    inputs.push_back(graph::random_maximal_planar(400, rng));
+    inputs.push_back(graph::random_regular(200, 4, rng));
+    inputs.push_back(graph::erdos_renyi(300, 0.01, rng));
+    inputs.push_back(graph::erdos_renyi(150, 0.05, rng));
+  }
+  inputs.push_back(graph::disjoint_union(
+      {graph::grid(6, 6), graph::random_tree(50, rng), graph::path(1)}));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(greedy_mis_min_degree(inputs[i]),
+              reference_greedy_mis_min_degree(inputs[i]))
+        << "input " << i;
+  }
+}
+
 TEST(GreedyMis, MeetsDensityLowerBound) {
   Rng rng(4);
   for (int trial = 0; trial < 10; ++trial) {
