@@ -259,10 +259,10 @@ Graph make_family(const std::string& family, int n, ecd::graph::Rng& rng) {
   return ecd::graph::make_family(family, n, rng);
 }
 
-// Sends each vertex its own id back along the reversed walks, so the
-// return's rounds join the ledger. A gather that left registration tokens
-// undelivered has no walks for them: the error is printed and the caller
-// still reports the partition.
+// Sends each vertex its own id back along its registration token's reversed
+// first-arrival path, so the return's rounds and messages join the ledger.
+// A gather that left registration tokens undelivered has no paths for them:
+// the error is printed and the caller still reports the partition.
 void return_ids(ecd::core::Partition& p) {
   std::vector<std::int64_t> ids(p.leader_of.size());
   std::iota(ids.begin(), ids.end(), std::int64_t{0});

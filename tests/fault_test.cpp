@@ -621,8 +621,9 @@ TEST(FrameworkFaulted, PartitionAndGatherMatchesFaultFreeUnderOnePercentDrop) {
     EXPECT_EQ(sorted(p, c), sorted(base, c));
   }
 
-  // Per-vertex answers ride the reversed (faulted-run) walk schedule back;
-  // return_results throws if any vertex's word is dropped or mixed up.
+  // Per-vertex answers ride the reversed first-arrival paths of the faulted
+  // run back; return_results throws if any vertex's word is dropped or
+  // mixed up.
   std::vector<std::int64_t> word(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) word[v] = v * 13 + 1;
   EXPECT_GT(core::return_results(p, word, "faulted return"), 0);
