@@ -461,8 +461,8 @@ int cmd_report(int argc, char** argv) {
     fopt.faults.seed = seed;
   }
   auto p = ecd::core::partition_and_gather(g, eps, fopt);
-  // Host-side reversed replay: rounds are charged to the ledger, not the
-  // simulator, so no metrics phase wraps it.
+  // The return runs on the simulator in its own "phase:return", so the
+  // registry's top-level phases add up to the ledger's measured total.
   return_ids(p);
 
   std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d "

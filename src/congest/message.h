@@ -43,6 +43,7 @@ enum MsgTag : int {
   kTagDiameter = 7,
   kTagTreeToken = 8,
   kTagWalkAck = 9,
+  kTagReturnReply = 10,
   kTagUserBase = 64,
 };
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/congest/trace.h"
 #include "src/graph/splitmix.h"
@@ -717,6 +720,118 @@ class DiameterCheckAlgo final : public VertexAlgorithm {
   bool done_ = false;
 };
 
+// --- Path-length result return ----------------------------------------------------
+
+// Where the replies of a path return wait and which way they go, for all
+// vertices at once. A vertex reads and writes only its own entries and
+// ports, and a token's words only while its reply is at that vertex (a
+// reply is at one vertex at a time), so the shards of a parallel round never
+// write the same element.
+struct ReturnRoutes {
+  struct Entry {
+    std::int64_t id = -1;     // the token
+    int port = -1;            // back toward the token's origin
+    std::int32_t round = -1;  // forward round that first brought it here
+  };
+  // The replies that pass vertex v, by increasing token id:
+  // entries[entry_begin[v], entry_begin[v + 1]).
+  std::vector<std::size_t> entry_begin;
+  std::vector<Entry> entries;
+  // The replies waiting on directed port gp = port_base[v] + p: a min-heap
+  // of keys in heap[heap_begin[gp], heap_begin[gp] + heap_size[gp]), with
+  // room for every entry that leaves by that port. A key is
+  // (INT32_MAX − round) << 32 | the entry's index among v's, so the latest
+  // forward round comes first and ties go to the lower token id.
+  std::vector<std::size_t> port_base;
+  std::vector<std::size_t> heap_begin;
+  std::vector<int> heap_size;
+  std::vector<std::uint64_t> heap;
+  // A replied token's words, at the vertex that holds its reply:
+  // words[word_begin[id], word_begin[id + 1]).
+  std::vector<std::size_t> word_begin;
+  std::vector<std::int64_t> words;
+  std::vector<char> arrived;  // per token: its reply reached the origin
+  int cap = 1;                // replies per directed edge per round
+
+  static std::uint64_t key(const Entry& e, std::size_t local) {
+    return (std::uint64_t{static_cast<std::uint32_t>(
+                std::numeric_limits<std::int32_t>::max() - e.round)}
+            << 32) |
+           local;
+  }
+  void push(std::size_t gp, std::uint64_t k) {
+    std::uint64_t* h = heap.data() + heap_begin[gp];
+    h[heap_size[gp]++] = k;
+    std::push_heap(h, h + heap_size[gp], std::greater<>());
+  }
+};
+
+// Each round: queue every arriving reply on the port back toward its origin
+// (or keep it, at the origin), then let each port send up to the cap of its
+// waiting replies, highest priority first. Everything it touches was sized
+// before the run, so a round allocates nothing (DESIGN.md §19).
+class PathReturnAlgo final : public VertexAlgorithm {
+ public:
+  PathReturnAlgo(ReturnRoutes* routes, int waiting)
+      : routes_(routes), waiting_(waiting) {}
+
+  void round(Context& ctx) override {
+    ReturnRoutes& r = *routes_;
+    const VertexId v = ctx.id();
+    sent_ = false;
+    const ReturnRoutes::Entry* first = r.entries.data() + r.entry_begin[v];
+    const ReturnRoutes::Entry* last = r.entries.data() + r.entry_begin[v + 1];
+    for (int p = 0; p < ctx.num_ports(); ++p) {
+      for (const Message& m : ctx.inbox(p)) {
+        const auto id = static_cast<std::size_t>(m.words[0]);
+        std::copy(m.words.begin() + 1, m.words.end(),
+                  r.words.begin() + r.word_begin[id]);
+        const ReturnRoutes::Entry* e = std::lower_bound(
+            first, last, m.words[0],
+            [](const ReturnRoutes::Entry& a, std::int64_t b) {
+              return a.id < b;
+            });
+        if (e == last || e->id != m.words[0]) {
+          r.arrived[id] = 1;  // no way on: this is the origin
+          continue;
+        }
+        r.push(r.port_base[v] + e->port,
+               ReturnRoutes::key(*e, static_cast<std::size_t>(e - first)));
+        ++waiting_;
+      }
+    }
+    if (waiting_ == 0) return;
+    for (int p = 0; p < ctx.num_ports(); ++p) {
+      const std::size_t gp = r.port_base[v] + p;
+      std::uint64_t* h = r.heap.data() + r.heap_begin[gp];
+      int& size = r.heap_size[gp];
+      for (int sent = 0; sent < r.cap && size > 0; ++sent) {
+        std::pop_heap(h, h + size, std::greater<>());
+        const ReturnRoutes::Entry& e = first[h[--size] & 0xffffffffu];
+        const auto id = static_cast<std::size_t>(e.id);
+        Message m;
+        m.tag = kTagReturnReply;
+        m.words.push_back(e.id);
+        for (std::size_t w = r.word_begin[id]; w < r.word_begin[id + 1]; ++w) {
+          m.words.push_back(r.words[w]);
+        }
+        ctx.send(p, std::move(m));
+        --waiting_;
+        sent_ = true;
+      }
+    }
+  }
+
+  // A vertex that sent stays unfinished for one more round, so the run
+  // does not end with its replies in flight.
+  bool finished() const override { return waiting_ == 0 && !sent_; }
+
+ private:
+  ReturnRoutes* routes_;
+  int waiting_;  // replies held here, not yet sent
+  bool sent_ = false;
+};
+
 }  // namespace
 
 // A hop is zig-zag(to − from), so that a short step of either sign takes one
@@ -1283,6 +1398,130 @@ ReverseDeliveryResult reverse_delivery(
       if (load > gather.bandwidth_tokens) result.load_ok = false;
       i = j;
     }
+  }
+  return result;
+}
+
+PathReturnResult return_along_paths(
+    const Graph& g, const GatherResult& gather,
+    const std::vector<std::vector<std::int64_t>>& reply,
+    const NetworkOptions& net) {
+  TRACE_SPAN(net.trace, "path_return");
+  const int n = g.num_vertices();
+  const std::size_t tokens = gather.traces.size();
+  const auto replied = [&](std::size_t id) {
+    return id < reply.size() && !reply[id].empty();
+  };
+  const auto check = [n](std::size_t id, VertexId v) {
+    if (v < 0 || v >= n) {
+      throw std::invalid_argument("return_along_paths: token " +
+                                  std::to_string(id) + " leaves the graph");
+    }
+  };
+  ReturnRoutes r;
+  r.cap = std::max(
+      1, std::min(gather.stats.max_edge_load, gather.bandwidth_tokens));
+
+  // Pass one sizes the tables: an entry at every vertex a trace reaches
+  // (not its origin), and each replied token's words.
+  r.entry_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+  r.word_begin.assign(tokens + 1, 0);
+  std::size_t hops = 0;
+  for (std::size_t id = 0; id < tokens; ++id) {
+    r.word_begin[id + 1] = r.word_begin[id];
+    if (!replied(id)) continue;
+    const TokenTrace& t = gather.traces[id];
+    check(id, t.origin);
+    r.word_begin[id + 1] += reply[id].size();
+    TokenHop hop{t.origin, -1};
+    for (std::size_t pos = 0; pos < t.log_size();) {
+      pos = t.decode(pos, hop);
+      check(id, hop.to);
+      ++r.entry_begin[static_cast<std::size_t>(hop.to) + 1];
+      ++hops;
+    }
+  }
+  std::partial_sum(r.entry_begin.begin(), r.entry_begin.end(),
+                   r.entry_begin.begin());
+  r.port_base.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    r.port_base[v + 1] = r.port_base[v] + static_cast<std::size_t>(g.degree(v));
+  }
+
+  // Pass two fills the entries in token id order, so each vertex's are
+  // sorted by id, and counts the entries that leave by each port.
+  r.entries.resize(hops);
+  r.heap_begin.assign(r.port_base[n] + 1, 0);
+  std::vector<std::size_t> fill(r.entry_begin.begin(), r.entry_begin.end() - 1);
+  // Each reply's entry at the end of its trace, where it starts.
+  std::vector<std::pair<VertexId, std::size_t>> starts;
+  r.words.resize(r.word_begin[tokens]);
+  for (std::size_t id = 0; id < tokens; ++id) {
+    if (!replied(id)) continue;
+    const TokenTrace& t = gather.traces[id];
+    std::copy(reply[id].begin(), reply[id].end(),
+              r.words.begin() + r.word_begin[id]);
+    TokenHop hop{t.origin, -1};
+    for (std::size_t pos = 0; pos < t.log_size();) {
+      const VertexId from = hop.to;
+      pos = t.decode(pos, hop);
+      std::size_t& at = fill[hop.to];
+      if (hop.to == t.origin ||
+          (at > r.entry_begin[hop.to] &&
+           r.entries[at - 1].id == static_cast<std::int64_t>(id))) {
+        throw std::invalid_argument(
+            "return_along_paths: token " + std::to_string(id) +
+            " visits vertex " + std::to_string(hop.to) + " twice");
+      }
+      const auto nbrs = g.neighbors(hop.to);
+      const auto back = std::find(nbrs.begin(), nbrs.end(), from);
+      if (back == nbrs.end()) {
+        throw std::logic_error(
+            "return_along_paths: token " + std::to_string(id) + " hops from " +
+            std::to_string(from) + " to " + std::to_string(hop.to) +
+            ", which are not neighbours");
+      }
+      const int port = static_cast<int>(back - nbrs.begin());
+      r.entries[at] = {static_cast<std::int64_t>(id), port, hop.round};
+      ++r.heap_begin[r.port_base[hop.to] + port + 1];
+      ++at;
+    }
+    if (t.log_size() > 0) starts.emplace_back(hop.to, fill[hop.to] - 1);
+  }
+  std::partial_sum(r.heap_begin.begin(), r.heap_begin.end(),
+                   r.heap_begin.begin());
+  r.heap.resize(hops);
+  r.heap_size.assign(r.port_base[n], 0);
+  r.arrived.assign(tokens, 0);
+
+  PathReturnResult result;
+  if (hops > 0) {
+    // Each reply starts at the end of its trace, queued on its first port.
+    std::vector<int> waiting(n, 0);
+    for (const auto& [v, e] : starts) {
+      const ReturnRoutes::Entry& entry = r.entries[e];
+      r.push(r.port_base[v] + entry.port,
+             ReturnRoutes::key(entry, e - r.entry_begin[v]));
+      ++waiting[v];
+    }
+    std::vector<std::unique_ptr<VertexAlgorithm>> algos;
+    algos.reserve(n);
+    for (VertexId v = 0; v < n; ++v) {
+      algos.push_back(std::make_unique<PathReturnAlgo>(&r, waiting[v]));
+    }
+    NetworkOptions opt = net;
+    opt.bandwidth_tokens = r.cap;
+    Network network(g, opt);
+    result.stats = network.run(algos);
+  }
+  result.received.resize(n);
+  for (std::size_t id = 0; id < tokens; ++id) {
+    if (!replied(id)) continue;
+    const TokenTrace& t = gather.traces[id];
+    if (t.log_size() > 0 && !r.arrived[id]) continue;  // lost on the way
+    const auto words = r.words.begin();
+    result.received[t.origin].emplace_back(words + r.word_begin[id],
+                                           words + r.word_begin[id + 1]);
   }
   return result;
 }

@@ -4,8 +4,10 @@
 // simulator, restricted to intra-cluster edges, for all clusters in
 // parallel; round counts returned are *measured*. They are the building
 // blocks of Theorem 2.6: leader election, BFS trees, Barenboim–Elkin
-// orientation, lazy-random-walk information gathering (Lemma 2.4), and
-// leader broadcasts.
+// orientation, lazy-random-walk information gathering (Lemma 2.4), leader
+// broadcasts, and the return of the leaders' answers along the gathered
+// paths. reverse_delivery, a host-side replay, is the one exception; it is
+// the return's test oracle.
 #pragma once
 
 #include <cstddef>
@@ -180,8 +182,9 @@ struct GatherResult {
   // Trace per token id (global numbering across all origins).
   std::vector<TokenTrace> traces;
   bool complete = false;  // all tokens absorbed before max_rounds
-  // Per-edge, per-round token budget the forward walk ran under; the
-  // reversed delivery is verified against it.
+  // Per-edge, per-round token budget the forward walk ran under. The return
+  // sends at most min(this, stats.max_edge_load) replies per edge a round,
+  // and reverse_delivery verifies its mirror schedule against it.
   int bandwidth_tokens = 1;
   RunStats stats;
 };
@@ -283,10 +286,49 @@ struct ReverseDeliveryResult {
 // verified, not assumed, in O(hops + rounds) time and O(tokens + rounds)
 // scratch: the replied hop logs are decoded in place, one round at a time.
 // Throws std::invalid_argument for a reply to a token whose origin lies
-// outside [0, num_vertices).
+// outside [0, num_vertices). The pipeline returns its answers with
+// return_along_paths; this mirror schedule is its test oracle.
 ReverseDeliveryResult reverse_delivery(
     int num_vertices, const GatherResult& gather,
     const std::vector<std::vector<std::int64_t>>& reply);
+
+// --- Path-length result return (§2.2, last paragraph; DESIGN.md §19) ------------
+
+struct PathReturnResult {
+  // As ReverseDeliveryResult::received: the replies each origin received,
+  // in token id order.
+  std::vector<std::vector<std::vector<std::int64_t>>> received;
+  RunStats stats;
+};
+
+// Delivers `reply[token_id]` from the end of each token's trace (its leader)
+// back to the token's origin, as a store-and-forward run on the simulator.
+// A vertex on a trace knows, for each reply that will pass it, the port back
+// toward the origin and the forward round of the hop that first brought the
+// token there, the reply's priority. Every round each directed edge sends
+// its waiting replies latest forward round first, ties by lower token id,
+// and at most cap = max(1, min(gather.stats.max_edge_load,
+// gather.bandwidth_tokens)) of them, so no edge carries more per round than
+// in the forward run. Each reply is one message [id, reply…] (tag
+// kTagReturnReply) per trace hop, so messages and words equal
+// reverse_delivery's. Give each reverse hop the round before its mirror
+// round there as a deadline: the replies due on an edge in a round are at
+// most the forward load of its mirror round, at most the cap, and each is
+// ready because its previous hop was due earlier. So this
+// earliest-deadline-first schedule meets every deadline and takes at most
+// reverse_delivery's rounds; it ends after about the longest path plus the
+// queueing, not after the gather's round count. The run uses `net` with
+// bandwidth_tokens set to the cap; a dropped reply is not resent. The
+// routing tables are built before the run and the round loop allocates
+// nothing. A return whose replies have no hops runs no rounds. Throws
+// std::invalid_argument for a replied trace that leaves
+// [0, g.num_vertices()) or visits a vertex twice (the traces must be paths,
+// as cut_to_first_arrival_paths leaves them), and std::logic_error for a hop
+// between non-neighbours of `g`; both before the run.
+PathReturnResult return_along_paths(
+    const graph::Graph& g, const GatherResult& gather,
+    const std::vector<std::vector<std::int64_t>>& reply,
+    const NetworkOptions& net = {});
 
 // --- Deterministic tree gather (the Lemma 2.5 role) ----------------------------
 

@@ -20,6 +20,7 @@ const char* tag_name(int tag) {
     case kTagDiameter: return "diameter";
     case kTagTreeToken: return "tree_token";
     case kTagWalkAck: return "walk_ack";
+    case kTagReturnReply: return "return_reply";
     default: return tag >= kTagUserBase ? "user" : "?";
   }
 }

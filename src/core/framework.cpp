@@ -90,6 +90,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   check_eps(eps);
   const int n = g.num_vertices();
   Partition out;
+  out.graph = &g;
 
   // Theorem 2.6: ε' = ε / t with t the density bound of the class.
   const int t = options.density_bound > 0
@@ -271,9 +272,12 @@ Partition partition_and_gather(const Graph& g, double eps,
 std::int64_t return_results(Partition& partition,
                             const std::vector<std::int64_t>& per_vertex_word,
                             const char* label) {
-  // Attach each vertex's answer to its registration token and replay its
-  // first-arrival path backwards; the schedule is verified, not just
-  // charged. A token that never reached its leader has no path to reverse.
+  // Attach each vertex's answer to its registration token and send it back
+  // along the token's first-arrival path, on the simulator. A token that
+  // never reached its leader has no path to reverse.
+  if (partition.graph == nullptr) {
+    throw std::logic_error("return_results: the partition has no graph");
+  }
   if (per_vertex_word.size() != partition.hello_token_of.size()) {
     throw std::invalid_argument(
         "return_results: " + std::to_string(per_vertex_word.size()) +
@@ -297,18 +301,18 @@ std::int64_t return_results(Partition& partition,
         std::to_string(per_vertex_word.size()) +
         " registration tokens never reached their leader");
   }
-  // Checked against the budget the forward walk actually ran under
-  // (GatherResult::bandwidth_tokens), walk_bandwidth included.
-  const auto delivery = congest::reverse_delivery(
-      static_cast<int>(per_vertex_word.size()), partition.gather, reply);
-  if (!delivery.load_ok) {
-    throw std::logic_error("reverse delivery violated the edge budget");
+  congest::PathReturnResult delivery;
+  {
+    TRACE_SPAN(partition.net.trace, "phase:return");
+    congest::MetricsPhase mphase(partition.net.metrics, "phase:return");
+    delivery = congest::return_along_paths(*partition.graph, partition.gather,
+                                           reply, partition.net);
   }
   // Every vertex must have received exactly its own word back.
   for (std::size_t v = 0; v < per_vertex_word.size(); ++v) {
     if (delivery.received[v].size() != 1 ||
         delivery.received[v][0][0] != per_vertex_word[v]) {
-      throw std::logic_error("reverse delivery dropped or mixed a reply");
+      throw std::logic_error("the return dropped or mixed a reply");
     }
   }
   partition.ledger.add_measured(label, delivery.stats);

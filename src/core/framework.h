@@ -13,8 +13,9 @@
 //
 // Applications then run any sequential algorithm on each reconstructed
 // cluster through solve_clusters(), which returns the per-vertex answers
-// along the reversed first-arrival paths of the registration tokens (at
-// most the forward gather's measured round count and per-edge load).
+// along the reversed first-arrival paths of the registration tokens, as a
+// simulated phase of about the longest path's length in rounds (at most the
+// forward gather's measured round count and per-edge load).
 #pragma once
 
 #include <cstdint>
@@ -62,8 +63,9 @@ struct FrameworkOptions {
   bool weighted_volumes = false;
   // Observability (src/congest/trace.h): when set, the pipeline opens a
   // "phase:*" span around each of its five phases (decomposition, election,
-  // orientation, gather, reconstruct), the primitives nest their own spans
-  // inside, and every simulator round/edge/message event is reported. Null:
+  // orientation, gather, reconstruct), and return_results one more
+  // ("phase:return"); the primitives nest their own spans inside, and
+  // every simulator round/edge/message event is reported. Null:
   // zero overhead. Valid at every num_threads value — sharded trace lanes
   // (DESIGN.md §18) replay events on the caller in a fixed merge order, so
   // the event stream is byte-identical across thread counts.
@@ -79,8 +81,8 @@ struct FrameworkOptions {
   // `num_threads` value with bit-identical snapshots.
   congest::MetricsRegistry* metrics = nullptr;
   // Wall-clock execution profiler (src/congest/profiler.h, DESIGN.md §14):
-  // when set, every simulated phase (election, orientation, gather) runs
-  // with per-shard phase/barrier timestamping. Purely observational —
+  // when set, every simulated phase (election, orientation, gather, return)
+  // runs with per-shard phase/barrier timestamping. Purely observational —
   // results and metrics snapshots are unchanged — and valid at every
   // num_threads value.
   congest::ExecutionProfiler* profiler = nullptr;
@@ -119,6 +121,10 @@ struct Cluster {
 };
 
 struct Partition {
+  // The graph the partition was computed on; return_results routes the
+  // replies over it. partition_and_gather sets it, and the graph must
+  // outlive every return_results call on the partition.
+  const graph::Graph* graph = nullptr;
   expander::ExpanderDecomposition decomposition;
   std::vector<graph::VertexId> leader_of;
   std::vector<Cluster> clusters;
@@ -147,15 +153,20 @@ Partition partition_and_gather(const graph::Graph& g, double eps,
                                const FrameworkOptions& options = {});
 
 // Returns one O(log n)-bit answer from each leader to every vertex of its
-// cluster by *executing* the reverse of each registration token's
-// first-arrival path (§2.2, last paragraph). The paths' hops are part of
-// the forward schedule, so no edge carries more than its forward load in any
-// round and the return takes at most the forward round count; the budget
-// is verified per edge. Throws std::invalid_argument unless there is
-// exactly one word per vertex. Only a registration token that reached its
-// leader has a path to reverse: if any vertex's did not, throws
-// std::runtime_error naming how many. Both throw before the ledger
-// changes. Adds the measured rounds to the ledger and returns them.
+// cluster along the reverse of each registration token's first-arrival path
+// (§2.2, last paragraph), as a simulated run: congest::return_along_paths on
+// `partition.net` (the caller's observers and threads, no faults) inside a
+// "phase:return" span and metrics phase. Each edge sends its waiting replies
+// latest forward round first, at most the gather's peak edge load a round,
+// so the return takes about its longest path in rounds and never more than
+// the mirror of the gather (congest::reverse_delivery). Throws
+// std::logic_error if `partition.graph` is null, and
+// std::invalid_argument unless there is exactly one word per vertex. Only a
+// registration token that reached its leader has a path to reverse: if any
+// vertex's did not, throws std::runtime_error naming how many. All three,
+// and return_along_paths' refusal of a hop between non-neighbours, throw
+// before the ledger changes. Adds the measured run to the ledger under
+// `label` and returns its rounds.
 std::int64_t return_results(Partition& partition,
                             const std::vector<std::int64_t>& per_vertex_word,
                             const char* label);

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "src/congest/network.h"
@@ -626,6 +627,63 @@ TEST(ReverseDelivery, HopOutsideTheForwardHorizonFails) {
   // Round 1 has no mirror in 1 round.
   gather.traces = {forged_walk(0, {{1, 1}})};
   EXPECT_FALSE(reverse_delivery(2, gather, {{7}}).load_ok);
+}
+
+// On the path 0 - 1 - 2 - 3 with leader 0, one reply a round on each edge:
+// token 0 came from 1 in forward round 2, token 1 from 3 through 2 and 1 in
+// rounds 0, 1 and 3. The latest forward round goes first, so token 1's reply
+// leaves 0 in round 0 and reaches 3 in round 3, and token 0's leaves in round
+// 1: four rounds. Token 0's first would take five, as the mirror of the
+// five-round gather does.
+TEST(PathReturn, LatestForwardRoundGoesFirst) {
+  const Graph g = graph::path(4);
+  GatherResult gather;
+  gather.stats.rounds = 5;
+  gather.stats.max_edge_load = 1;
+  gather.bandwidth_tokens = 3;
+  gather.traces = {forged_walk(1, {{0, 2}}),
+                   forged_walk(3, {{2, 0}, {1, 1}, {0, 3}})};
+  const std::vector<std::vector<std::int64_t>> reply = {{7}, {8, 9}};
+  const auto r = return_along_paths(g, gather, reply);
+  EXPECT_EQ(r.stats.rounds, 4);
+  EXPECT_EQ(r.stats.messages_sent, 4);
+  EXPECT_EQ(r.stats.words_sent, 1 * 2 + 3 * 3);
+  EXPECT_EQ(r.stats.max_edge_load, 1);
+  const auto oracle = reverse_delivery(g.num_vertices(), gather, reply);
+  EXPECT_EQ(oracle.stats.rounds, 5);
+  EXPECT_EQ(r.received, oracle.received);
+  EXPECT_EQ(r.received[1], std::vector<std::vector<std::int64_t>>{{7}});
+  EXPECT_EQ(r.received[3], (std::vector<std::vector<std::int64_t>>{{8, 9}}));
+}
+
+// A vertex routes a reply by the token's entry in its table, so a replied
+// trace must be a path of the graph: within it, over its edges, and through
+// no vertex twice. An unreplied trace is not read.
+TEST(PathReturn, RefusesTracesThatAreNotPathsOfTheGraph) {
+  const Graph g = graph::path(4);
+  GatherResult gather;
+  gather.stats.max_edge_load = 1;
+  const auto refuses = [&](TokenTrace trace) {
+    gather.traces = {std::move(trace)};
+    EXPECT_NO_THROW(return_along_paths(g, gather, {{}}));
+    return_along_paths(g, gather, {{7}});
+  };
+  EXPECT_THROW(refuses(forged_walk(1, {{4, 0}})), std::invalid_argument);
+  EXPECT_THROW(refuses(forged_walk(-1, {{0, 0}})), std::invalid_argument);
+  EXPECT_THROW(refuses(forged_walk(3, {{2, 0}, {1, 1}, {2, 2}})),
+               std::invalid_argument);
+  EXPECT_THROW(refuses(forged_walk(1, {{0, 0}, {1, 1}})),
+               std::invalid_argument);
+  try {
+    refuses(forged_walk(0, {{2, 0}}));
+    ADD_FAILURE() << "a hop from 0 to 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not neighbours"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(refuses(forged_walk(0, {{1, 0}, {2, 1}})));
 }
 
 // Hop rounds are 32-bit, so a round budget past INT32_MAX is refused up

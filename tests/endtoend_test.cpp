@@ -2,9 +2,6 @@
 // 1-token-per-edge CONGEST bandwidth, and cross-run determinism.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-#include <string>
-
 #include "src/core/correlation.h"
 #include "src/core/framework.h"
 #include "src/core/ldd.h"
@@ -49,9 +46,10 @@ TEST(EndToEnd, StrictUnitBandwidthStillCompletes) {
   ASSERT_TRUE(pb.gather_complete);
 }
 
-// return_results checks the reverse schedule against the budget the walk
-// ran under (GatherResult::bandwidth_tokens), not a recomputed ceil(log2 n):
-// two replied hops sharing an edge-round overload a walk_bandwidth = 1 run.
+// The mirror schedule (congest::reverse_delivery, the return's test oracle)
+// checks the reverse hops against the budget the walk ran under
+// (GatherResult::bandwidth_tokens), not a recomputed ceil(log2 n): two
+// replied hops sharing an edge-round overload a walk_bandwidth = 1 run.
 TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
   Rng rng(1);
   Graph g = graph::random_maximal_planar(80, rng);
@@ -59,12 +57,13 @@ TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
   opt.walk_bandwidth = 1;
   Partition p = partition_and_gather(g, 0.3, opt);
   ASSERT_TRUE(p.gather_complete);
-  std::vector<std::int64_t> words(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); ++v) words[v] = 100 + v;
-  EXPECT_NO_THROW(return_results(p, words, "return"));
+  const auto& hello = p.hello_token_of;
+  std::vector<std::vector<std::int64_t>> reply(p.gather.traces.size());
+  for (int v = 0; v < g.num_vertices(); ++v) reply[hello[v]] = {100 + v};
+  EXPECT_TRUE(
+      congest::reverse_delivery(g.num_vertices(), p.gather, reply).load_ok);
   // Give another registration token the hop log of one with at least two
   // hops: every hop after the first then carries both replies in one round.
-  const auto& hello = p.hello_token_of;
   int a = -1;
   for (int v = 0; v < g.num_vertices() && a < 0; ++v) {
     if (p.gather.traces[hello[v]].hop_count() >= 2) a = v;
@@ -76,13 +75,11 @@ TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
   for (const congest::TokenHop& hop : p.gather.traces[hello[a]].hops()) {
     forged.append(hop);
   }
-  try {
-    return_results(p, words, "return");
-    ADD_FAILURE() << "a load-2 edge-round passed a bandwidth-1 check";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("edge budget"), std::string::npos)
-        << e.what();
-  }
+  const auto overloaded =
+      congest::reverse_delivery(g.num_vertices(), p.gather, reply);
+  EXPECT_FALSE(overloaded.load_ok)
+      << "a load-2 edge-round passed a bandwidth-1 check";
+  EXPECT_EQ(overloaded.stats.max_edge_load, 2);
 }
 
 TEST(EndToEnd, MisDeterministicAcrossRuns) {

@@ -5,7 +5,9 @@
 #include <string>
 
 #include "src/congest/metrics.h"
+#include "src/congest/primitives.h"
 #include "src/congest/profiler.h"
+#include "src/congest/trace.h"
 #include "src/core/framework.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
@@ -359,6 +361,183 @@ TEST(Framework, ReturnRefusesUndeliveredRegistrations) {
               std::string::npos)
         << e.what();
   }
+  EXPECT_EQ(p.ledger.entries().size(), entries);
+}
+
+// ---- The return runs on the simulator ------------------------------------------
+
+// One word per vertex, 7v + 3, and the same words as replies on the
+// registration tokens, for the primitives that take replies by token id.
+struct Words {
+  std::vector<std::int64_t> per_vertex;
+  std::vector<std::vector<std::int64_t>> reply;
+};
+Words words_for(const Partition& p) {
+  Words w;
+  w.per_vertex.resize(p.hello_token_of.size());
+  w.reply.resize(p.gather.traces.size());
+  for (std::size_t v = 0; v < w.per_vertex.size(); ++v) {
+    w.per_vertex[v] = 7 * static_cast<std::int64_t>(v) + 3;
+    w.reply[p.hello_token_of[v]] = {w.per_vertex[v]};
+  }
+  return w;
+}
+
+// The pipeline's return against the mirror schedule it replaced
+// (congest::reverse_delivery, kept as the oracle): the same words reach the
+// same vertices with the same messages and words, in at most the oracle's
+// rounds, and no edge carries more in a round than the gather's peak. The
+// ledger records that run. Returns its stats.
+congest::RunStats expect_return_within_the_mirror(const Graph& g,
+                                                  Partition& p) {
+  EXPECT_TRUE(p.gather_complete);
+  const Words w = words_for(p);
+  const auto oracle =
+      congest::reverse_delivery(g.num_vertices(), p.gather, w.reply);
+  EXPECT_TRUE(oracle.load_ok);
+  const auto back = congest::return_along_paths(g, p.gather, w.reply, p.net);
+  EXPECT_EQ(back.received, oracle.received);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(back.received[v],
+              std::vector<std::vector<std::int64_t>>{{w.per_vertex[v]}})
+        << "vertex " << v;
+  }
+  EXPECT_GT(back.stats.messages_sent, 0);
+  EXPECT_EQ(back.stats.messages_sent, oracle.stats.messages_sent);
+  EXPECT_EQ(back.stats.words_sent, oracle.stats.words_sent);
+  EXPECT_LE(back.stats.rounds, oracle.stats.rounds);
+  EXPECT_LE(back.stats.max_edge_load, p.gather.stats.max_edge_load);
+
+  EXPECT_EQ(return_results(p, w.per_vertex, "result return"),
+            back.stats.rounds);
+  const congest::RunStats& entry = p.ledger.entries().back().stats;
+  EXPECT_EQ(entry.rounds, back.stats.rounds);
+  EXPECT_EQ(entry.messages_sent, back.stats.messages_sent);
+  EXPECT_EQ(entry.words_sent, back.stats.words_sent);
+  EXPECT_EQ(entry.max_edge_load, back.stats.max_edge_load);
+  return back.stats;
+}
+
+// The shape of the mcm-grid benchmark workload: one slow-mixing cluster, so
+// the gather runs thousands of rounds while the kept paths stay short.
+TEST(Framework, ReturnOnAGridTakesATenthOfTheGathersRounds) {
+  const Graph g = graph::grid(20, 20);
+  Partition p = partition_and_gather(g, 0.2);
+  const congest::RunStats back = expect_return_within_the_mirror(g, p);
+  EXPECT_LT(10 * back.rounds, p.gather.stats.rounds)
+      << back.rounds << " return rounds, " << p.gather.stats.rounds
+      << " gather rounds";
+}
+
+// The shape of the mis-tri benchmark workload.
+TEST(Framework, ReturnOnATriangulationStaysWithinTheMirror) {
+  Rng rng(1);
+  const Graph g = graph::random_maximal_planar(500, rng);
+  Partition p = partition_and_gather(g, 0.2);
+  expect_return_within_the_mirror(g, p);
+}
+
+// The return shards like every other phase: the same RunStats and words at
+// one and four threads, with every round dispatched to the shards.
+TEST(Framework, ReturnIsTheSameAtOneAndFourThreads) {
+  const Graph g = graph::grid(20, 20);
+  struct Run {
+    congest::PathReturnResult back;
+    std::int64_t ledger_rounds = 0;
+  };
+  const auto run = [&](int threads) {
+    FrameworkOptions opt;
+    opt.num_threads = threads;
+    opt.sparse_serial_threshold = 0;
+    Partition p = partition_and_gather(g, 0.2, opt);
+    const Words w = words_for(p);
+    Run out{congest::return_along_paths(g, p.gather, w.reply, p.net), 0};
+    out.ledger_rounds = return_results(p, w.per_vertex, "result return");
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  EXPECT_GT(one.back.stats.rounds, 0);
+  EXPECT_EQ(four.back.stats.rounds, one.back.stats.rounds);
+  EXPECT_EQ(four.back.stats.messages_sent, one.back.stats.messages_sent);
+  EXPECT_EQ(four.back.stats.words_sent, one.back.stats.words_sent);
+  EXPECT_EQ(four.back.stats.max_edge_load, one.back.stats.max_edge_load);
+  EXPECT_EQ(four.back.received, one.back.received);
+  EXPECT_EQ(four.ledger_rounds, one.ledger_rounds);
+}
+
+// Observers attached to the pipeline see the return as its last top-level
+// phase, tagged return_reply, and the top-level phases then account for
+// every measured round on the ledger.
+TEST(Framework, ReturnIsTheLastObservedPhase) {
+  const Graph g = graph::grid(12, 12);
+  congest::MetricsCollector trace;
+  congest::MetricsRegistry metrics;
+  FrameworkOptions opt;
+  opt.trace = &trace;
+  opt.metrics = &metrics;
+  Partition p = partition_and_gather(g, 0.3, opt);
+  return_results(p, words_for(p).per_vertex, "result return");
+  const congest::RunStats& entry = p.ledger.entries().back().stats;
+  ASSERT_GT(entry.rounds, 0);
+
+  std::vector<std::string> spans;
+  std::int64_t span_rounds = 0;
+  for (const auto& s : trace.spans()) {
+    if (s.depth != 0) continue;
+    spans.push_back(s.name);
+    span_rounds += s.rounds;
+  }
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.back(), "phase:return");
+  EXPECT_EQ(trace.spans().back().name, "path_return");
+  EXPECT_EQ(span_rounds, p.ledger.measured_total());
+
+  const auto& phases = metrics.phases();
+  ASSERT_FALSE(phases.empty());
+  const auto last = std::find_if(phases.rbegin(), phases.rend(),
+                                 [](const auto& ph) { return ph.depth == 0; });
+  ASSERT_NE(last, phases.rend());
+  EXPECT_EQ(last->name, "phase:return");
+  EXPECT_EQ(last->stats.rounds, entry.rounds);
+  EXPECT_EQ(last->stats.messages_sent, entry.messages_sent);
+  EXPECT_EQ(metrics.tag_messages(congest::kTagReturnReply),
+            entry.messages_sent);
+}
+
+// A reply can only go back over an edge: a registration path forged to hop
+// between non-neighbours is refused before the ledger changes.
+TEST(Framework, ReturnRefusesAHopBetweenNonNeighbours) {
+  const Graph g = graph::grid(6, 6);
+  Partition p = partition_and_gather(g, 0.3);
+  ASSERT_TRUE(p.gather_complete);
+  const auto entries = p.ledger.entries().size();
+  // Vertex 0 is a corner of the grid; vertex 14 is two rows down and two
+  // columns across.
+  congest::TokenTrace& forged = p.gather.traces[p.hello_token_of[0]];
+  ASSERT_FALSE(g.has_edge(0, 14));
+  forged.clear();
+  forged.append({14, 0});
+  try {
+    return_results(p, words_for(p).per_vertex, "result return");
+    ADD_FAILURE() << "a hop from 0 to 14 was returned along";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not neighbours"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(p.ledger.entries().size(), entries);
+}
+
+// return_results routes over the partition's graph; a partition without one
+// is refused.
+TEST(Framework, ReturnNeedsThePartitionsGraph) {
+  const Graph g = graph::grid(6, 6);
+  Partition p = partition_and_gather(g, 0.3);
+  EXPECT_EQ(p.graph, &g);
+  p.graph = nullptr;
+  const auto entries = p.ledger.entries().size();
+  EXPECT_THROW(return_results(p, words_for(p).per_vertex, "result return"),
+               std::logic_error);
   EXPECT_EQ(p.ledger.entries().size(), entries);
 }
 

@@ -493,6 +493,36 @@ TEST(SparseAlloc, ReverseDeliveryAllocatesLinearlyInTokensRoundsAndVertices) {
                           << r.stats.messages_sent << " hops";
 }
 
+// The path return (DESIGN.md §19) sizes its routing tables, heaps and word
+// slots before its run, so a round allocates nothing: on the same
+// first-arrival paths, a cap of one reply per edge a round takes more rounds
+// than the gather's own peak (143 against 100 on this grid) and makes exactly
+// as many allocations. What it does allocate follows the vertices (their
+// algorithms, the Network, the received lists); the hops fill flat tables.
+TEST(SparseAlloc, PathReturnAllocatesOnlyAtSetUp) {
+  const GridGather grid;
+  GatherResult r = grid.run();
+  ASSERT_TRUE(r.complete);
+  std::vector<std::int64_t> ids(r.traces.size());
+  std::iota(ids.begin(), ids.end(), std::int64_t{0});
+  cut_to_first_arrival_paths(grid.g.num_vertices(), r.traces, ids);
+  const std::vector<std::vector<std::int64_t>> reply(r.traces.size(), {1});
+  std::vector<std::int64_t> allocs, rounds;
+  for (const int peak : {r.stats.max_edge_load, 1}) {
+    r.stats.max_edge_load = peak;
+    const std::int64_t before = allocation_count();
+    const PathReturnResult back = return_along_paths(grid.g, r, reply);
+    allocs.push_back(allocation_count() - before);
+    rounds.push_back(back.stats.rounds);
+    ASSERT_EQ(back.stats.messages_sent, total_hops(r.traces));
+    ASSERT_EQ(back.stats.max_edge_load, peak);
+  }
+  EXPECT_GT(rounds[1], rounds[0]);
+  EXPECT_EQ(allocs[1], allocs[0])
+      << rounds[0] << " and " << rounds[1] << " rounds";
+  EXPECT_LT(allocs[0], 4 * grid.g.num_vertices() + 64) << allocs[0];
+}
+
 // The leader's exact MIS search (DESIGN.md §20) sizes its bitsets, degree
 // array, undo trail and current/best sets before the first node, so a search
 // node allocates nothing: a 400k-node search makes exactly as many
