@@ -449,7 +449,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       const std::int64_t packed = t.id | (seq << kSeqShift);
       // The hop is recorded once, at first transmission; retransmissions
       // re-send the identical hop, so the trace stays a faithful record of
-      // the path and reverse_delivery remains routable.
+      // the walk and the return remains routable.
       (*traces_)[t.id].append({ctx.neighbor((*intra_)[i]),
                                static_cast<std::int32_t>(base_round_ + r)});
       ctx.send((*intra_)[i], token_message(packed, t.payload));
@@ -723,13 +723,13 @@ class DiameterCheckAlgo final : public VertexAlgorithm {
 // --- Path-length result return ----------------------------------------------------
 
 // Where the replies of a path return wait and which way they go, for all
-// vertices at once. A vertex reads and writes only its own entries and
-// ports, and a token's words only while its reply is at that vertex (a
-// reply is at one vertex at a time), so the shards of a parallel round never
-// write the same element.
+// vertices at once. A vertex reads and writes only its own entries, ports
+// and result slots, so the shards of a parallel round never write the same
+// element.
 struct ReturnRoutes {
   struct Entry {
     std::int64_t id = -1;     // the token
+    std::int64_t word = 0;    // its reply, once the reply is here
     int port = -1;            // back toward the token's origin
     std::int32_t round = -1;  // forward round that first brought it here
   };
@@ -746,12 +746,10 @@ struct ReturnRoutes {
   std::vector<std::size_t> heap_begin;
   std::vector<int> heap_size;
   std::vector<std::uint64_t> heap;
-  // A replied token's words, at the vertex that holds its reply:
-  // words[word_begin[id], word_begin[id + 1]).
-  std::vector<std::size_t> word_begin;
-  std::vector<std::int64_t> words;
-  std::vector<char> arrived;  // per token: its reply reached the origin
-  int cap = 1;                // replies per directed edge per round
+  // Per vertex: the word its reply brought back, and whether one arrived.
+  std::vector<std::int64_t> received;
+  std::vector<char> arrived;
+  int cap = 1;  // replies per directed edge per round
 
   static std::uint64_t key(const Entry& e, std::size_t local) {
     return (std::uint64_t{static_cast<std::uint32_t>(
@@ -767,9 +765,9 @@ struct ReturnRoutes {
 };
 
 // Each round: queue every arriving reply on the port back toward its origin
-// (or keep it, at the origin), then let each port send up to the cap of its
-// waiting replies, highest priority first. Everything it touches was sized
-// before the run, so a round allocates nothing (DESIGN.md §19).
+// (or keep its word, at the origin), then let each port send up to the cap
+// of its waiting replies, highest priority first. Everything it touches was
+// sized before the run, so a round allocates nothing (DESIGN.md §19).
 class PathReturnAlgo final : public VertexAlgorithm {
  public:
   PathReturnAlgo(ReturnRoutes* routes, int waiting)
@@ -779,22 +777,21 @@ class PathReturnAlgo final : public VertexAlgorithm {
     ReturnRoutes& r = *routes_;
     const VertexId v = ctx.id();
     sent_ = false;
-    const ReturnRoutes::Entry* first = r.entries.data() + r.entry_begin[v];
-    const ReturnRoutes::Entry* last = r.entries.data() + r.entry_begin[v + 1];
+    ReturnRoutes::Entry* first = r.entries.data() + r.entry_begin[v];
+    ReturnRoutes::Entry* last = r.entries.data() + r.entry_begin[v + 1];
     for (int p = 0; p < ctx.num_ports(); ++p) {
       for (const Message& m : ctx.inbox(p)) {
-        const auto id = static_cast<std::size_t>(m.words[0]);
-        std::copy(m.words.begin() + 1, m.words.end(),
-                  r.words.begin() + r.word_begin[id]);
-        const ReturnRoutes::Entry* e = std::lower_bound(
+        ReturnRoutes::Entry* e = std::lower_bound(
             first, last, m.words[0],
             [](const ReturnRoutes::Entry& a, std::int64_t b) {
               return a.id < b;
             });
         if (e == last || e->id != m.words[0]) {
-          r.arrived[id] = 1;  // no way on: this is the origin
+          r.received[v] = m.words[1];  // no way on: this is the origin
+          r.arrived[v] = 1;
           continue;
         }
+        e->word = m.words[1];
         r.push(r.port_base[v] + e->port,
                ReturnRoutes::key(*e, static_cast<std::size_t>(e - first)));
         ++waiting_;
@@ -808,14 +805,7 @@ class PathReturnAlgo final : public VertexAlgorithm {
       for (int sent = 0; sent < r.cap && size > 0; ++sent) {
         std::pop_heap(h, h + size, std::greater<>());
         const ReturnRoutes::Entry& e = first[h[--size] & 0xffffffffu];
-        const auto id = static_cast<std::size_t>(e.id);
-        Message m;
-        m.tag = kTagReturnReply;
-        m.words.push_back(e.id);
-        for (std::size_t w = r.word_begin[id]; w < r.word_begin[id + 1]; ++w) {
-          m.words.push_back(r.words[w]);
-        }
-        ctx.send(p, std::move(m));
+        ctx.send(p, {{e.id, e.word}, kTagReturnReply});
         --waiting_;
         sent_ = true;
       }
@@ -831,6 +821,14 @@ class PathReturnAlgo final : public VertexAlgorithm {
   int waiting_;  // replies held here, not yet sent
   bool sent_ = false;
 };
+
+// The port of v that leads to u, or -1 if u is not a neighbour of v. A BFS
+// root's parent, kInvalidVertex, is nobody's neighbour.
+int port_to(const Graph& g, VertexId v, VertexId u) {
+  const auto nbrs = g.neighbors(v);
+  const auto it = std::find(nbrs.begin(), nbrs.end(), u);
+  return it == nbrs.end() ? -1 : static_cast<int>(it - nbrs.begin());
+}
 
 }  // namespace
 
@@ -874,69 +872,6 @@ std::vector<TokenHop> TokenTrace::hops() const {
     out.push_back(hop);
   }
   return out;
-}
-
-void cut_to_first_arrival_paths(int num_vertices,
-                                std::vector<TokenTrace>& traces,
-                                const std::vector<std::int64_t>& ids) {
-  std::int64_t longest = 0;
-  for (const std::int64_t id : ids) {
-    if (id < 0 || id >= static_cast<std::int64_t>(traces.size())) {
-      throw std::invalid_argument("cut_to_first_arrival_paths: token id " +
-                                  std::to_string(id) + " out of range");
-    }
-    longest = std::max(longest,
-                       traces[static_cast<std::size_t>(id)].hop_count());
-  }
-  if (longest == 0) return;
-  const auto check = [num_vertices](VertexId v) {
-    if (v < 0 || v >= num_vertices) {
-      throw std::invalid_argument(
-          "cut_to_first_arrival_paths: a walk leaves [0, num_vertices)");
-    }
-  };
-  // For the walk being cut, reached[v] - base is 0 at its origin, i + 1 if
-  // its hop i first reached v, and negative if it never reached v. Each walk
-  // raises `base` past every value written before it, so the array is never
-  // cleared.
-  std::vector<std::int64_t> reached(static_cast<std::size_t>(num_vertices),
-                                    -1);
-  std::int64_t base = 0;
-  std::vector<TokenHop> walk;
-  walk.reserve(static_cast<std::size_t>(longest));
-  for (const std::int64_t id : ids) {
-    TokenTrace& t = traces[static_cast<std::size_t>(id)];
-    if (t.hop_count_ == 0) continue;
-    check(t.origin);
-    reached[t.origin] = base;
-    walk.clear();
-    TokenHop hop{t.origin, -1};
-    for (std::size_t pos = 0; pos < t.log_.size();) {
-      pos = t.decode(pos, hop);
-      check(hop.to);
-      if (reached[hop.to] < base) {
-        reached[hop.to] = base + static_cast<std::int64_t>(walk.size()) + 1;
-      }
-      walk.push_back(hop);
-    }
-    // Step back from where the walk ended. The hop indices strictly
-    // decrease, so the kept hops can fill the tail of `walk` in forward
-    // order: the k-th one kept from the end lands at or past its own index,
-    // beyond every entry the later steps read.
-    std::size_t kept = walk.size();
-    for (std::int64_t j = reached[walk.back().to] - base; j > 0;) {
-      const auto i = static_cast<std::size_t>(j - 1);
-      const VertexId from = i == 0 ? t.origin : walk[i - 1].to;
-      walk[--kept] = walk[i];
-      j = reached[from] - base;
-    }
-    base += static_cast<std::int64_t>(walk.size()) + 1;
-    // The path's log is shorter than the walk's, so it is written into the
-    // walk's storage and then copied to an allocation of its own size.
-    t.clear();
-    for (std::size_t i = kept; i < walk.size(); ++i) t.append(walk[i]);
-    std::vector<std::uint8_t>(t.log_.begin(), t.log_.end()).swap(t.log_);
-  }
 }
 
 LeaderElectionResult elect_cluster_leaders(const Graph& g,
@@ -1133,18 +1068,6 @@ ReliableGatherResult reliable_walk_gather(
     }
     return out;
   };
-  const auto add_stats = [&](const RunStats& s) {
-    gather.stats.rounds += s.rounds;
-    gather.stats.messages_sent += s.messages_sent;
-    gather.stats.words_sent += s.words_sent;
-    gather.stats.max_edge_load =
-        std::max(gather.stats.max_edge_load, s.max_edge_load);
-    gather.stats.messages_dropped += s.messages_dropped;
-    gather.stats.messages_duplicated += s.messages_duplicated;
-    gather.stats.messages_delayed += s.messages_delayed;
-    gather.stats.vertices_crashed += s.vertices_crashed;
-  };
-
   result.final_leader_of = leader_of;
   std::int64_t base_round = 0;
   bool all_absorbed = toks.empty();
@@ -1193,7 +1116,7 @@ ReliableGatherResult reliable_walk_gather(
       const LeaderElectionResult elect =
           elect_cluster_leaders(g, cluster_of, eopt);
       result.final_leader_of = elect.leader_of;
-      add_stats(elect.stats);
+      gather.stats += elect.stats;
       base_round += elect.stats.rounds;
       ++result.reelections;
     }
@@ -1261,7 +1184,7 @@ ReliableGatherResult reliable_walk_gather(
     }
     Network network(g, nopt);
     const RunStats stats = network.run(algos);
-    add_stats(stats);
+    gather.stats += stats;
     base_round += stats.rounds;
     ++result.epochs;
     for (VertexId v = 0; v < n; ++v) {
@@ -1309,137 +1232,100 @@ ReliableGatherResult reliable_walk_gather(
   return result;
 }
 
-ReverseDeliveryResult reverse_delivery(
-    int num_vertices, const GatherResult& gather,
-    const std::vector<std::vector<std::int64_t>>& reply) {
-  ReverseDeliveryResult result;
-  result.received.resize(num_vertices);
-  result.load_ok = true;
-  const std::int64_t horizon = std::max<std::int64_t>(0, gather.stats.rounds);
-  const auto replied = [&](std::size_t id) {
-    return id < reply.size() && !reply[id].empty();
-  };
-  // The hop taken at forward round r is traversed backwards at round
-  // horizon - 1 - r: strictly increasing forward times become strictly
-  // increasing reverse times along the reversed path, and the per-edge
-  // per-round load is the mirror image of the replayed part of the forward
-  // run. A hop outside [0, horizon) has no mirror round, so the schedule
-  // fails the check.
-  //
-  // Rounds are visited in forward order; each round's loads are those of
-  // its mirror. A replied token waits, as a cursor into its hop log, in the
-  // bucket of its next hop's round. Reading that hop moves the token on to
-  // the bucket of the hop after it, which is a later round.
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  struct Cursor {
-    std::size_t pos = 0;  // log position after `hop`
-    TokenHop hop;         // the token's next hop
-    VertexId from = kInvalidVertex;  // that hop's sender
-    std::size_t next = kNone;        // next token in the same bucket
-  };
-  std::vector<Cursor> cursor(gather.traces.size());
-  std::vector<std::size_t> bucket(static_cast<std::size_t>(horizon), kNone);
-  const auto advance = [&](std::size_t id) {
-    const TokenTrace& trace = gather.traces[id];
-    Cursor& c = cursor[id];
-    if (c.pos == trace.log_size()) return;  // walk done
-    c.from = c.hop.to;
-    c.pos = trace.decode(c.pos, c.hop);
-    if (c.hop.round >= horizon) {
-      result.load_ok = false;
-      return;
-    }
-    c.next = bucket[static_cast<std::size_t>(c.hop.round)];
-    bucket[static_cast<std::size_t>(c.hop.round)] = id;
-  };
-  for (std::size_t id = 0; id < gather.traces.size(); ++id) {
-    if (!replied(id)) continue;  // no reply due
-    const TokenTrace& trace = gather.traces[id];
-    if (trace.origin < 0 || trace.origin >= num_vertices) {
-      throw std::invalid_argument("reverse_delivery: token " +
-                                  std::to_string(id) +
-                                  " has its origin out of range");
-    }
-    const std::int64_t hops = trace.hop_count();
-    result.stats.messages_sent += hops;
-    result.stats.words_sent +=
-        hops * (static_cast<std::int64_t>(reply[id].size()) + 1);
-    result.received[trace.origin].push_back(reply[id]);
-    cursor[id].hop = {trace.origin, -1};
-    advance(id);
-    // The first hop is the earliest, so its mirror is the last reverse round.
-    if (hops > 0) {
-      result.stats.rounds =
-          std::max(result.stats.rounds, horizon - cursor[id].hop.round);
-    }
-  }
-  // One key per reverse hop: the full 32-bit (from, to) pair, so distinct
-  // directed edges never share a counter. Sorting a round's keys puts each
-  // directed edge's hops in one run: its load that round.
-  std::vector<std::uint64_t> edge;
-  for (std::size_t r = 0; r < bucket.size(); ++r) {
-    edge.clear();
-    for (std::size_t id = bucket[r]; id != kNone;) {
-      const Cursor& c = cursor[id];
-      const std::size_t next = c.next;
-      // Reverse hop: c.hop.to -> c.from.
-      edge.push_back(
-          (std::uint64_t{static_cast<std::uint32_t>(c.hop.to)} << 32) |
-          static_cast<std::uint32_t>(c.from));
-      advance(id);
-      id = next;
-    }
-    std::sort(edge.begin(), edge.end());
-    for (std::size_t i = 0; i < edge.size();) {
-      std::size_t j = i + 1;
-      while (j < edge.size() && edge[j] == edge[i]) ++j;
-      const int load = static_cast<int>(j - i);
-      result.stats.max_edge_load = std::max(result.stats.max_edge_load, load);
-      if (load > gather.bandwidth_tokens) result.load_ok = false;
-      i = j;
-    }
-  }
-  return result;
-}
-
-PathReturnResult return_along_paths(
-    const Graph& g, const GatherResult& gather,
-    const std::vector<std::vector<std::int64_t>>& reply,
-    const NetworkOptions& net) {
+PathReturnResult return_along_paths(const Graph& g,
+                                    const GatherResult& gather,
+                                    const std::vector<std::int64_t>& ids,
+                                    const std::vector<std::int64_t>& words,
+                                    const NetworkOptions& net) {
   TRACE_SPAN(net.trace, "path_return");
   const int n = g.num_vertices();
-  const std::size_t tokens = gather.traces.size();
-  const auto replied = [&](std::size_t id) {
-    return id < reply.size() && !reply[id].empty();
+  const auto refuse = [](const std::string& why) {
+    throw std::invalid_argument("return_along_paths: " + why);
   };
-  const auto check = [n](std::size_t id, VertexId v) {
+  const auto check = [&](std::int64_t id, VertexId v) {
     if (v < 0 || v >= n) {
-      throw std::invalid_argument("return_along_paths: token " +
-                                  std::to_string(id) + " leaves the graph");
+      refuse("token " + std::to_string(id) + " leaves the graph");
     }
   };
+  if (words.size() != ids.size()) {
+    refuse(std::to_string(words.size()) + " words for " +
+           std::to_string(ids.size()) + " replies");
+  }
   ReturnRoutes r;
   r.cap = std::max(
       1, std::min(gather.stats.max_edge_load, gather.bandwidth_tokens));
+  r.received.assign(n, 0);
+  r.arrived.assign(n, 0);
 
-  // Pass one sizes the tables: an entry at every vertex a trace reaches
-  // (not its origin), and each replied token's words.
-  r.entry_begin.assign(static_cast<std::size_t>(n) + 1, 0);
-  r.word_begin.assign(tokens + 1, 0);
-  std::size_t hops = 0;
-  for (std::size_t id = 0; id < tokens; ++id) {
-    r.word_begin[id + 1] = r.word_begin[id];
-    if (!replied(id)) continue;
-    const TokenTrace& t = gather.traces[id];
+  // Increasing ids keep each vertex's entries sorted; one reply per origin
+  // keeps one word slot per vertex.
+  std::vector<char> replied(n, 0);
+  std::int64_t longest = 0;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::int64_t id = ids[k];
+    if (id < 0 || id >= static_cast<std::int64_t>(gather.traces.size()) ||
+        (k > 0 && id <= ids[k - 1])) {
+      refuse("token ids must increase within [0, " +
+             std::to_string(gather.traces.size()) + ")");
+    }
+    const TokenTrace& t = gather.traces[static_cast<std::size_t>(id)];
     check(id, t.origin);
-    r.word_begin[id + 1] += reply[id].size();
+    if (replied[t.origin]) {
+      refuse("two replies to vertex " + std::to_string(t.origin));
+    }
+    replied[t.origin] = 1;
+    longest = std::max(longest, t.hop_count());
+  }
+
+  // Cut each replied walk to its first-arrival path, leader end first: the
+  // vertex, port back and forward round of each first arrival, for the k-th
+  // reply at path[path_begin[k], path_begin[k + 1]). For the walk being cut,
+  // reached[v] − base is 0 at its origin, i + 1 if its hop i first reached
+  // v, and negative if it never reached v. Each walk raises `base` past
+  // every value written before it, so the array is never cleared.
+  struct Step {
+    VertexId at;
+    int port;
+    std::int32_t round;
+  };
+  std::vector<Step> path;
+  std::vector<std::size_t> path_begin(ids.size() + 1, 0);
+  std::vector<std::int64_t> reached(static_cast<std::size_t>(n), -1);
+  std::int64_t base = 0;
+  std::vector<TokenHop> walk;
+  walk.reserve(static_cast<std::size_t>(longest));
+  r.entry_begin.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const TokenTrace& t = gather.traces[static_cast<std::size_t>(ids[k])];
+    reached[t.origin] = base;
+    walk.clear();
     TokenHop hop{t.origin, -1};
     for (std::size_t pos = 0; pos < t.log_size();) {
       pos = t.decode(pos, hop);
-      check(id, hop.to);
-      ++r.entry_begin[static_cast<std::size_t>(hop.to) + 1];
-      ++hops;
+      check(ids[k], hop.to);
+      if (reached[hop.to] < base) {
+        reached[hop.to] = base + static_cast<std::int64_t>(walk.size()) + 1;
+      }
+      walk.push_back(hop);
     }
+    for (std::int64_t j = walk.empty() ? 0 : reached[walk.back().to] - base;
+         j > 0;) {
+      const TokenHop& arrival = walk[static_cast<std::size_t>(j - 1)];
+      const VertexId from =
+          j == 1 ? t.origin : walk[static_cast<std::size_t>(j - 2)].to;
+      const int port = port_to(g, arrival.to, from);
+      if (port < 0) {
+        throw std::logic_error(
+            "return_along_paths: token " + std::to_string(ids[k]) +
+            " hops from " + std::to_string(from) + " to " +
+            std::to_string(arrival.to) + ", which are not neighbours");
+      }
+      path.push_back({arrival.to, port, arrival.round});
+      ++r.entry_begin[static_cast<std::size_t>(arrival.to) + 1];
+      j = reached[from] - base;
+    }
+    base += static_cast<std::int64_t>(walk.size()) + 1;
+    path_begin[k + 1] = path.size();
   }
   std::partial_sum(r.entry_begin.begin(), r.entry_begin.end(),
                    r.entry_begin.begin());
@@ -1448,55 +1334,38 @@ PathReturnResult return_along_paths(
     r.port_base[v + 1] = r.port_base[v] + static_cast<std::size_t>(g.degree(v));
   }
 
-  // Pass two fills the entries in token id order, so each vertex's are
-  // sorted by id, and counts the entries that leave by each port.
-  r.entries.resize(hops);
+  // Fill the entries in token id order, so each vertex's are sorted by id,
+  // and count the entries that leave by each port. A reply starts at its
+  // path's first step, the walk's end, holding the leader's word; a reply
+  // with no path is at its origin already.
+  r.entries.resize(path.size());
   r.heap_begin.assign(r.port_base[n] + 1, 0);
   std::vector<std::size_t> fill(r.entry_begin.begin(), r.entry_begin.end() - 1);
-  // Each reply's entry at the end of its trace, where it starts.
   std::vector<std::pair<VertexId, std::size_t>> starts;
-  r.words.resize(r.word_begin[tokens]);
-  for (std::size_t id = 0; id < tokens; ++id) {
-    if (!replied(id)) continue;
-    const TokenTrace& t = gather.traces[id];
-    std::copy(reply[id].begin(), reply[id].end(),
-              r.words.begin() + r.word_begin[id]);
-    TokenHop hop{t.origin, -1};
-    for (std::size_t pos = 0; pos < t.log_size();) {
-      const VertexId from = hop.to;
-      pos = t.decode(pos, hop);
-      std::size_t& at = fill[hop.to];
-      if (hop.to == t.origin ||
-          (at > r.entry_begin[hop.to] &&
-           r.entries[at - 1].id == static_cast<std::int64_t>(id))) {
-        throw std::invalid_argument(
-            "return_along_paths: token " + std::to_string(id) +
-            " visits vertex " + std::to_string(hop.to) + " twice");
-      }
-      const auto nbrs = g.neighbors(hop.to);
-      const auto back = std::find(nbrs.begin(), nbrs.end(), from);
-      if (back == nbrs.end()) {
-        throw std::logic_error(
-            "return_along_paths: token " + std::to_string(id) + " hops from " +
-            std::to_string(from) + " to " + std::to_string(hop.to) +
-            ", which are not neighbours");
-      }
-      const int port = static_cast<int>(back - nbrs.begin());
-      r.entries[at] = {static_cast<std::int64_t>(id), port, hop.round};
-      ++r.heap_begin[r.port_base[hop.to] + port + 1];
-      ++at;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if (path_begin[k] == path_begin[k + 1]) {
+      const VertexId origin =
+          gather.traces[static_cast<std::size_t>(ids[k])].origin;
+      r.received[origin] = words[k];
+      r.arrived[origin] = 1;
+      continue;
     }
-    if (t.log_size() > 0) starts.emplace_back(hop.to, fill[hop.to] - 1);
+    for (std::size_t s = path_begin[k]; s < path_begin[k + 1]; ++s) {
+      const Step& step = path[s];
+      r.entries[fill[step.at]++] = {ids[k], 0, step.port, step.round};
+      ++r.heap_begin[r.port_base[step.at] + step.port + 1];
+    }
+    const VertexId end = path[path_begin[k]].at;
+    r.entries[fill[end] - 1].word = words[k];
+    starts.emplace_back(end, fill[end] - 1);
   }
   std::partial_sum(r.heap_begin.begin(), r.heap_begin.end(),
                    r.heap_begin.begin());
-  r.heap.resize(hops);
+  r.heap.resize(path.size());
   r.heap_size.assign(r.port_base[n], 0);
-  r.arrived.assign(tokens, 0);
 
   PathReturnResult result;
-  if (hops > 0) {
-    // Each reply starts at the end of its trace, queued on its first port.
+  if (!path.empty()) {
     std::vector<int> waiting(n, 0);
     for (const auto& [v, e] : starts) {
       const ReturnRoutes::Entry& entry = r.entries[e];
@@ -1514,15 +1383,8 @@ PathReturnResult return_along_paths(
     Network network(g, opt);
     result.stats = network.run(algos);
   }
-  result.received.resize(n);
-  for (std::size_t id = 0; id < tokens; ++id) {
-    if (!replied(id)) continue;
-    const TokenTrace& t = gather.traces[id];
-    if (t.log_size() > 0 && !r.arrived[id]) continue;  // lost on the way
-    const auto words = r.words.begin();
-    result.received[t.origin].emplace_back(words + r.word_begin[id],
-                                           words + r.word_begin[id + 1]);
-  }
+  result.word = std::move(r.received);
+  result.arrived = std::move(r.arrived);
   return result;
 }
 
@@ -1563,21 +1425,14 @@ TreeGatherResult tree_gather(const Graph& g,
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<TreeClimbAlgo*> typed(n);
   for (VertexId v = 0; v < n; ++v) {
-    int parent_port = -1;
-    if (bfs_parent[v] != kInvalidVertex) {
-      const auto nbrs = g.neighbors(v);
-      for (int p = 0; p < static_cast<int>(nbrs.size()); ++p) {
-        if (nbrs[p] == bfs_parent[v]) parent_port = p;
-      }
-    }
     std::vector<std::vector<std::int64_t>> payloads;
     for (const GatherToken& t : tokens[v]) {
       payloads.push_back(t.payload);
       ++expected;
     }
-    auto a = std::make_unique<TreeClimbAlgo>(leader_of[v] == v, parent_port,
-                                             std::move(payloads),
-                                             net.bandwidth_tokens);
+    auto a = std::make_unique<TreeClimbAlgo>(
+        leader_of[v] == v, port_to(g, v, bfs_parent[v]), std::move(payloads),
+        net.bandwidth_tokens);
     typed[v] = a.get();
     algos.push_back(std::move(a));
   }
@@ -1602,24 +1457,15 @@ ConvergecastResult convergecast_fold(const Graph& g,
                                      const std::vector<int>& cluster_of,
                                      const std::vector<VertexId>& leader_of,
                                      const std::vector<VertexId>& bfs_parent,
-                                     const std::vector<int>& depth,
                                      const std::vector<std::int64_t>& value,
                                      Fold fold, const NetworkOptions& net) {
   TRACE_SPAN(net.trace, "convergecast");
-  (void)depth;  // the child-announcement protocol needs no depth knowledge
   const int n = g.num_vertices();
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<ConvergecastAlgo*> typed(n);
   for (VertexId v = 0; v < n; ++v) {
-    int parent_port = -1;
-    if (bfs_parent[v] != kInvalidVertex) {
-      const auto nbrs = g.neighbors(v);
-      for (int p = 0; p < static_cast<int>(nbrs.size()); ++p) {
-        if (nbrs[p] == bfs_parent[v]) parent_port = p;
-      }
-    }
-    auto a = std::make_unique<ConvergecastAlgo>(leader_of[v] == v, parent_port,
-                                                value[v], fold);
+    auto a = std::make_unique<ConvergecastAlgo>(
+        leader_of[v] == v, port_to(g, v, bfs_parent[v]), value[v], fold);
     typed[v] = a.get();
     algos.push_back(std::move(a));
   }

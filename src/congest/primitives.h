@@ -6,8 +6,7 @@
 // blocks of Theorem 2.6: leader election, BFS trees, Barenboim–Elkin
 // orientation, lazy-random-walk information gathering (Lemma 2.4), leader
 // broadcasts, and the return of the leaders' answers along the gathered
-// paths. reverse_delivery, a host-side replay, is the one exception; it is
-// the return's test oracle.
+// paths.
 #pragma once
 
 #include <cstddef>
@@ -112,11 +111,11 @@ struct TokenHop {
   friend bool operator==(const TokenHop&, const TokenHop&) = default;
 };
 
-// Forward walk of one token, origin -> ... -> leader. Kept as *local
-// bookkeeping*: every vertex on the path remembers which way it forwarded
-// the token, which is what makes the reversed delivery below routable — no
-// path ever travels in a message. cut_to_first_arrival_paths may replace
-// the walk with its first-arrival path, the part a reply needs.
+// Forward walk of one token, origin -> ... -> leader, every hop of it. Kept
+// as *local bookkeeping*: every vertex the token visited remembers which
+// neighbour first handed it the token and in which round, which is what
+// makes the return below routable — no path ever travels in a message.
+// return_along_paths reads a replied token's first-arrival path off its walk.
 //
 // The walk is stored as a byte log (DESIGN.md §19): each hop is two LEB128
 // varints, zig-zag(to − from) then round − previous round − 1. That is two
@@ -149,30 +148,10 @@ class TokenTrace {
   std::size_t log_size() const { return log_.size(); }
 
  private:
-  friend void cut_to_first_arrival_paths(int num_vertices,
-                                         std::vector<TokenTrace>& traces,
-                                         const std::vector<std::int64_t>& ids);
-
   std::vector<std::uint8_t> log_;
   TokenHop last_;  // the last hop appended
   std::int64_t hop_count_ = 0;
 };
-
-// Replaces the walk of each token in `ids` with its first-arrival path:
-// start where the walk ends (the absorbing leader), step back along the hop
-// that first brought the token to the current vertex, and stop at the
-// origin. The path visits no vertex twice, and its hops keep their forward
-// rounds, so a reply sent back along it loads no edge in any round more
-// than the forward walk did. Every vertex on it can route the reply from
-// what it knows locally: which neighbour first handed it the token, and in
-// which round. One scratch entry per vertex and one decode buffer serve all
-// the walks; each path's log is allocated once, at its size, and the walk's
-// storage is released. partition_and_gather cuts the walks of the tokens
-// it replies to (DESIGN.md §19). Throws std::invalid_argument for an id
-// outside `traces` or a vertex outside [0, num_vertices).
-void cut_to_first_arrival_paths(int num_vertices,
-                                std::vector<TokenTrace>& traces,
-                                const std::vector<std::int64_t>& ids);
 
 struct GatherResult {
   // Per cluster: payloads absorbed by the leader (arbitrary order).
@@ -183,8 +162,7 @@ struct GatherResult {
   std::vector<TokenTrace> traces;
   bool complete = false;  // all tokens absorbed before max_rounds
   // Per-edge, per-round token budget the forward walk ran under. The return
-  // sends at most min(this, stats.max_edge_load) replies per edge a round,
-  // and reverse_delivery verifies its mirror schedule against it.
+  // sends at most min(this, stats.max_edge_load) replies per edge a round.
   int bandwidth_tokens = 1;
   RunStats stats;
 };
@@ -238,7 +216,7 @@ struct ReliableGatherResult {
 // kMaxMessageWords ids per message) and deduplicate on (token, seq), and
 // senders retransmit unacknowledged hops on the same port — so drops,
 // duplicates, and delays cannot lose or double-deliver a token, and the
-// recorded traces stay valid for reverse_delivery. Crash-stopped leaders
+// recorded traces stay valid for the return. Crash-stopped leaders
 // are replaced by host-orchestrated re-election between epochs; tokens
 // stranded at crashed or given-up walkers restart from their origins.
 // Throws std::invalid_argument when max_epochs x (net.max_rounds +
@@ -263,72 +241,46 @@ BroadcastResult broadcast_from_leaders(const graph::Graph& g,
                                        const std::vector<std::int64_t>& leader_value,
                                        const NetworkOptions& net = {});
 
-// --- Reversed-path result delivery (§2.2, last paragraph) -----------------------
-
-struct ReverseDeliveryResult {
-  // Reply payload received by each origin vertex (one per token, in token
-  // id order restricted to that origin).
-  std::vector<std::vector<std::vector<std::int64_t>>> received;
-  RunStats stats;
-  // True iff the reverse schedule respected the per-edge budget every round
-  // (it must: it mirrors a part of the forward schedule hop by hop).
-  bool load_ok = false;
-};
-
-// Delivers `reply[token_id]` from each cluster leader back to the token's
-// origin along its trace, in reverse: the hop taken at forward round r is
-// traversed backwards at round T − 1 − r, T the forward round count. A
-// trace holds the forward walk or its first-arrival path, so the replayed
-// hops are part of the forward schedule at their forward rounds: in every
-// round each edge carries at most its forward load, and the delivery takes
-// at most T rounds (exactly the forward load and rounds when every token's
-// whole walk is replayed). The forward budget `gather.bandwidth_tokens` is
-// verified, not assumed, in O(hops + rounds) time and O(tokens + rounds)
-// scratch: the replied hop logs are decoded in place, one round at a time.
-// Throws std::invalid_argument for a reply to a token whose origin lies
-// outside [0, num_vertices). The pipeline returns its answers with
-// return_along_paths; this mirror schedule is its test oracle.
-ReverseDeliveryResult reverse_delivery(
-    int num_vertices, const GatherResult& gather,
-    const std::vector<std::vector<std::int64_t>>& reply);
-
 // --- Path-length result return (§2.2, last paragraph; DESIGN.md §19) ------------
 
 struct PathReturnResult {
-  // As ReverseDeliveryResult::received: the replies each origin received,
-  // in token id order.
-  std::vector<std::vector<std::vector<std::int64_t>>> received;
+  // Per vertex: the word its reply brought back, valid where arrived[v] != 0.
+  std::vector<std::int64_t> word;
+  std::vector<char> arrived;
   RunStats stats;
 };
 
-// Delivers `reply[token_id]` from the end of each token's trace (its leader)
-// back to the token's origin, as a store-and-forward run on the simulator.
-// A vertex on a trace knows, for each reply that will pass it, the port back
-// toward the origin and the forward round of the hop that first brought the
-// token there, the reply's priority. Every round each directed edge sends
-// its waiting replies latest forward round first, ties by lower token id,
-// and at most cap = max(1, min(gather.stats.max_edge_load,
-// gather.bandwidth_tokens)) of them, so no edge carries more per round than
-// in the forward run. Each reply is one message [id, reply…] (tag
-// kTagReturnReply) per trace hop, so messages and words equal
-// reverse_delivery's. Give each reverse hop the round before its mirror
-// round there as a deadline: the replies due on an edge in a round are at
-// most the forward load of its mirror round, at most the cap, and each is
-// ready because its previous hop was due earlier. So this
-// earliest-deadline-first schedule meets every deadline and takes at most
-// reverse_delivery's rounds; it ends after about the longest path plus the
-// queueing, not after the gather's round count. The run uses `net` with
-// bandwidth_tokens set to the cap; a dropped reply is not resent. The
-// routing tables are built before the run and the round loop allocates
-// nothing. A return whose replies have no hops runs no rounds. Throws
-// std::invalid_argument for a replied trace that leaves
-// [0, g.num_vertices()) or visits a vertex twice (the traces must be paths,
-// as cut_to_first_arrival_paths leaves them), and std::logic_error for a hop
-// between non-neighbours of `g`; both before the run.
-PathReturnResult return_along_paths(
-    const graph::Graph& g, const GatherResult& gather,
-    const std::vector<std::vector<std::int64_t>>& reply,
-    const NetworkOptions& net = {});
+// Delivers words[k] from the end of token ids[k]'s walk (its leader) back to
+// the token's origin, as a store-and-forward run on the simulator. The reply
+// follows the walk's first-arrival path: start where the walk ends, step
+// back along the hop that first brought the token to the current vertex,
+// and stop at the origin. The path visits no vertex twice, and its hops keep
+// their forward rounds. A vertex on it knows, for each reply that will pass
+// it, the port back toward the origin and the forward round of that first
+// arrival, the reply's priority. Every round each directed edge sends its
+// waiting replies latest forward round first, ties by lower token id, and at
+// most cap = max(1, min(gather.stats.max_edge_load, gather.bandwidth_tokens))
+// of them, so no edge carries more per round than in the forward run. Each
+// reply is one message [id, word] (tag kTagReturnReply) per path hop. Give
+// each reverse hop the round before its mirror round (forward round r,
+// mirrored at T − 1 − r in a T-round gather) as a deadline: the replies due
+// on an edge in a round are at most the forward load of its mirror round, at
+// most the cap, and each is ready because its previous hop was due earlier.
+// So this earliest-deadline-first schedule meets every deadline and takes at
+// most the mirror's T rounds; it ends after about the longest path plus the
+// queueing. The run uses `net` with bandwidth_tokens set to the cap; a
+// dropped reply is not resent. The routing tables are built before the run,
+// decoding each replied walk once, and the round loop allocates nothing. A
+// return whose paths have no hops runs no rounds. The ids must increase
+// strictly within [0, gather.traces.size()), with one word each and no two
+// on the same origin; otherwise, or for a replied walk that leaves
+// [0, g.num_vertices()), throws std::invalid_argument, and for a path hop
+// between non-neighbours of `g` std::logic_error; both before the run.
+PathReturnResult return_along_paths(const graph::Graph& g,
+                                    const GatherResult& gather,
+                                    const std::vector<std::int64_t>& ids,
+                                    const std::vector<std::int64_t>& words,
+                                    const NetworkOptions& net = {});
 
 // --- Deterministic tree gather (the Lemma 2.5 role) ----------------------------
 
@@ -366,7 +318,6 @@ ConvergecastResult convergecast_fold(const graph::Graph& g,
                                      const std::vector<int>& cluster_of,
                                      const std::vector<graph::VertexId>& leader_of,
                                      const std::vector<graph::VertexId>& bfs_parent,
-                                     const std::vector<int>& depth,
                                      const std::vector<std::int64_t>& value,
                                      Fold fold, const NetworkOptions& net = {});
 
@@ -374,9 +325,8 @@ inline ConvergecastResult convergecast_sum(
     const graph::Graph& g, const std::vector<int>& cluster_of,
     const std::vector<graph::VertexId>& leader_of,
     const std::vector<graph::VertexId>& bfs_parent,
-    const std::vector<int>& depth, const std::vector<std::int64_t>& value,
-    const NetworkOptions& net = {}) {
-  return convergecast_fold(g, cluster_of, leader_of, bfs_parent, depth, value,
+    const std::vector<std::int64_t>& value, const NetworkOptions& net = {}) {
+  return convergecast_fold(g, cluster_of, leader_of, bfs_parent, value,
                            Fold::kSum, net);
 }
 

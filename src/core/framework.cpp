@@ -241,10 +241,6 @@ Partition partition_and_gather(const Graph& g, double eps,
     out.ledger.add_measured("topology gather (Lemma 2.4 random walks)",
                             out.gather.stats);
   }
-  // A reply needs only a way back to its origin: keep the registration
-  // tokens' first-arrival paths, not their whole walks (DESIGN.md §19).
-  congest::cut_to_first_arrival_paths(n, out.gather.traces,
-                                      out.hello_token_of);
   const auto& gather = out.gather;
   out.gather_complete = gather.complete;
 
@@ -288,11 +284,8 @@ std::int64_t return_results(Partition& partition,
   for (const auto& ids : partition.gather.delivered_ids) {
     for (const std::int64_t id : ids) delivered[id] = true;
   }
-  std::vector<std::vector<std::int64_t>> reply(partition.gather.traces.size());
   std::size_t missing = 0;
-  for (std::size_t v = 0; v < per_vertex_word.size(); ++v) {
-    const std::int64_t id = partition.hello_token_of[v];
-    if (delivered[id]) reply[id] = {per_vertex_word[v]};
+  for (const std::int64_t id : partition.hello_token_of) {
     missing += !delivered[id];
   }
   if (missing > 0) {
@@ -306,12 +299,12 @@ std::int64_t return_results(Partition& partition,
     TRACE_SPAN(partition.net.trace, "phase:return");
     congest::MetricsPhase mphase(partition.net.metrics, "phase:return");
     delivery = congest::return_along_paths(*partition.graph, partition.gather,
-                                           reply, partition.net);
+                                           partition.hello_token_of,
+                                           per_vertex_word, partition.net);
   }
   // Every vertex must have received exactly its own word back.
   for (std::size_t v = 0; v < per_vertex_word.size(); ++v) {
-    if (delivery.received[v].size() != 1 ||
-        delivery.received[v][0][0] != per_vertex_word[v]) {
+    if (!delivery.arrived[v] || delivery.word[v] != per_vertex_word[v]) {
       throw std::logic_error("the return dropped or mixed a reply");
     }
   }

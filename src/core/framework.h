@@ -139,9 +139,9 @@ struct Partition {
   int gather_epochs = 0;
   int gather_reelections = 0;
   double eps_effective = 0.0;  // the ε' actually passed to the decomposition
-  // The gather's result, with each registration token's walk cut to its
-  // first-arrival path for the reversed delivery (the edge tokens keep
-  // their walks), and the id of each vertex's registration ("hello") token.
+  // The gather's result, every token's whole walk included, and the id of
+  // each vertex's registration ("hello") token. return_results sends each
+  // answer back along the first-arrival path of that token's walk.
   congest::GatherResult gather;
   std::vector<std::int64_t> hello_token_of;
 };
@@ -159,7 +159,7 @@ Partition partition_and_gather(const graph::Graph& g, double eps,
 // "phase:return" span and metrics phase. Each edge sends its waiting replies
 // latest forward round first, at most the gather's peak edge load a round,
 // so the return takes about its longest path in rounds and never more than
-// the mirror of the gather (congest::reverse_delivery). Throws
+// the gather's mirror image (DESIGN.md §19). Throws
 // std::logic_error if `partition.graph` is null, and
 // std::invalid_argument unless there is exactly one word per vertex. Only a
 // registration token that reached its leader has a path to reverse: if any

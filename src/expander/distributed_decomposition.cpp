@@ -195,11 +195,11 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
     score_fixed[v] = static_cast<std::int64_t>(power[v]->score() * kFixedPoint);
   }
   const auto cc_min = congest::convergecast_fold(
-      g, piece_of, election.leader_of, tree.parent, tree.depth, score_fixed,
+      g, piece_of, election.leader_of, tree.parent, score_fixed,
       congest::Fold::kMin, net);
   outcome.stats += cc_min.stats;
   const auto cc_max = congest::convergecast_fold(
-      g, piece_of, election.leader_of, tree.parent, tree.depth, score_fixed,
+      g, piece_of, election.leader_of, tree.parent, score_fixed,
       congest::Fold::kMax, net);
   outcome.stats += cc_max.stats;
   std::vector<std::int64_t> leader_min(n, 0), leader_max(n, 0);
@@ -243,8 +243,7 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
                  (in_s ? static_cast<std::int64_t>(intra[v].size()) : 0);
     }
     const auto cc = congest::convergecast_sum(
-        g, piece_of, election.leader_of, tree.parent, tree.depth, value,
-        net);
+        g, piece_of, election.leader_of, tree.parent, value, net);
     outcome.stats += cc.stats;
     packed_by_bucket[b] = cc.sum;
   }

@@ -308,17 +308,6 @@ Graph erdos_renyi(int n, double p, Rng& rng) {
   return Graph::from_edges(n, std::move(edges));
 }
 
-Graph planar_with_apex(int base_n, int num_apex, Rng& rng) {
-  if (num_apex < 0) throw std::invalid_argument("negative apex count");
-  Graph base = random_maximal_planar(base_n, rng);
-  GraphBuilder b(base_n + num_apex);
-  for (const Edge& e : base.edges()) b.add_edge(e.u, e.v);
-  for (int a = 0; a < num_apex; ++a) {
-    for (VertexId v = 0; v < base_n; ++v) b.add_edge(base_n + a, v);
-  }
-  return std::move(b).build();
-}
-
 Graph plus_random_edges(const Graph& base, int extra, Rng& rng) {
   const int n = base.num_vertices();
   if (n < 2) throw std::invalid_argument("need >= 2 vertices");

@@ -62,10 +62,6 @@ Graph random_regular(int n, int d, Rng& rng);
 
 Graph erdos_renyi(int n, double p, Rng& rng);
 
-// Planar base plus `num_apex` vertices adjacent to every base vertex.
-// K_{3,3}-containing yet K_{t}-minor-free for t > num_apex + 5.
-Graph planar_with_apex(int base_n, int num_apex, Rng& rng);
-
 // Adds `extra` uniformly random non-edges to `base` — used to manufacture
 // ε-far-from-planar inputs for the property-testing experiments.
 Graph plus_random_edges(const Graph& base, int extra, Rng& rng);

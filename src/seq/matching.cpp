@@ -150,38 +150,6 @@ Mates greedy_maximal_matching(const Graph& g) {
   return mate;
 }
 
-namespace {
-
-void mcm_brute(const Graph& g, int edge_index, Mates& current, int size,
-               Mates& best, int& best_size) {
-  if (size > best_size) {
-    best_size = size;
-    best = current;
-  }
-  if (edge_index >= g.num_edges()) return;
-  // Prune: even taking every remaining edge cannot beat `best`.
-  if (size + (g.num_edges() - edge_index) <= best_size) return;
-  const graph::Edge e = g.edge(edge_index);
-  if (current[e.u] == kInvalidVertex && current[e.v] == kInvalidVertex) {
-    current[e.u] = e.v;
-    current[e.v] = e.u;
-    mcm_brute(g, edge_index + 1, current, size + 1, best, best_size);
-    current[e.u] = kInvalidVertex;
-    current[e.v] = kInvalidVertex;
-  }
-  mcm_brute(g, edge_index + 1, current, size, best, best_size);
-}
-
-}  // namespace
-
-Mates max_cardinality_matching_bruteforce(const Graph& g) {
-  Mates current(g.num_vertices(), kInvalidVertex);
-  Mates best = current;
-  int best_size = 0;
-  mcm_brute(g, 0, current, 0, best, best_size);
-  return best;
-}
-
 int matching_size(const Mates& mates) {
   int matched = 0;
   for (VertexId v = 0; v < static_cast<VertexId>(mates.size()); ++v) {

@@ -23,9 +23,6 @@ Mates max_cardinality_matching(const graph::Graph& g);
 // baseline.
 Mates greedy_maximal_matching(const graph::Graph& g);
 
-// Exhaustive-search MCM for tiny graphs (test oracle; |E| <= 30 recommended).
-Mates max_cardinality_matching_bruteforce(const graph::Graph& g);
-
 int matching_size(const Mates& mates);
 
 // True iff `mates` is symmetric and every matched pair is a real edge.

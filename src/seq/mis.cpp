@@ -5,7 +5,6 @@
 #include <functional>
 #include <numeric>
 #include <queue>
-#include <stdexcept>
 #include <utility>
 
 namespace ecd::seq {
@@ -332,33 +331,6 @@ MisResult best_effort_mis(const Graph& g, std::int64_t node_budget) {
     return {std::move(*exact), true, size};
   }
   return {std::move(greedy), false, bound};
-}
-
-std::vector<VertexId> max_independent_set_bruteforce(const Graph& g) {
-  const int n = g.num_vertices();
-  if (n > 24) throw std::invalid_argument("bruteforce MIS limited to n <= 24");
-  std::vector<std::uint32_t> nbr_mask(n, 0);
-  for (const graph::Edge& e : g.edges()) {
-    nbr_mask[e.u] |= 1u << e.v;
-    nbr_mask[e.v] |= 1u << e.u;
-  }
-  std::uint32_t best = 0;
-  int best_count = -1;
-  for (std::uint32_t s = 0; s < (1u << n); ++s) {
-    bool independent = true;
-    for (int v = 0; v < n && independent; ++v) {
-      if ((s >> v & 1u) && (s & nbr_mask[v])) independent = false;
-    }
-    if (independent && std::popcount(s) > best_count) {
-      best = s;
-      best_count = std::popcount(s);
-    }
-  }
-  std::vector<VertexId> result;
-  for (int v = 0; v < n; ++v) {
-    if (best >> v & 1u) result.push_back(v);
-  }
-  return result;
 }
 
 bool is_independent_set(const Graph& g,

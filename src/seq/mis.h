@@ -49,10 +49,6 @@ struct MisResult {
 MisResult best_effort_mis(const graph::Graph& g,
                           std::int64_t node_budget = 4'000'000);
 
-// Subset-enumeration oracle for n <= 24 (tests only).
-std::vector<graph::VertexId> max_independent_set_bruteforce(
-    const graph::Graph& g);
-
 bool is_independent_set(const graph::Graph& g,
                         const std::vector<graph::VertexId>& vertices);
 

@@ -334,43 +334,6 @@ Mates max_weight_matching(const Graph& g) {
   return mates;
 }
 
-namespace {
-
-void mwm_brute(const Graph& g, int edge_index, Mates& current,
-               std::int64_t weight, std::vector<std::int64_t>& suffix_sum,
-               Mates& best, std::int64_t& best_weight) {
-  if (weight > best_weight) {
-    best_weight = weight;
-    best = current;
-  }
-  if (edge_index >= g.num_edges()) return;
-  if (weight + suffix_sum[edge_index] <= best_weight) return;
-  const graph::Edge e = g.edge(edge_index);
-  if (current[e.u] == kInvalidVertex && current[e.v] == kInvalidVertex) {
-    current[e.u] = e.v;
-    current[e.v] = e.u;
-    mwm_brute(g, edge_index + 1, current, weight + g.weight(edge_index),
-              suffix_sum, best, best_weight);
-    current[e.u] = kInvalidVertex;
-    current[e.v] = kInvalidVertex;
-  }
-  mwm_brute(g, edge_index + 1, current, weight, suffix_sum, best, best_weight);
-}
-
-}  // namespace
-
-Mates max_weight_matching_bruteforce(const Graph& g) {
-  Mates current(g.num_vertices(), kInvalidVertex);
-  Mates best = current;
-  std::int64_t best_weight = 0;
-  std::vector<std::int64_t> suffix_sum(g.num_edges() + 1, 0);
-  for (int e = g.num_edges() - 1; e >= 0; --e) {
-    suffix_sum[e] = suffix_sum[e + 1] + g.weight(e);
-  }
-  mwm_brute(g, 0, current, 0, suffix_sum, best, best_weight);
-  return best;
-}
-
 Mates greedy_weight_matching(const Graph& g) {
   std::vector<graph::EdgeId> order(g.num_edges());
   std::iota(order.begin(), order.end(), 0);

@@ -16,9 +16,6 @@ namespace ecd::seq {
 // for unweighted graphs. O(n^3) time, O(n^2) memory.
 Mates max_weight_matching(const graph::Graph& g);
 
-// Exhaustive-search MWM for tiny graphs (test oracle; |E| <= 30 recommended).
-Mates max_weight_matching_bruteforce(const graph::Graph& g);
-
 // Greedy heaviest-edge-first maximal matching: the classic 1/2-approximation
 // baseline for MWM.
 Mates greedy_weight_matching(const graph::Graph& g);

@@ -11,11 +11,6 @@ namespace ecd::seq {
 
 bool is_planar(const graph::Graph& g);
 
-// Independent second implementation: Demoucron–Malgrange–Pertuiset face
-// embedding over biconnected components, O(n·m). Used to cross-validate the
-// left-right test on instances far beyond the exponential minor oracle.
-bool is_planar_demoucron(const graph::Graph& g);
-
 // Fast necessary condition (Euler's bound): planar => m <= 3n - 6 for n >= 3.
 bool satisfies_euler_bound(const graph::Graph& g);
 

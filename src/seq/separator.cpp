@@ -1,7 +1,6 @@
 #include "src/seq/separator.h"
 
 #include <algorithm>
-#include <bit>
 #include <queue>
 #include <stdexcept>
 
@@ -112,28 +111,6 @@ SeparatorResult edge_separator(const Graph& g, std::mt19937_64& rng,
       static_cast<int>(std::count(result.in_s.begin(), result.in_s.end(), true));
   result.smaller_side = std::min(size_s, n - size_s);
   return result;
-}
-
-SeparatorResult edge_separator_bruteforce(const Graph& g) {
-  const int n = g.num_vertices();
-  if (n > 20) throw std::invalid_argument("bruteforce limited to n <= 20");
-  if (n < 3) throw std::invalid_argument("separator needs n >= 3");
-  const int lo = (n + 2) / 3;
-  SeparatorResult best;
-  best.cut_size = -1;
-  for (std::uint32_t mask = 1; mask < (1u << n) - 1u; ++mask) {
-    const int size = std::popcount(mask);
-    if (std::min(size, n - size) < lo) continue;
-    std::vector<bool> in_s(n);
-    for (int v = 0; v < n; ++v) in_s[v] = (mask >> v) & 1u;
-    const int cut = cut_of(g, in_s);
-    if (best.cut_size == -1 || cut < best.cut_size) {
-      best.cut_size = cut;
-      best.in_s = in_s;
-      best.smaller_side = std::min(size, n - size);
-    }
-  }
-  return best;
 }
 
 }  // namespace ecd::seq

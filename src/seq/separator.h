@@ -24,7 +24,4 @@ struct SeparatorResult {
 SeparatorResult edge_separator(const graph::Graph& g, std::mt19937_64& rng,
                                int sweeps = 4);
 
-// Exhaustive oracle for tiny graphs (n <= 20): the true minimum balanced cut.
-SeparatorResult edge_separator_bruteforce(const graph::Graph& g);
-
 }  // namespace ecd::seq

@@ -26,6 +26,7 @@
 #include "src/seq/mis.h"
 #include "src/seq/mwm.h"
 #include "src/seq/planarity.h"
+#include "tests/oracles/return_oracles.h"
 
 namespace ecd::core {
 namespace {
@@ -339,10 +340,11 @@ TEST(GatherRouteEquivalence, LddAnswerIsTheSameOnEveryRoute) {
 
 // ---- The return follows first-arrival paths -----------------------------------
 
-// Each result return sends one message along each kept hop of its
-// partition's registration tokens, and takes no more rounds and no higher
-// edge load than the gather it reverses. `partitions` are the partitions the
-// application ran, rebuilt from its options, in ledger order.
+// Each result return sends one message along each hop of its partition's
+// registration tokens' first-arrival paths (the reference's, tests/oracles),
+// and takes no more rounds and no higher edge load than the gather it
+// reverses. `partitions` are the partitions the application ran, rebuilt
+// from its options, in ledger order.
 void expect_return_follows_paths(const congest::RoundLedger& ledger,
                                  const std::vector<Partition>& partitions) {
   std::vector<const congest::LedgerEntry*> gathers;
@@ -356,9 +358,11 @@ void expect_return_follows_paths(const congest::RoundLedger& ledger,
   for (std::size_t k = 0; k < partitions.size(); ++k) {
     SCOPED_TRACE("partition " + std::to_string(k));
     const Partition& p = partitions[k];
+    const congest::GatherResult paths =
+        congest::with_first_arrival_paths(p.gather, p.hello_token_of);
     std::int64_t path_hops = 0;
     for (const std::int64_t id : p.hello_token_of) {
-      path_hops += p.gather.traces[id].hop_count();
+      path_hops += paths.traces[id].hop_count();
     }
     EXPECT_EQ(returns[k]->stats.messages_sent, path_hops);
     EXPECT_GT(path_hops, 0);

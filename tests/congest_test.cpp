@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -14,6 +15,7 @@
 #include "src/expander/decomposition.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
+#include "tests/oracles/return_oracles.h"
 
 namespace ecd::congest {
 namespace {
@@ -326,22 +328,50 @@ TEST(HopLog, RejectsRoundsThatDoNotIncrease) {
   EXPECT_EQ(trace.hops(), (std::vector<TokenHop>{{1, 3}}));
 }
 
-// The first-arrival path by its definition, in quadratic time: from where
-// the walk ends, search the walk from its start for the first hop into the
-// current vertex, keep that hop and go on from its sender, until the origin.
-std::vector<TokenHop> first_arrival_reference(VertexId origin,
-                                              const std::vector<TokenHop>& walk) {
-  std::vector<TokenHop> path;
-  if (walk.empty()) return path;
-  for (VertexId at = walk.back().to; at != origin;) {
-    std::size_t i = 0;
-    while (walk[i].to != at) ++i;
-    path.insert(path.begin(), walk[i]);
-    at = i == 0 ? origin : walk[i - 1].to;
-  }
-  return path;
+// The deterministic fields of two runs agree.
+void expect_same_run(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.words_sent, b.words_sent);
+  EXPECT_EQ(a.max_edge_load, b.max_edge_load);
 }
 
+// The return on whole walks against the reference paths (tests/oracles):
+// return_along_paths on the walks cut by first_arrival_reference gives the
+// same RunStats and words, and the mirror schedule on those paths sends the
+// same messages and words and delivers the same words. Returns the run on
+// the whole walks.
+PathReturnResult expect_return_follows_reference_paths(
+    const Graph& g, const GatherResult& gather,
+    const std::vector<std::int64_t>& ids,
+    const std::vector<std::int64_t>& words) {
+  const PathReturnResult back = return_along_paths(g, gather, ids, words);
+  const GatherResult paths = with_first_arrival_paths(gather, ids);
+  const PathReturnResult on_paths = return_along_paths(g, paths, ids, words);
+  expect_same_run(back.stats, on_paths.stats);
+  EXPECT_EQ(back.word, on_paths.word);
+  EXPECT_EQ(back.arrived, on_paths.arrived);
+  std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) reply[ids[k]] = {words[k]};
+  const ReverseDeliveryResult oracle =
+      reverse_delivery(g.num_vertices(), paths, reply);
+  EXPECT_EQ(back.stats.messages_sent, oracle.stats.messages_sent);
+  EXPECT_EQ(back.stats.words_sent, oracle.stats.words_sent);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto& received = oracle.received[v];
+    EXPECT_EQ(back.arrived[v], received.empty() ? 0 : 1) << "vertex " << v;
+    if (back.arrived[v] && !received.empty()) {
+      EXPECT_EQ(back.word[v], received[0][0]) << "vertex " << v;
+    }
+  }
+  return back;
+}
+
+// The return cuts each replied walk to its first-arrival path as it builds
+// its tables. On a complete graph every hop is an edge, so each forged
+// walk's reply travels its known path: one message [id, word] per kept hop,
+// as the reference finds. A trace nobody replies to is not read, although
+// it leaves the graph.
 TEST(FirstArrivalCut, KnownAnswersOnForgedWalks) {
   struct Case {
     const char* name;
@@ -366,67 +396,78 @@ TEST(FirstArrivalCut, KnownAnswersOnForgedWalks) {
        {{1, 0}, {2, 1}, {1, 2}}, {{1, 0}}},
       {"a walk back to its origin leaves no path", 0, {{1, 0}, {0, 7}}, {}},
   };
-  std::vector<TokenTrace> traces;
-  std::vector<std::int64_t> ids;
+  const Graph g = graph::complete(8);
   for (const Case& c : cases) {
-    ids.push_back(static_cast<std::int64_t>(traces.size()));
-    traces.push_back(TokenTrace(c.origin, 3));
-    for (const TokenHop& hop : c.walk) traces.back().append(hop);
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(first_arrival_reference(c.origin, c.walk), c.path);
+    GatherResult gather;
+    gather.stats.rounds = 8;
+    gather.stats.max_edge_load = 1;
+    gather.traces.emplace_back(c.origin, 3);
+    for (const TokenHop& hop : c.walk) gather.traces.back().append(hop);
+    gather.traces.push_back(forged_walk(0, {{1, 0}, {99, 1}}));
+    const std::int64_t word = 40 + c.origin;
+    const PathReturnResult back =
+        expect_return_follows_reference_paths(g, gather, {0}, {word});
+    const auto hops = static_cast<std::int64_t>(c.path.size());
+    EXPECT_EQ(back.stats.messages_sent, hops);
+    EXPECT_EQ(back.stats.words_sent, 2 * hops);
+    EXPECT_EQ(back.stats.rounds, hops == 0 ? 0 : hops + 1);
+    EXPECT_EQ(std::count(back.arrived.begin(), back.arrived.end(), 1), 1);
+    ASSERT_TRUE(back.arrived[c.origin]);
+    EXPECT_EQ(back.word[c.origin], word);
   }
-  // A walk whose id is not listed stays as it is.
-  const std::vector<TokenHop> unlisted = {{1, 0}, {0, 1}, {1, 2}};
-  traces.push_back(TokenTrace(0, 3));
-  for (const TokenHop& hop : unlisted) traces.back().append(hop);
-  cut_to_first_arrival_paths(8, traces, ids);
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    SCOPED_TRACE(cases[i].name);
-    EXPECT_EQ(traces[i].hops(), cases[i].path);
-    EXPECT_EQ(traces[i].hops(), first_arrival_reference(cases[i].origin,
-                                                        cases[i].walk));
-    EXPECT_EQ(traces[i].hop_count(),
-              static_cast<std::int64_t>(cases[i].path.size()));
-    EXPECT_EQ(traces[i].origin, cases[i].origin);
-    EXPECT_EQ(traces[i].cluster, 3);
-  }
-  EXPECT_EQ(traces.back().hops(), unlisted);
 }
 
+// A replied walk must stay within the graph, even where the cut would erase
+// the stray vertex: the return refuses before it runs. Unreplied, the same
+// walks are not read.
 TEST(FirstArrivalCut, RejectsAVertexOutsideTheGraph) {
-  std::vector<TokenTrace> traces = {forged_walk(0, {{5, 0}})};
-  EXPECT_THROW(cut_to_first_arrival_paths(5, traces, {0}),
-               std::invalid_argument);
-  traces = {forged_walk(9, {{1, 0}})};
-  EXPECT_THROW(cut_to_first_arrival_paths(5, traces, {0}),
-               std::invalid_argument);
+  const Graph g = graph::complete(5);
+  GatherResult gather;
+  for (const TokenTrace& walk :
+       {forged_walk(0, {{5, 0}}), forged_walk(9, {{1, 0}}),
+        forged_walk(0, {{1, 0}, {7, 1}, {1, 2}, {2, 3}})}) {
+    gather.traces = {walk};
+    EXPECT_THROW(return_along_paths(g, gather, {0}, {7}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(return_along_paths(g, gather, {}, {}));
+  }
 }
 
 TEST(FirstArrivalCut, RejectsATokenIdOutsideTheTraces) {
-  std::vector<TokenTrace> traces = {forged_walk(0, {{1, 0}})};
-  EXPECT_THROW(cut_to_first_arrival_paths(5, traces, {1}),
+  const Graph g = graph::complete(5);
+  GatherResult gather;
+  gather.traces = {forged_walk(0, {{1, 0}})};
+  EXPECT_THROW(return_along_paths(g, gather, {1}, {7}), std::invalid_argument);
+  EXPECT_THROW(return_along_paths(g, gather, {-1}, {7}),
                std::invalid_argument);
-  EXPECT_THROW(cut_to_first_arrival_paths(5, traces, {-1}),
-               std::invalid_argument);
-  EXPECT_EQ(traces[0].hop_count(), 1);
+  const PathReturnResult back = return_along_paths(g, gather, {0}, {7});
+  ASSERT_TRUE(back.arrived[0]);
+  EXPECT_EQ(back.word[0], 7);
 }
 
 // Random walks with random waits on a small graph, so that they revisit
-// their origins and their paths often, all cut in one call: the cut's
-// shared scratch must give each walk the reference path, and each path is
-// a walk along edges with no vertex twice.
+// their origins and their paths often, returned along in batches of one
+// walk per vertex: the return's shared scratch must give every reply the
+// reference path, in RunStats and words. The reference paths are walks
+// along edges with no vertex twice, and most of the walked hops are loops
+// the cut erases.
 TEST(FirstArrivalCut, MatchesTheReferenceOnRandomWalks) {
   Rng rng(29);
   const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
   };
   const Graph g = graph::grid(4, 4);
-  std::vector<TokenTrace> traces;
-  std::vector<std::vector<TokenHop>> walks;
+  const int n = g.num_vertices();
+  GatherResult gather;
+  gather.stats.max_edge_load = 2;
+  gather.bandwidth_tokens = 2;
   std::int64_t walked = 0;
   for (int w = 0; w < 400; ++w) {
-    const auto origin = static_cast<VertexId>(uniform(0, 15));
+    const VertexId origin = w % n;
     const int length = static_cast<int>(uniform(0, 120));
     TokenTrace trace(origin, 0);
-    std::vector<TokenHop> walk;
     VertexId at = origin;
     std::int32_t round = -1;
     for (int h = 0; h < length; ++h) {
@@ -434,37 +475,111 @@ TEST(FirstArrivalCut, MatchesTheReferenceOnRandomWalks) {
       at = nbrs[static_cast<std::size_t>(
           uniform(0, static_cast<std::int64_t>(nbrs.size()) - 1))];
       round += 1 + static_cast<std::int32_t>(uniform(0, 3));
-      walk.push_back({at, round});
-      trace.append(walk.back());
+      trace.append({at, round});
+      gather.stats.rounds = std::max<std::int64_t>(gather.stats.rounds,
+                                                   round + 1);
     }
     walked += length;
-    traces.push_back(std::move(trace));
-    walks.push_back(std::move(walk));
-  }
-  std::vector<std::int64_t> ids(traces.size());
-  std::iota(ids.begin(), ids.end(), std::int64_t{0});
-  cut_to_first_arrival_paths(g.num_vertices(), traces, ids);
-  std::int64_t kept = 0;
-  for (std::size_t w = 0; w < walks.size(); ++w) {
-    const std::vector<TokenHop> path = traces[w].hops();
-    ASSERT_EQ(path, first_arrival_reference(traces[w].origin, walks[w]))
-        << "walk " << w;
-    std::vector<bool> seen(g.num_vertices(), false);
-    VertexId at = traces[w].origin;
-    seen[at] = true;
+    const std::vector<TokenHop> walk = trace.hops();
+    const std::vector<TokenHop> path = first_arrival_reference(origin, walk);
+    std::vector<bool> seen(n, false);
+    seen[origin] = true;
+    VertexId from = origin;
     for (const TokenHop& hop : path) {
-      EXPECT_TRUE(g.has_edge(at, hop.to));
+      EXPECT_TRUE(g.has_edge(from, hop.to));
       EXPECT_FALSE(seen[hop.to]) << "walk " << w << " revisits " << hop.to;
       seen[hop.to] = true;
-      at = hop.to;
+      from = hop.to;
     }
-    if (!walks[w].empty()) {
-      EXPECT_EQ(at, walks[w].back().to);
+    if (!walk.empty()) {
+      EXPECT_EQ(from, walk.back().to);
     }
-    kept += static_cast<std::int64_t>(path.size());
+    gather.traces.push_back(std::move(trace));
+  }
+  std::int64_t kept = 0;
+  for (int first = 0; first < 400; first += n) {
+    SCOPED_TRACE("walks from " + std::to_string(first));
+    std::vector<std::int64_t> ids(n), words(n);
+    std::iota(ids.begin(), ids.end(), std::int64_t{first});
+    for (int k = 0; k < n; ++k) words[k] = 1000 + ids[k];
+    kept += expect_return_follows_reference_paths(g, gather, ids, words)
+                .stats.messages_sent;
   }
   // The walks wander: most of their hops are loops the cut erases.
   EXPECT_LT(kept * 4, walked);
+}
+
+// A gather's own walks, whole: the walk gather's, two tokens a vertex, and
+// the reliable gather's under drops, whose undelivered tokens walk again
+// from their origins in later epochs. Each vertex's first token gets a
+// reply. Some replied walks revisit a vertex, so only a return that cuts
+// them can take them.
+std::int64_t walks_that_revisit(const GatherResult& gather,
+                                const std::vector<std::int64_t>& ids) {
+  std::int64_t revisiting = 0;
+  for (const std::int64_t id : ids) {
+    const TokenTrace& t = gather.traces[id];
+    revisiting += first_arrival_reference(t.origin, t.hops()).size() <
+                  static_cast<std::size_t>(t.hop_count());
+  }
+  return revisiting;
+}
+
+TEST(PathReturn, FollowsTheWalkGathersWholeWalks) {
+  Rng rng(21);
+  const Graph g = graph::random_maximal_planar(60, rng);
+  const auto cluster = single_cluster(g);
+  const auto leaders = elect_cluster_leaders(g, cluster);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    tokens[v] = {{v, {v}}, {v, {v + 100}}};
+  }
+  GatherOptions opt;
+  opt.net.bandwidth_tokens = 3;
+  const GatherResult gather =
+      random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
+  ASSERT_TRUE(gather.complete);
+  std::vector<std::int64_t> ids, words;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ids.push_back(2 * v);
+    words.push_back(7 * v + 3);
+  }
+  EXPECT_GT(walks_that_revisit(gather, ids), 0);
+  const PathReturnResult back =
+      expect_return_follows_reference_paths(g, gather, ids, words);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_TRUE(back.arrived[v]) << "vertex " << v;
+    EXPECT_EQ(back.word[v], 7 * v + 3);
+  }
+  EXPECT_LE(back.stats.max_edge_load, gather.stats.max_edge_load);
+}
+
+TEST(PathReturn, FollowsTheReliableGathersReseededWalks) {
+  const Graph g = graph::torus_grid(6, 6);
+  const auto cluster = single_cluster(g);
+  const auto leaders = elect_cluster_leaders(g, cluster);
+  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) tokens[v] = {{v, {v}}};
+  ReliableGatherOptions opt;
+  opt.net.bandwidth_tokens = 2;
+  opt.net.faults.seed = 17;
+  opt.net.faults.drop_probability = 0.05;
+  opt.epoch_rounds = 24;
+  opt.max_epochs = 64;
+  const ReliableGatherResult r = reliable_walk_gather(
+      g, cluster, leaders.leader_of, tokens, opt);
+  ASSERT_TRUE(r.gather.complete);
+  EXPECT_GT(r.epochs, 1);  // some tokens were re-seeded
+  std::vector<std::int64_t> ids(g.num_vertices()), words(g.num_vertices());
+  std::iota(ids.begin(), ids.end(), std::int64_t{0});
+  for (VertexId v = 0; v < g.num_vertices(); ++v) words[v] = 5 * v + 1;
+  EXPECT_GT(walks_that_revisit(r.gather, ids), 0);
+  const PathReturnResult back =
+      expect_return_follows_reference_paths(g, r.gather, ids, words);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_TRUE(back.arrived[v]) << "vertex " << v;
+    EXPECT_EQ(back.word[v], 5 * v + 1);
+  }
 }
 
 TEST(ReverseDelivery, RepliesFollowRecordedPathsBackwards) {
@@ -643,37 +758,37 @@ TEST(PathReturn, LatestForwardRoundGoesFirst) {
   gather.bandwidth_tokens = 3;
   gather.traces = {forged_walk(1, {{0, 2}}),
                    forged_walk(3, {{2, 0}, {1, 1}, {0, 3}})};
-  const std::vector<std::vector<std::int64_t>> reply = {{7}, {8, 9}};
-  const auto r = return_along_paths(g, gather, reply);
+  const auto r = return_along_paths(g, gather, {0, 1}, {7, 8});
   EXPECT_EQ(r.stats.rounds, 4);
   EXPECT_EQ(r.stats.messages_sent, 4);
-  EXPECT_EQ(r.stats.words_sent, 1 * 2 + 3 * 3);
+  EXPECT_EQ(r.stats.words_sent, 4 * 2);
   EXPECT_EQ(r.stats.max_edge_load, 1);
-  const auto oracle = reverse_delivery(g.num_vertices(), gather, reply);
+  const auto oracle = reverse_delivery(g.num_vertices(), gather, {{7}, {8}});
   EXPECT_EQ(oracle.stats.rounds, 5);
-  EXPECT_EQ(r.received, oracle.received);
-  EXPECT_EQ(r.received[1], std::vector<std::vector<std::int64_t>>{{7}});
-  EXPECT_EQ(r.received[3], (std::vector<std::vector<std::int64_t>>{{8, 9}}));
+  EXPECT_EQ(r.arrived, (std::vector<char>{0, 1, 0, 1}));
+  EXPECT_EQ(r.word[1], oracle.received[1][0][0]);
+  EXPECT_EQ(r.word[3], oracle.received[3][0][0]);
+  EXPECT_EQ(r.word[1], 7);
+  EXPECT_EQ(r.word[3], 8);
 }
 
 // A vertex routes a reply by the token's entry in its table, so a replied
-// trace must be a path of the graph: within it, over its edges, and through
-// no vertex twice. An unreplied trace is not read.
+// walk must lie within the graph and its first-arrival path must run over
+// its edges. A walk that visits a vertex twice is cut, not refused. An
+// unreplied trace is not read.
 TEST(PathReturn, RefusesTracesThatAreNotPathsOfTheGraph) {
   const Graph g = graph::path(4);
   GatherResult gather;
   gather.stats.max_edge_load = 1;
   const auto refuses = [&](TokenTrace trace) {
     gather.traces = {std::move(trace)};
-    EXPECT_NO_THROW(return_along_paths(g, gather, {{}}));
-    return_along_paths(g, gather, {{7}});
+    EXPECT_NO_THROW(return_along_paths(g, gather, {}, {}));
+    return_along_paths(g, gather, {0}, {7});
   };
   EXPECT_THROW(refuses(forged_walk(1, {{4, 0}})), std::invalid_argument);
   EXPECT_THROW(refuses(forged_walk(-1, {{0, 0}})), std::invalid_argument);
-  EXPECT_THROW(refuses(forged_walk(3, {{2, 0}, {1, 1}, {2, 2}})),
-               std::invalid_argument);
-  EXPECT_THROW(refuses(forged_walk(1, {{0, 0}, {1, 1}})),
-               std::invalid_argument);
+  EXPECT_NO_THROW(refuses(forged_walk(3, {{2, 0}, {1, 1}, {2, 2}})));
+  EXPECT_NO_THROW(refuses(forged_walk(1, {{0, 0}, {1, 1}})));
   try {
     refuses(forged_walk(0, {{2, 0}}));
     ADD_FAILURE() << "a hop from 0 to 2 was accepted";
@@ -684,6 +799,29 @@ TEST(PathReturn, RefusesTracesThatAreNotPathsOfTheGraph) {
         << e.what();
   }
   EXPECT_NO_THROW(refuses(forged_walk(0, {{1, 0}, {2, 1}})));
+}
+
+// One word per replied token, the tokens in increasing order, and one reply
+// per origin: the result has one word slot per vertex.
+TEST(PathReturn, TakesOneWordPerTokenAndOneReplyPerOrigin) {
+  const Graph g = graph::complete(4);
+  GatherResult gather;
+  gather.stats.max_edge_load = 1;
+  gather.traces = {forged_walk(1, {{0, 0}}), forged_walk(2, {{0, 0}}),
+                   forged_walk(1, {{0, 1}})};
+  EXPECT_THROW(return_along_paths(g, gather, {0, 1}, {7}),
+               std::invalid_argument);
+  EXPECT_THROW(return_along_paths(g, gather, {1, 0}, {8, 7}),
+               std::invalid_argument);
+  EXPECT_THROW(return_along_paths(g, gather, {0, 0}, {7, 7}),
+               std::invalid_argument);
+  EXPECT_THROW(return_along_paths(g, gather, {0, 2}, {7, 9}),
+               std::invalid_argument);
+  const auto r = return_along_paths(g, gather, {0, 1}, {7, 8});
+  EXPECT_EQ(r.arrived, (std::vector<char>{0, 1, 1, 0}));
+  EXPECT_EQ(r.word[1], 7);
+  EXPECT_EQ(r.word[2], 8);
+  EXPECT_EQ(r.stats.messages_sent, 2);
 }
 
 // Hop rounds are 32-bit, so a round budget past INT32_MAX is refused up
@@ -763,8 +901,8 @@ TEST(Convergecast, SumsValuesPerCluster) {
     values[v] = v * v + 1;
     expected += values[v];
   }
-  const auto r = convergecast_sum(g, cluster, leaders.leader_of, tree.parent,
-                                  tree.depth, values);
+  const auto r =
+      convergecast_sum(g, cluster, leaders.leader_of, tree.parent, values);
   ASSERT_EQ(r.sum.size(), 1u);
   EXPECT_EQ(r.sum[0], expected);
 }
@@ -775,8 +913,8 @@ TEST(Convergecast, MultiClusterSums) {
   const auto leaders = elect_cluster_leaders(g, cluster);
   const auto tree = build_cluster_bfs_trees(g, cluster, leaders.leader_of);
   std::vector<std::int64_t> values{1, 2, 4, 8, 16, 32};
-  const auto r = convergecast_sum(g, cluster, leaders.leader_of, tree.parent,
-                                  tree.depth, values);
+  const auto r =
+      convergecast_sum(g, cluster, leaders.leader_of, tree.parent, values);
   ASSERT_EQ(r.sum.size(), 2u);
   EXPECT_EQ(r.sum[0], 7);
   EXPECT_EQ(r.sum[1], 56);

@@ -7,11 +7,11 @@
 
 #include "src/congest/primitives.h"
 #include "src/expander/conductance.h"
-#include "src/expander/random_walk.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
 #include "src/seq/planarity.h"
 #include "src/seq/properties.h"
+#include "tests/oracles/random_walk.h"
 
 namespace ecd {
 namespace {

@@ -9,6 +9,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/subgraph.h"
 #include "src/seq/mis.h"
+#include "tests/oracles/return_oracles.h"
 
 namespace ecd::core {
 namespace {
@@ -47,36 +48,39 @@ TEST(EndToEnd, StrictUnitBandwidthStillCompletes) {
 }
 
 // The mirror schedule (congest::reverse_delivery, the return's test oracle)
-// checks the reverse hops against the budget the walk ran under
-// (GatherResult::bandwidth_tokens), not a recomputed ceil(log2 n): two
-// replied hops sharing an edge-round overload a walk_bandwidth = 1 run.
+// checks the reverse hops of the registration tokens' first-arrival paths
+// against the budget the walk ran under (GatherResult::bandwidth_tokens),
+// not a recomputed ceil(log2 n): two replied hops sharing an edge-round
+// overload a walk_bandwidth = 1 run.
 TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
   Rng rng(1);
   Graph g = graph::random_maximal_planar(80, rng);
   FrameworkOptions opt;
   opt.walk_bandwidth = 1;
-  Partition p = partition_and_gather(g, 0.3, opt);
+  const Partition p = partition_and_gather(g, 0.3, opt);
   ASSERT_TRUE(p.gather_complete);
   const auto& hello = p.hello_token_of;
-  std::vector<std::vector<std::int64_t>> reply(p.gather.traces.size());
+  congest::GatherResult paths =
+      congest::with_first_arrival_paths(p.gather, hello);
+  std::vector<std::vector<std::int64_t>> reply(paths.traces.size());
   for (int v = 0; v < g.num_vertices(); ++v) reply[hello[v]] = {100 + v};
   EXPECT_TRUE(
-      congest::reverse_delivery(g.num_vertices(), p.gather, reply).load_ok);
+      congest::reverse_delivery(g.num_vertices(), paths, reply).load_ok);
   // Give another registration token the hop log of one with at least two
   // hops: every hop after the first then carries both replies in one round.
   int a = -1;
   for (int v = 0; v < g.num_vertices() && a < 0; ++v) {
-    if (p.gather.traces[hello[v]].hop_count() >= 2) a = v;
+    if (paths.traces[hello[v]].hop_count() >= 2) a = v;
   }
   ASSERT_GE(a, 0);
   const int b = a == 0 ? 1 : 0;
-  congest::TokenTrace& forged = p.gather.traces[hello[b]];
+  congest::TokenTrace& forged = paths.traces[hello[b]];
   forged.clear();
-  for (const congest::TokenHop& hop : p.gather.traces[hello[a]].hops()) {
+  for (const congest::TokenHop& hop : paths.traces[hello[a]].hops()) {
     forged.append(hop);
   }
   const auto overloaded =
-      congest::reverse_delivery(g.num_vertices(), p.gather, reply);
+      congest::reverse_delivery(g.num_vertices(), paths, reply);
   EXPECT_FALSE(overloaded.load_ok)
       << "a load-2 edge-round passed a bandwidth-1 check";
   EXPECT_EQ(overloaded.stats.max_edge_load, 2);

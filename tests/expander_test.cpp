@@ -13,12 +13,12 @@
 #include "src/expander/decomposition.h"
 #include "src/expander/distributed_decomposition.h"
 #include "src/expander/incremental.h"
-#include "src/expander/random_walk.h"
 #include "src/expander/sweep_cut.h"
 #include "src/expander/weighted.h"
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
 #include "src/graph/subgraph.h"
+#include "tests/oracles/random_walk.h"
 
 namespace ecd::expander {
 namespace {

@@ -553,6 +553,35 @@ TEST(ReliableGather, LeaderCrashTriggersReelectionAndRedelivery) {
   EXPECT_EQ(delivered_origins(r.gather), expected);
 }
 
+// The gather's stats are the sum of every run it made, epochs and
+// re-elections, as RunStats::operator+= adds them: the wall time the ledger
+// reports for the gather included, and the churn events that fired.
+TEST(ReliableGather, StatsAddUpEveryRun) {
+  const Graph g = graph::torus_grid(6, 6);
+  const std::vector<int> cl(g.num_vertices(), 0);
+  const auto leaders = clean_leaders(g, cl);
+  const VertexId old_leader = leaders.leader_of[0];
+  congest::ReliableGatherOptions opt;
+  opt.net.bandwidth_tokens = 2;
+  opt.epoch_rounds = 256;
+  opt.net.faults.crashes.push_back(congest::CrashEvent{old_leader, 3});
+  // One link away from the leader goes down.
+  const auto far = std::find_if(
+      g.edges().begin(), g.edges().end(), [&](const graph::Edge& e) {
+        return e.u != old_leader && e.v != old_leader;
+      });
+  ASSERT_NE(far, g.edges().end());
+  opt.net.faults.churn.push_back(
+      {congest::ChurnKind::kEdgeDelete, 0, far->u, far->v});
+  const auto r = congest::reliable_walk_gather(g, cl, leaders.leader_of,
+                                               one_token_per_vertex(g), opt);
+  ASSERT_GE(r.epochs, 2);
+  ASSERT_GE(r.reelections, 1);
+  EXPECT_GT(r.gather.stats.duration_ns, 0);
+  EXPECT_GE(r.gather.stats.churn_events, 1);
+  EXPECT_GE(r.gather.stats.vertices_crashed, 1);
+}
+
 TEST(ReliableGather, TracesStayRoutableForReverseDelivery) {
   const Graph g = graph::torus_grid(6, 6);
   const std::vector<int> cl(g.num_vertices(), 0);
@@ -565,7 +594,7 @@ TEST(ReliableGather, TracesStayRoutableForReverseDelivery) {
                                                one_token_per_vertex(g), opt);
   ASSERT_TRUE(r.gather.complete);
   // Each delivered token's trace must end at its absorbing leader and have
-  // strictly increasing hop rounds (what reverse_delivery relies on).
+  // strictly increasing hop rounds (what the return relies on).
   for (const auto& ids : r.gather.delivered_ids) {
     for (const std::int64_t id : ids) {
       const congest::TokenTrace& t = r.gather.traces[id];

@@ -12,6 +12,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/metrics.h"
 #include "src/graph/subgraph.h"
+#include "tests/oracles/return_oracles.h"
 
 namespace ecd::core {
 namespace {
@@ -286,11 +287,11 @@ TEST(Framework, ReturnRefusesFewerWordsThanVertices) {
   expect_word_count_refused(0);
 }
 
-// partition_and_gather keeps each registration token's first-arrival path:
-// a walk along edges from the vertex to its leader, in increasing rounds,
-// that visits no vertex twice. The edge tokens keep their whole walks, and
-// some of those do visit a vertex twice, so the check has walks to catch.
-TEST(Framework, RegistrationTokensKeepTheirFirstArrivalPaths) {
+// partition_and_gather keeps every token's whole walk: a walk along edges
+// from the vertex to its leader, in increasing rounds. The return cuts the
+// registration walks to their first-arrival paths itself, so some of them
+// still visit a vertex twice.
+TEST(Framework, RegistrationTokensKeepTheirWholeWalks) {
   Rng rng(5);
   const Graph g = graph::random_maximal_planar(60, rng);
   const Partition p = partition_and_gather(g, 0.3);
@@ -314,19 +315,12 @@ TEST(Framework, RegistrationTokensKeepTheirFirstArrivalPaths) {
     EXPECT_EQ(at, p.leader_of[t.origin]);
     return again;
   };
-  std::vector<bool> registration(p.gather.traces.size(), false);
+  int registration_walks_that_revisit = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::int64_t id = p.hello_token_of[v];
-    registration[id] = true;
-    EXPECT_FALSE(revisits(p.gather.traces[id])) << "vertex " << v;
+    registration_walks_that_revisit +=
+        revisits(p.gather.traces[p.hello_token_of[v]]) ? 1 : 0;
   }
-  int edge_walks_that_revisit = 0;
-  for (std::size_t id = 0; id < registration.size(); ++id) {
-    if (!registration[id]) {
-      edge_walks_that_revisit += revisits(p.gather.traces[id]) ? 1 : 0;
-    }
-  }
-  EXPECT_GT(edge_walks_that_revisit, 0);
+  EXPECT_GT(registration_walks_that_revisit, 0);
 }
 
 // A registration token that never reached its leader has no path to reverse.
@@ -367,7 +361,8 @@ TEST(Framework, ReturnRefusesUndeliveredRegistrations) {
 // ---- The return runs on the simulator ------------------------------------------
 
 // One word per vertex, 7v + 3, and the same words as replies on the
-// registration tokens, for the primitives that take replies by token id.
+// registration tokens, for the mirror schedule that takes replies by token
+// id.
 struct Words {
   std::vector<std::int64_t> per_vertex;
   std::vector<std::vector<std::int64_t>> reply;
@@ -384,21 +379,25 @@ Words words_for(const Partition& p) {
 }
 
 // The pipeline's return against the mirror schedule it replaced
-// (congest::reverse_delivery, kept as the oracle): the same words reach the
-// same vertices with the same messages and words, in at most the oracle's
+// (congest::reverse_delivery, a test oracle), run on the registration
+// tokens' reference first-arrival paths: the same words reach the same
+// vertices with the same messages and words, in at most the oracle's
 // rounds, and no edge carries more in a round than the gather's peak. The
 // ledger records that run. Returns its stats.
 congest::RunStats expect_return_within_the_mirror(const Graph& g,
                                                   Partition& p) {
   EXPECT_TRUE(p.gather_complete);
   const Words w = words_for(p);
-  const auto oracle =
-      congest::reverse_delivery(g.num_vertices(), p.gather, w.reply);
+  const auto oracle = congest::reverse_delivery(
+      g.num_vertices(),
+      congest::with_first_arrival_paths(p.gather, p.hello_token_of), w.reply);
   EXPECT_TRUE(oracle.load_ok);
-  const auto back = congest::return_along_paths(g, p.gather, w.reply, p.net);
-  EXPECT_EQ(back.received, oracle.received);
+  const auto back = congest::return_along_paths(g, p.gather, p.hello_token_of,
+                                                w.per_vertex, p.net);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(back.received[v],
+    EXPECT_TRUE(back.arrived[v]) << "vertex " << v;
+    EXPECT_EQ(back.word[v], w.per_vertex[v]) << "vertex " << v;
+    EXPECT_EQ(oracle.received[v],
               std::vector<std::vector<std::int64_t>>{{w.per_vertex[v]}})
         << "vertex " << v;
   }
@@ -451,7 +450,9 @@ TEST(Framework, ReturnIsTheSameAtOneAndFourThreads) {
     opt.sparse_serial_threshold = 0;
     Partition p = partition_and_gather(g, 0.2, opt);
     const Words w = words_for(p);
-    Run out{congest::return_along_paths(g, p.gather, w.reply, p.net), 0};
+    Run out{congest::return_along_paths(g, p.gather, p.hello_token_of,
+                                        w.per_vertex, p.net),
+            0};
     out.ledger_rounds = return_results(p, w.per_vertex, "result return");
     return out;
   };
@@ -462,7 +463,8 @@ TEST(Framework, ReturnIsTheSameAtOneAndFourThreads) {
   EXPECT_EQ(four.back.stats.messages_sent, one.back.stats.messages_sent);
   EXPECT_EQ(four.back.stats.words_sent, one.back.stats.words_sent);
   EXPECT_EQ(four.back.stats.max_edge_load, one.back.stats.max_edge_load);
-  EXPECT_EQ(four.back.received, one.back.received);
+  EXPECT_EQ(four.back.word, one.back.word);
+  EXPECT_EQ(four.back.arrived, one.back.arrived);
   EXPECT_EQ(four.ledger_rounds, one.ledger_rounds);
 }
 
@@ -505,7 +507,7 @@ TEST(Framework, ReturnIsTheLastObservedPhase) {
             entry.messages_sent);
 }
 
-// A reply can only go back over an edge: a registration path forged to hop
+// A reply can only go back over an edge: a registration walk forged to hop
 // between non-neighbours is refused before the ledger changes.
 TEST(Framework, ReturnRefusesAHopBetweenNonNeighbours) {
   const Graph g = graph::grid(6, 6);

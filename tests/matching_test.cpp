@@ -3,6 +3,7 @@
 #include "src/graph/generators.h"
 #include "src/seq/matching.h"
 #include "src/seq/mwm.h"
+#include "tests/oracles/bruteforce.h"
 
 namespace ecd::seq {
 namespace {

@@ -12,6 +12,7 @@
 #include "src/seq/matching.h"
 #include "src/seq/mis.h"
 #include "src/seq/separator.h"
+#include "tests/oracles/bruteforce.h"
 
 namespace ecd {
 namespace {

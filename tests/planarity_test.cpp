@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.h"
-#include "src/seq/minor.h"
 #include "src/seq/planarity.h"
 #include "src/seq/properties.h"
+#include "tests/oracles/demoucron.h"
+#include "tests/oracles/minor.h"
 
 namespace ecd::seq {
 namespace {

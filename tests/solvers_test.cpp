@@ -16,6 +16,7 @@
 #include "src/seq/ldd.h"
 #include "src/seq/mis.h"
 #include "src/seq/separator.h"
+#include "tests/oracles/bruteforce.h"
 
 namespace ecd::seq {
 namespace {

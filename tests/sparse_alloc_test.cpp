@@ -18,6 +18,7 @@
 #include <new>
 #include <numeric>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "src/congest/network.h"
@@ -27,6 +28,7 @@
 #include "src/core/sweep.h"
 #include "src/graph/generators.h"
 #include "src/seq/mis.h"
+#include "tests/oracles/return_oracles.h"
 
 // --- Counting allocation hooks ----------------------------------------------
 // Same replacement pattern as profiler_test.cpp / bench_util.h: one TU per
@@ -441,33 +443,30 @@ std::int64_t total_hops(const std::vector<TokenTrace>& traces) {
   return hops;
 }
 
-// The first-arrival cut reuses one scratch entry per vertex and one decode
-// buffer for every walk, so besides those two it allocates exactly one log
-// per non-empty path: one per walk that does not start at the corner. Each
-// log is sized to its path and the walk's storage is released, so dropping
-// the paths frees at most 4 bytes per path hop, as for whole walks
-// (HopLogStoresAtMostFourBytesPerHop); they free 2.3. A cut that left each
-// path in its walk's storage would free 151.
-TEST(SparseAlloc, FirstArrivalCutAllocatesOnlyEachPathsLog) {
+// The return cuts every replied walk in the same scratch: one entry per
+// vertex, and one decode buffer sized by the longest walk. So whole walks
+// cost it no more allocations than their first-arrival paths: on these
+// walks to the corner, which keep under a tenth of their hops, the two
+// returns make exactly as many.
+TEST(SparseAlloc, PathReturnCutsWholeWalksWithoutAllocatingPerWalk) {
   const Graph g = graph::grid(16, 16);
-  std::vector<TokenTrace> traces = walks_to_corner(g);
-  std::vector<std::int64_t> ids(traces.size());
+  GatherResult walks;
+  walks.traces = walks_to_corner(g);
+  std::vector<std::int64_t> ids(walks.traces.size());
   std::iota(ids.begin(), ids.end(), std::int64_t{0});
-  const std::int64_t walked = total_hops(traces);
-  const std::int64_t before = allocation_count();
-  cut_to_first_arrival_paths(g.num_vertices(), traces, ids);
-  const std::int64_t allocs = allocation_count() - before;
-  EXPECT_EQ(allocs, 2 + (g.num_vertices() - 1));
-  const std::int64_t kept = total_hops(traces);
-  EXPECT_LT(kept * 10, walked);
-
-  const auto array_bytes =
-      static_cast<std::int64_t>(malloc_usable_size(traces.data()));
-  const std::int64_t freed_before = freed_bytes();
-  std::vector<TokenTrace>().swap(traces);
-  const std::int64_t log_bytes = freed_bytes() - freed_before - array_bytes;
-  EXPECT_LE(log_bytes, 4 * kept)
-      << log_bytes << " log bytes for " << kept << " path hops";
+  const std::vector<std::int64_t> words(ids.size(), 1);
+  const GatherResult paths = with_first_arrival_paths(walks, ids);
+  std::vector<std::int64_t> allocs, messages;
+  for (const GatherResult* gather : {&std::as_const(walks), &paths}) {
+    const std::int64_t before = allocation_count();
+    const PathReturnResult back = return_along_paths(g, *gather, ids, words);
+    allocs.push_back(allocation_count() - before);
+    messages.push_back(back.stats.messages_sent);
+  }
+  EXPECT_EQ(allocs[0], allocs[1]);
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_EQ(messages[1], total_hops(paths.traces));
+  EXPECT_LT(messages[0] * 10, total_hops(walks.traces));
 }
 
 // reverse_delivery reads the replied hop logs in place, one round at a
@@ -494,33 +493,36 @@ TEST(SparseAlloc, ReverseDeliveryAllocatesLinearlyInTokensRoundsAndVertices) {
 }
 
 // The path return (DESIGN.md §19) sizes its routing tables, heaps and word
-// slots before its run, so a round allocates nothing: on the same
-// first-arrival paths, a cap of one reply per edge a round takes more rounds
-// than the gather's own peak (143 against 100 on this grid) and makes exactly
-// as many allocations. What it does allocate follows the vertices (their
-// algorithms, the Network, the received lists); the hops fill flat tables.
+// slots before its run, so a round allocates nothing: on the same whole
+// walks, a cap of one reply per edge a round takes more rounds than the
+// gather's own peak (143 against 100 on this grid) and makes exactly as many
+// allocations. What it does allocate is one algorithm a vertex and a few
+// dozen tables and Network buffers (329 on this grid): the replies, the
+// words received and the hops fill flat arrays. A received list per vertex
+// came to more than three allocations a vertex.
 TEST(SparseAlloc, PathReturnAllocatesOnlyAtSetUp) {
   const GridGather grid;
   GatherResult r = grid.run();
   ASSERT_TRUE(r.complete);
   std::vector<std::int64_t> ids(r.traces.size());
   std::iota(ids.begin(), ids.end(), std::int64_t{0});
-  cut_to_first_arrival_paths(grid.g.num_vertices(), r.traces, ids);
-  const std::vector<std::vector<std::int64_t>> reply(r.traces.size(), {1});
+  const std::vector<std::int64_t> words(r.traces.size(), 1);
+  const std::int64_t path_hops =
+      total_hops(with_first_arrival_paths(r, ids).traces);
   std::vector<std::int64_t> allocs, rounds;
   for (const int peak : {r.stats.max_edge_load, 1}) {
     r.stats.max_edge_load = peak;
     const std::int64_t before = allocation_count();
-    const PathReturnResult back = return_along_paths(grid.g, r, reply);
+    const PathReturnResult back = return_along_paths(grid.g, r, ids, words);
     allocs.push_back(allocation_count() - before);
     rounds.push_back(back.stats.rounds);
-    ASSERT_EQ(back.stats.messages_sent, total_hops(r.traces));
+    ASSERT_EQ(back.stats.messages_sent, path_hops);
     ASSERT_EQ(back.stats.max_edge_load, peak);
   }
   EXPECT_GT(rounds[1], rounds[0]);
   EXPECT_EQ(allocs[1], allocs[0])
       << rounds[0] << " and " << rounds[1] << " rounds";
-  EXPECT_LT(allocs[0], 4 * grid.g.num_vertices() + 64) << allocs[0];
+  EXPECT_LT(allocs[0], 2 * grid.g.num_vertices()) << allocs[0];
 }
 
 // The leader's exact MIS search (DESIGN.md §20) sizes its bitsets, degree

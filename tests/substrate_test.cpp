@@ -1042,7 +1042,7 @@ void run_parity_workload(NetworkOptions net) {
   std::vector<std::int64_t> values(g.num_vertices(), 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) values[v] = v;
   const auto cc = convergecast_fold(g, cluster, leaders.leader_of, tree.parent,
-                                    tree.depth, values, Fold::kSum, net);
+                                    values, Fold::kSum, net);
   expect_stats(cc.stats, 4, 114, 171, 1);
 
   std::vector<std::int64_t> leader_values(g.num_vertices(), 0);
