@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,9 +34,9 @@ std::vector<std::vector<int>> intra_cluster_ports(
   return ports;
 }
 
-// Hop rounds are 32-bit (TokenHop::round). A gather whose budget — `runs`
-// network runs of at most `run_rounds` rounds each — could pass INT32_MAX
-// is rejected before it starts, so a recorded round never wraps.
+// Recorded rounds are 32-bit (FirstArrival::round). A gather whose budget —
+// `runs` network runs of at most `run_rounds` rounds each — could pass
+// INT32_MAX is rejected before it starts, so a recorded round never wraps.
 void check_round_budget(const char* gather, std::int64_t run_rounds,
                         std::int64_t runs = 1) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
@@ -45,28 +44,91 @@ void check_round_budget(const char* gather, std::int64_t run_rounds,
       runs > kMax / std::max<std::int64_t>(1, run_rounds)) {
     throw std::invalid_argument(std::string(gather) +
                                 ": round budget exceeds INT32_MAX, the range "
-                                "of a hop round");
+                                "of a recorded round");
   }
 }
 
-// LEB128: seven bits a byte, low bits first, high bit set on every byte but
-// the last.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (; v >= 0x80; v >>= 7) {
-    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+// Numbers the tokens by origin, each origin's in list order, into
+// gather.token_begin, and returns how many there are.
+std::int64_t number_tokens(const std::vector<std::vector<GatherToken>>& tokens,
+                           GatherResult& gather) {
+  gather.token_begin.assign(tokens.size() + 1, 0);
+  for (std::size_t v = 0; v < tokens.size(); ++v) {
+    gather.token_begin[v + 1] =
+        gather.token_begin[v] + static_cast<std::int64_t>(tokens[v].size());
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  return gather.token_begin.back();
 }
 
-std::uint64_t get_varint(const std::vector<std::uint8_t>& in,
-                         std::size_t& pos) {
-  std::uint64_t v = 0;
-  for (int shift = 0;; shift += 7) {
-    const std::uint8_t byte = in[pos++];
-    v |= std::uint64_t{byte & 0x7fu} << shift;
-    if (byte < 0x80) return v;
+// Both walk gathers' first-arrival records (DESIGN.md §19). Each vertex
+// keeps one seen-bit per registration of its cluster, at the origin's rank
+// among the cluster's members, in whole words of its own: Σ|V_i|² bits in
+// all. The first time a registration reaches a vertex other than its
+// origin, the vertex appends the arrival to the origin's list in
+// gather.first_arrivals. A vertex writes only its own bits, and a
+// registration is at one vertex at a time, so the shards of a parallel
+// round never write the same word or list.
+class FirstArrivalRecorder {
+ public:
+  FirstArrivalRecorder(const std::vector<int>& cluster_of, GatherResult& gather)
+      : lists_(&gather.first_arrivals) {
+    const auto n = static_cast<VertexId>(cluster_of.size());
+    lists_->assign(static_cast<std::size_t>(n), {});
+    origin_of_.assign(static_cast<std::size_t>(gather.token_begin.back()),
+                      kInvalidVertex);
+    rank_.resize(static_cast<std::size_t>(n));
+    std::vector<int> size;
+    for (VertexId v = 0; v < n; ++v) {
+      if (gather.token_begin[v] < gather.token_begin[v + 1]) {
+        origin_of_[static_cast<std::size_t>(gather.token_begin[v])] = v;
+      }
+      const auto c = static_cast<std::size_t>(cluster_of[v]);
+      if (c >= size.size()) size.resize(c + 1, 0);
+      rank_[v] = size[c]++;
+    }
+    seen_begin_.resize(static_cast<std::size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      const int members = size[static_cast<std::size_t>(cluster_of[v])];
+      seen_begin_[v + 1] =
+          seen_begin_[v] + static_cast<std::size_t>(members + 63) / 64;
+    }
+    seen_.assign(seen_begin_[n], 0);
   }
-}
+
+  // Vertex v received token `id` on `port` in round `round`.
+  void arrive(VertexId v, std::int64_t id, int port, std::int64_t round) {
+    const VertexId origin = origin_of_[static_cast<std::size_t>(id)];
+    if (origin == kInvalidVertex || origin == v) return;
+    const int rank = rank_[origin];
+    std::uint64_t& word =
+        seen_[seen_begin_[v] + static_cast<std::size_t>(rank / 64)];
+    const std::uint64_t bit = std::uint64_t{1} << (rank % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    (*lists_)[origin].push_back(
+        {v, port, static_cast<std::int32_t>(round - 1)});
+  }
+
+  // Token `id` walks again from its origin: if it is a registration, its
+  // records and the bits they set go.
+  void forget(std::int64_t id) {
+    const VertexId origin = origin_of_[static_cast<std::size_t>(id)];
+    if (origin == kInvalidVertex) return;
+    const int rank = rank_[origin];
+    for (const FirstArrival& a : (*lists_)[origin]) {
+      seen_[seen_begin_[a.at] + static_cast<std::size_t>(rank / 64)] &=
+          ~(std::uint64_t{1} << (rank % 64));
+    }
+    (*lists_)[origin].clear();
+  }
+
+ private:
+  std::vector<std::vector<FirstArrival>>* lists_;
+  std::vector<VertexId> origin_of_;  // per token: its origin if a registration
+  std::vector<int> rank_;            // per vertex: rank within its cluster
+  std::vector<std::size_t> seen_begin_;
+  std::vector<std::uint64_t> seen_;
+};
 
 // --- Leader election ----------------------------------------------------------
 
@@ -246,12 +308,12 @@ class WalkAlgo final : public VertexAlgorithm {
  public:
   WalkAlgo(const std::vector<int>* intra, bool is_leader,
            std::vector<WordBuffer> initial_tokens, std::uint64_t seed,
-           int bandwidth, std::vector<TokenTrace>* traces)
+           int bandwidth, FirstArrivalRecorder* records)
       : intra_(intra),
         is_leader_(is_leader),
         stream_(seed),
         bandwidth_(bandwidth),
-        traces_(traces),
+        records_(records),
         held_(std::move(initial_tokens)),
         port_load_(intra->size(), 0) {}
 
@@ -259,7 +321,10 @@ class WalkAlgo final : public VertexAlgorithm {
     started_ = true;
     sent_ = false;
     for (int p : *intra_) {
-      for (const Message& m : ctx.inbox(p)) held_.push_back(m.words);
+      for (const Message& m : ctx.inbox(p)) {
+        records_->arrive(ctx.id(), m.words[0], p, ctx.round());
+        held_.push_back(m.words);
+      }
     }
     if (is_leader_) {
       for (WordBuffer& t : held_) absorbed_.push_back(std::move(t));
@@ -284,12 +349,7 @@ class WalkAlgo final : public VertexAlgorithm {
       }
       ++port_load_[i];
       sent_ = true;
-      const int port = (*intra_)[i];
-      // Local bookkeeping for the reversed delivery (§2.2): the trace
-      // records which way the token went and when.
-      (*traces_)[static_cast<std::size_t>(t[0])].append(
-          {ctx.neighbor(port), static_cast<std::int32_t>(ctx.round())});
-      ctx.send(port, Message{std::move(t), kTagWalkToken});
+      ctx.send((*intra_)[i], Message{std::move(t), kTagWalkToken});
     }
     held_.swap(kept_);
   }
@@ -305,7 +365,7 @@ class WalkAlgo final : public VertexAlgorithm {
   bool is_leader_;
   WalkStream stream_;
   int bandwidth_;
-  std::vector<TokenTrace>* traces_;
+  FirstArrivalRecorder* records_;
   bool started_ = false;
   bool sent_ = false;
   std::vector<WordBuffer> held_;
@@ -316,6 +376,39 @@ class WalkAlgo final : public VertexAlgorithm {
 
 // --- Reliable random-walk gather (DESIGN.md §12) ---------------------------------
 
+// The (token, seq) pairs one walker accepted: an open-addressing hash set of
+// non-negative keys. It doubles its table when half full and never frees a
+// slot, so an insert allocates only when the table grows.
+class AcceptedSet {
+ public:
+  // Adds `key` (>= 0); false if it was there already.
+  bool insert(std::int64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = graph::splitmix64(static_cast<std::uint64_t>(key)) & mask;
+    for (; slots_[i] >= 0; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+    }
+    slots_[i] = key;
+    ++size_;
+    return true;
+  }
+
+ private:
+  void grow() {
+    std::vector<std::int64_t> old(std::max<std::size_t>(16, 2 * slots_.size()),
+                                  -1);
+    old.swap(slots_);
+    size_ = 0;
+    for (const std::int64_t key : old) {
+      if (key >= 0) insert(key);
+    }
+  }
+
+  std::vector<std::int64_t> slots_;  // -1 = empty
+  std::size_t size_ = 0;
+};
+
 // WalkAlgo hardened against message faults. Token hops carry a per-token
 // sequence number packed into the routing word (id | seq << 44 — token ids
 // stay well under 2^44 and a hop count under 2^19 keeps the word positive);
@@ -323,7 +416,10 @@ class WalkAlgo final : public VertexAlgorithm {
 // retransmit un-acked hops on the same port after a timeout. Past the
 // `deadline` round a vertex goes silent (still ingesting mail) so the run
 // terminates even when a crashed leader makes delivery impossible; the
-// host's epoch loop then re-elects and re-seeds.
+// host's epoch loop then re-elects and re-seeds. Payloads wait in
+// WordBuffers, and the held and kept lists, the port loads and the accepted
+// set keep their storage from round to round, so once they reach their
+// working size a round allocates nothing.
 class ReliableWalkAlgo final : public VertexAlgorithm {
  public:
   static constexpr int kSeqShift = 44;
@@ -332,14 +428,14 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   struct Token {
     std::int64_t id = -1;
     std::int64_t next_seq = 0;  // sequence number of the token's next hop
-    std::vector<std::int64_t> payload;
+    WordBuffer payload;
   };
 
   ReliableWalkAlgo(const std::vector<int>* intra,
                    const std::vector<int>* walk_index, bool is_leader,
                    std::vector<Token> initial, std::uint64_t seed,
                    int bandwidth, int timeout, std::int64_t deadline,
-                   std::int64_t base_round, std::vector<TokenTrace>* traces)
+                   std::int64_t base_round, FirstArrivalRecorder* records)
       : intra_(intra),
         walk_index_(walk_index),
         is_leader_(is_leader),
@@ -348,44 +444,42 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
         timeout_(timeout),
         deadline_(deadline),
         base_round_(base_round),
-        traces_(traces),
-        ack_queue_(intra->size()) {
-    for (auto& t : initial) held_.push_back(std::move(t));
-  }
+        records_(records),
+        ack_queue_(intra->size()),
+        load_(intra->size(), 0),
+        held_(std::move(initial)) {}
 
   void round(Context& ctx) override {
     started_ = true;
     sent_ = false;
     const int ports = static_cast<int>(intra_->size());
+    const std::int64_t r = ctx.round();
     // Ingest: acks clear pending retransmissions; token messages are acked
     // unconditionally (the sender may be retrying a hop whose first copy
     // made it) and accepted once per (id, seq).
     for (int i = 0; i < ports; ++i) {
-      for (const Message& m : ctx.inbox((*intra_)[i])) {
+      const int port = (*intra_)[i];
+      for (const Message& m : ctx.inbox(port)) {
         if (m.tag == kTagWalkAck) {
           for (const std::int64_t packed : m.words) clear_unacked(packed);
           continue;
         }
         const std::int64_t packed = m.words[0];
         ack_queue_[i].push_back(packed);
-        if (!accepted_.insert(packed).second) continue;  // dup/replay
+        if (!accepted_.insert(packed)) continue;  // dup/replay
         Token t;
         t.id = packed & kIdMask;
         t.next_seq = (packed >> kSeqShift) + 1;
         t.payload.assign(m.words.begin() + 1, m.words.end());
-        if (is_leader_) {
-          absorbed_.push_back(std::move(t));
-        } else {
-          held_.push_back(std::move(t));
-        }
+        records_->arrive(ctx.id(), t.id, port, base_round_ + r);
+        (is_leader_ ? absorbed_ : held_).push_back(std::move(t));
       }
     }
     if (is_leader_ && !held_.empty()) {
       // A leader's own initial tokens are absorbed on the spot.
-      for (auto& t : held_) absorbed_.push_back(std::move(t));
+      for (Token& t : held_) absorbed_.push_back(std::move(t));
       held_.clear();
     }
-    const std::int64_t r = ctx.round();
     if (r >= deadline_) {
       gave_up_ = true;
       return;  // silent: kept tokens are the host's problem now
@@ -393,11 +487,11 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     if (ports == 0) return;
     // Per-port budget, spent in priority order: acks, retransmissions,
     // fresh hops. Acks ride the same intra-cluster edges as the walks.
-    std::vector<int> load(ports, 0);
+    std::fill(load_.begin(), load_.end(), 0);
     for (int i = 0; i < ports; ++i) {
       auto& queue = ack_queue_[i];
       std::size_t consumed = 0;
-      while (consumed < queue.size() && load[i] < bandwidth_) {
+      while (consumed < queue.size() && load_[i] < bandwidth_) {
         Message m;
         m.tag = kTagWalkAck;
         const std::size_t take = std::min<std::size_t>(
@@ -405,7 +499,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
         for (std::size_t k = 0; k < take; ++k) {
           m.words.push_back(queue[consumed++]);
         }
-        ++load[i];
+        ++load_[i];
         sent_ = true;
         ++ack_messages_;
         ctx.send((*intra_)[i], std::move(m));
@@ -415,10 +509,10 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     }
     if (is_leader_) return;
     for (Pending& u : unacked_) {
-      if (r - u.sent_round < timeout_ || load[u.port_index] >= bandwidth_) {
+      if (r - u.sent_round < timeout_ || load_[u.port_index] >= bandwidth_) {
         continue;
       }
-      ++load[u.port_index];
+      ++load_[u.port_index];
       ++retransmissions_;
       sent_ = true;
       u.sent_round = r;
@@ -429,34 +523,26 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
     // a crashed vertex is never acked and would pin the token in unacked_
     // for the rest of the epoch.
     if (held_.empty() || walk_index_->empty()) return;
-    std::deque<Token> keep;
-    while (!held_.empty()) {
-      Token t = std::move(held_.front());
-      held_.pop_front();
+    kept_.clear();
+    for (Token& t : held_) {
       if (stream_.lazy()) {
-        keep.push_back(std::move(t));
+        kept_.push_back(std::move(t));
         continue;
       }
       const std::size_t i = static_cast<std::size_t>(
           (*walk_index_)[stream_.pick(walk_index_->size())]);
-      if (load[i] >= bandwidth_) {
-        keep.push_back(std::move(t));
+      if (load_[i] >= bandwidth_) {
+        kept_.push_back(std::move(t));
         continue;
       }
-      ++load[i];
+      ++load_[i];
       sent_ = true;
-      const std::int64_t seq = t.next_seq++;
-      const std::int64_t packed = t.id | (seq << kSeqShift);
-      // The hop is recorded once, at first transmission; retransmissions
-      // re-send the identical hop, so the trace stays a faithful record of
-      // the walk and the return remains routable.
-      (*traces_)[t.id].append({ctx.neighbor((*intra_)[i]),
-                               static_cast<std::int32_t>(base_round_ + r)});
+      const std::int64_t packed = t.id | (t.next_seq << kSeqShift);
       ctx.send((*intra_)[i], token_message(packed, t.payload));
       unacked_.push_back(Pending{packed, std::move(t.payload),
                                  static_cast<int>(i), r});
     }
-    held_ = std::move(keep);
+    held_.swap(kept_);
   }
 
   bool finished() const override {
@@ -476,16 +562,14 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
  private:
   struct Pending {
     std::int64_t packed = -1;
-    std::vector<std::int64_t> payload;
+    WordBuffer payload;
     int port_index = -1;
     std::int64_t sent_round = -1;
   };
 
-  static Message token_message(std::int64_t packed,
-                               const std::vector<std::int64_t>& payload) {
+  static Message token_message(std::int64_t packed, const WordBuffer& payload) {
     Message m;
     m.tag = kTagWalkToken;
-    m.words.reserve(payload.size() + 1);
     m.words.push_back(packed);
     m.words.insert(m.words.end(), payload.begin(), payload.end());
     return m;
@@ -508,16 +592,18 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
   int timeout_;
   std::int64_t deadline_;
   std::int64_t base_round_;
-  std::vector<TokenTrace>* traces_;
+  FirstArrivalRecorder* records_;
   std::vector<std::vector<std::int64_t>> ack_queue_;  // per intra index
-  std::set<std::int64_t> accepted_;
+  std::vector<int> load_;  // per intra index, this round
+  AcceptedSet accepted_;
   std::vector<Pending> unacked_;
   bool started_ = false;
   bool sent_ = false;
   bool gave_up_ = false;
   std::int64_t retransmissions_ = 0;
   std::int64_t ack_messages_ = 0;
-  std::deque<Token> held_;
+  std::vector<Token> held_;
+  std::vector<Token> kept_;
   std::vector<Token> absorbed_;
 };
 
@@ -728,12 +814,12 @@ class DiameterCheckAlgo final : public VertexAlgorithm {
 // element.
 struct ReturnRoutes {
   struct Entry {
-    std::int64_t id = -1;     // the token
-    std::int64_t word = 0;    // its reply, once the reply is here
+    std::int64_t id = -1;     // the reply's origin
+    std::int64_t word = 0;    // its word, once the reply is here
     int port = -1;            // back toward the token's origin
     std::int32_t round = -1;  // forward round that first brought it here
   };
-  // The replies that pass vertex v, by increasing token id:
+  // The replies that pass vertex v, by increasing origin:
   // entries[entry_begin[v], entry_begin[v + 1]).
   std::vector<std::size_t> entry_begin;
   std::vector<Entry> entries;
@@ -741,7 +827,7 @@ struct ReturnRoutes {
   // of keys in heap[heap_begin[gp], heap_begin[gp] + heap_size[gp]), with
   // room for every entry that leaves by that port. A key is
   // (INT32_MAX − round) << 32 | the entry's index among v's, so the latest
-  // forward round comes first and ties go to the lower token id.
+  // forward round comes first and ties go to the lower origin.
   std::vector<std::size_t> port_base;
   std::vector<std::size_t> heap_begin;
   std::vector<int> heap_size;
@@ -831,48 +917,6 @@ int port_to(const Graph& g, VertexId v, VertexId u) {
 }
 
 }  // namespace
-
-// A hop is zig-zag(to − from), so that a short step of either sign takes one
-// byte, then the rounds it waited since the previous hop.
-void TokenTrace::append(TokenHop hop) {
-  if (hop.round <= last_.round) {
-    throw std::invalid_argument("TokenTrace::append: hop rounds must increase");
-  }
-  const VertexId from = hop_count_ == 0 ? origin : last_.to;
-  const std::int64_t step = std::int64_t{hop.to} - from;
-  put_varint(log_, (static_cast<std::uint64_t>(step) << 1) ^
-                       static_cast<std::uint64_t>(step >> 63));
-  put_varint(log_, static_cast<std::uint64_t>(std::int64_t{hop.round} -
-                                              last_.round - 1));
-  last_ = hop;
-  ++hop_count_;
-}
-
-void TokenTrace::clear() {
-  log_.clear();
-  last_ = {};
-  hop_count_ = 0;
-}
-
-std::size_t TokenTrace::decode(std::size_t pos, TokenHop& hop) const {
-  const std::uint64_t zigzag = get_varint(log_, pos);
-  const std::uint64_t step = (zigzag >> 1) ^ (std::uint64_t{0} - (zigzag & 1));
-  hop.to = static_cast<VertexId>(hop.to + static_cast<std::int64_t>(step));
-  const auto wait = static_cast<std::int64_t>(get_varint(log_, pos));
-  hop.round = static_cast<std::int32_t>(hop.round + 1 + wait);
-  return pos;
-}
-
-std::vector<TokenHop> TokenTrace::hops() const {
-  std::vector<TokenHop> out;
-  out.reserve(static_cast<std::size_t>(hop_count_));
-  TokenHop hop{origin, -1};
-  for (std::size_t pos = 0; pos < log_.size();) {
-    pos = decode(pos, hop);
-    out.push_back(hop);
-  }
-  return out;
-}
 
 LeaderElectionResult elect_cluster_leaders(const Graph& g,
                                            const std::vector<int>& cluster_of,
@@ -965,25 +1009,24 @@ GatherResult random_walk_gather(const Graph& g,
   const auto intra = intra_cluster_ports(g, cluster_of);
   GatherResult result;
   result.bandwidth_tokens = options.net.bandwidth_tokens;
-  std::int64_t expected = 0;
-  for (const auto& list : tokens) expected += static_cast<std::int64_t>(list.size());
-  result.traces.reserve(expected);
+  const std::int64_t expected = number_tokens(tokens, result);
+  FirstArrivalRecorder records(cluster_of, result);
 
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<WalkAlgo*> typed(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     std::vector<WordBuffer> initial;
     initial.reserve(tokens[v].size());
+    std::int64_t id = result.token_begin[v];
     for (const GatherToken& t : tokens[v]) {
-      WordBuffer wire{static_cast<std::int64_t>(result.traces.size())};
+      WordBuffer wire{id++};
       wire.insert(wire.end(), t.payload.begin(), t.payload.end());
       initial.push_back(std::move(wire));
-      result.traces.emplace_back(v, cluster_of[v]);
     }
     auto a = std::make_unique<WalkAlgo>(
         &intra[v], leader_of[v] == v, std::move(initial),
         options.seed ^ (0x9e3779b97f4a7c15ULL * (v + 1)),
-        options.net.bandwidth_tokens, &result.traces);
+        options.net.bandwidth_tokens, &records);
     typed[v] = a.get();
     algos.push_back(std::move(a));
   }
@@ -1033,6 +1076,8 @@ ReliableGatherResult reliable_walk_gather(
   ReliableGatherResult result;
   GatherResult& gather = result.gather;
   gather.bandwidth_tokens = options.net.bandwidth_tokens;
+  number_tokens(tokens, gather);
+  FirstArrivalRecorder records(cluster_of, gather);
 
   // Host-side token table: the authoritative record of where every token
   // is. Tokens in flight or stranded when an epoch ends are re-seeded at
@@ -1049,7 +1094,6 @@ ReliableGatherResult reliable_walk_gather(
       ts.origin = v;
       ts.payload = t.payload;
       toks.push_back(std::move(ts));
-      gather.traces.emplace_back(v, cluster_of[v]);
     }
   }
 
@@ -1058,15 +1102,36 @@ ReliableGatherResult reliable_walk_gather(
   for (const CrashEvent& c : base_plan.crashes) {
     crash_round[c.vertex] = std::min(crash_round[c.vertex], c.round);
   }
-  // Epoch-relative view of the plan's crash schedule at cumulative round
-  // `base`: already-fired crashes become round-0 crashes.
-  const auto relative_crashes = [&](std::int64_t base) {
-    std::vector<CrashEvent> out;
+  // The plan's crash and churn schedules for a run (a re-election or an
+  // epoch) that starts at cumulative round `base`. An event that fired in an
+  // earlier run fires again at round 0, so the run starts from the vertices
+  // and topology as they stand, and `rebased_run` takes it back out of the
+  // run's stats. Churn is ordered by round first, so that the events moved
+  // to round 0 still apply in the order they fired.
+  std::vector<ChurnEvent> churn = base_plan.churn;
+  std::stable_sort(churn.begin(), churn.end(),
+                   [](const ChurnEvent& a, const ChurnEvent& b) {
+                     return a.round < b.round;
+                   });
+  const auto rebase = [&](std::int64_t base, FaultPlan& plan) {
+    plan.crashes.clear();
     for (const CrashEvent& c : base_plan.crashes) {
-      out.push_back(CrashEvent{c.vertex, std::max<std::int64_t>(
-                                             0, c.round - base)});
+      plan.crashes.push_back(
+          CrashEvent{c.vertex, std::max<std::int64_t>(0, c.round - base)});
     }
-    return out;
+    plan.churn = churn;
+    for (ChurnEvent& e : plan.churn) {
+      e.round = std::max<std::int64_t>(0, e.round - base);
+    }
+  };
+  // A run's stats with the re-fired events taken out. They all fire in
+  // round 0, so only a run that executed a round counted them: a crashed
+  // vertex once, and every churn event.
+  const auto rebased_run = [&](std::int64_t base, RunStats stats) {
+    if (stats.rounds == 0) return stats;
+    for (const std::int64_t c : crash_round) stats.vertices_crashed -= c < base;
+    for (const ChurnEvent& e : churn) stats.churn_events -= e.round < base;
+    return stats;
   };
   result.final_leader_of = leader_of;
   std::int64_t base_round = 0;
@@ -1086,11 +1151,11 @@ ReliableGatherResult reliable_walk_gather(
         all_absorbed = false;
         if (epoch > 0) {
           // Re-seed at the origin: whatever partial path the token walked
-          // last epoch is void, and its trace restarts with it. A token
-          // whose origin itself crash-stopped is orphaned instead — no live
-          // vertex is responsible for re-introducing it, so it drops out of
-          // the completeness contract rather than wedging it.
-          gather.traces[id].clear();
+          // last epoch is void, and so are its first-arrival records. A
+          // token whose origin itself crash-stopped is orphaned instead — no
+          // live vertex is responsible for re-introducing it, so it drops
+          // out of the completeness contract rather than wedging it.
+          records.forget(static_cast<std::int64_t>(id));
         }
       }
     }
@@ -1112,11 +1177,11 @@ ReliableGatherResult reliable_walk_gather(
       TRACE_SPAN(options.net.trace, "fault:reelect");
       NetworkOptions eopt = options.net;
       eopt.faults = FaultPlan{};
-      eopt.faults.crashes = relative_crashes(base_round);
+      rebase(base_round, eopt.faults);
       const LeaderElectionResult elect =
           elect_cluster_leaders(g, cluster_of, eopt);
       result.final_leader_of = elect.leader_of;
-      gather.stats += elect.stats;
+      gather.stats += rebased_run(base_round, elect.stats);
       base_round += elect.stats.rounds;
       ++result.reelections;
     }
@@ -1126,7 +1191,7 @@ ReliableGatherResult reliable_walk_gather(
     FaultPlan& plan = nopt.faults;
     plan.seed = epoch == 0 ? base_plan.seed
                            : graph::splitmix64(base_plan.seed + epoch);
-    plan.crashes = relative_crashes(base_round);
+    rebase(base_round, plan);
     if (base_plan.first_faulty_round > 0 ||
         base_plan.last_faulty_round !=
             std::numeric_limits<std::int64_t>::max()) {
@@ -1178,21 +1243,20 @@ ReliableGatherResult reliable_walk_gather(
           graph::splitmix64(graph::splitmix64(options.seed + epoch) ^
                             (0x9e3779b97f4a7c15ULL * (v + 1))),
           options.net.bandwidth_tokens, timeout, options.epoch_rounds,
-          base_round, &gather.traces);
+          base_round, &records);
       typed[v] = a.get();
       algos.push_back(std::move(a));
     }
     Network network(g, nopt);
     const RunStats stats = network.run(algos);
-    gather.stats += stats;
+    gather.stats += rebased_run(base_round, stats);
     base_round += stats.rounds;
     ++result.epochs;
     for (VertexId v = 0; v < n; ++v) {
       result.retransmissions += typed[v]->retransmissions();
       result.ack_messages += typed[v]->ack_messages();
-      for (ReliableWalkAlgo::Token& t : typed[v]->absorbed()) {
+      for (const ReliableWalkAlgo::Token& t : typed[v]->absorbed()) {
         toks[t.id].absorbed_by = v;
-        toks[t.id].payload = std::move(t.payload);
       }
     }
     if (epoch + 1 == options.max_epochs) {
@@ -1234,7 +1298,6 @@ ReliableGatherResult reliable_walk_gather(
 
 PathReturnResult return_along_paths(const Graph& g,
                                     const GatherResult& gather,
-                                    const std::vector<std::int64_t>& ids,
                                     const std::vector<std::int64_t>& words,
                                     const NetworkOptions& net) {
   TRACE_SPAN(net.trace, "path_return");
@@ -1242,14 +1305,11 @@ PathReturnResult return_along_paths(const Graph& g,
   const auto refuse = [](const std::string& why) {
     throw std::invalid_argument("return_along_paths: " + why);
   };
-  const auto check = [&](std::int64_t id, VertexId v) {
-    if (v < 0 || v >= n) {
-      refuse("token " + std::to_string(id) + " leaves the graph");
-    }
-  };
-  if (words.size() != ids.size()) {
-    refuse(std::to_string(words.size()) + " words for " +
-           std::to_string(ids.size()) + " replies");
+  if (words.size() != static_cast<std::size_t>(n) ||
+      gather.first_arrivals.size() != static_cast<std::size_t>(n)) {
+    refuse(std::to_string(words.size()) + " words and " +
+           std::to_string(gather.first_arrivals.size()) +
+           " first-arrival lists for " + std::to_string(n) + " vertices");
   }
   ReturnRoutes r;
   r.cap = std::max(
@@ -1257,75 +1317,44 @@ PathReturnResult return_along_paths(const Graph& g,
   r.received.assign(n, 0);
   r.arrived.assign(n, 0);
 
-  // Increasing ids keep each vertex's entries sorted; one reply per origin
-  // keeps one word slot per vertex.
-  std::vector<char> replied(n, 0);
-  std::int64_t longest = 0;
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    const std::int64_t id = ids[k];
-    if (id < 0 || id >= static_cast<std::int64_t>(gather.traces.size()) ||
-        (k > 0 && id <= ids[k - 1])) {
-      refuse("token ids must increase within [0, " +
-             std::to_string(gather.traces.size()) + ")");
-    }
-    const TokenTrace& t = gather.traces[static_cast<std::size_t>(id)];
-    check(id, t.origin);
-    if (replied[t.origin]) {
-      refuse("two replies to vertex " + std::to_string(t.origin));
-    }
-    replied[t.origin] = 1;
-    longest = std::max(longest, t.hop_count());
-  }
-
-  // Cut each replied walk to its first-arrival path, leader end first: the
-  // vertex, port back and forward round of each first arrival, for the k-th
-  // reply at path[path_begin[k], path_begin[k + 1]). For the walk being cut,
-  // reached[v] − base is 0 at its origin, i + 1 if its hop i first reached
-  // v, and negative if it never reached v. Each walk raises `base` past
-  // every value written before it, so the array is never cleared.
-  struct Step {
-    VertexId at;
-    int port;
-    std::int32_t round;
-  };
-  std::vector<Step> path;
-  std::vector<std::size_t> path_begin(ids.size() + 1, 0);
-  std::vector<std::int64_t> reached(static_cast<std::size_t>(n), -1);
-  std::int64_t base = 0;
-  std::vector<TokenHop> walk;
-  walk.reserve(static_cast<std::size_t>(longest));
+  // Step back through each list, from its last record (the leader's) to its
+  // origin: a record's port leads to the vertex that first handed the
+  // registration over, whose own first arrival is an earlier record. The
+  // steps of the reply to v, leader end first, are path[path_begin[v],
+  // path_begin[v + 1]). on_path[u] == v marks u as a step of v's path.
+  std::vector<const FirstArrival*> path;
+  std::vector<std::size_t> path_begin(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> on_path(static_cast<std::size_t>(n), kInvalidVertex);
   r.entry_begin.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    const TokenTrace& t = gather.traces[static_cast<std::size_t>(ids[k])];
-    reached[t.origin] = base;
-    walk.clear();
-    TokenHop hop{t.origin, -1};
-    for (std::size_t pos = 0; pos < t.log_size();) {
-      pos = t.decode(pos, hop);
-      check(ids[k], hop.to);
-      if (reached[hop.to] < base) {
-        reached[hop.to] = base + static_cast<std::int64_t>(walk.size()) + 1;
+  for (VertexId origin = 0; origin < n; ++origin) {
+    const std::vector<FirstArrival>& list = gather.first_arrivals[origin];
+    const auto where = [&](const FirstArrival& a) {
+      return "vertex " + std::to_string(origin) + "'s registration at " +
+             std::to_string(a.at);
+    };
+    for (std::size_t j = list.size(); j > 0;) {
+      const FirstArrival& a = list[j - 1];
+      if (a.at < 0 || a.at >= n || a.port < 0 || a.port >= g.degree(a.at)) {
+        refuse(where(a) + " port " + std::to_string(a.port) +
+               " lies outside the graph");
       }
-      walk.push_back(hop);
-    }
-    for (std::int64_t j = walk.empty() ? 0 : reached[walk.back().to] - base;
-         j > 0;) {
-      const TokenHop& arrival = walk[static_cast<std::size_t>(j - 1)];
-      const VertexId from =
-          j == 1 ? t.origin : walk[static_cast<std::size_t>(j - 2)].to;
-      const int port = port_to(g, arrival.to, from);
-      if (port < 0) {
-        throw std::logic_error(
-            "return_along_paths: token " + std::to_string(ids[k]) +
-            " hops from " + std::to_string(from) + " to " +
-            std::to_string(arrival.to) + ", which are not neighbours");
+      if (a.at == origin || on_path[a.at] == origin) {
+        refuse(where(a) + " comes back to a vertex of its path");
       }
-      path.push_back({arrival.to, port, arrival.round});
-      ++r.entry_begin[static_cast<std::size_t>(arrival.to) + 1];
-      j = reached[from] - base;
+      on_path[a.at] = origin;
+      path.push_back(&a);
+      ++r.entry_begin[static_cast<std::size_t>(a.at) + 1];
+      const VertexId from = g.neighbors(a.at)[a.port];
+      if (from == origin) break;
+      do {
+        --j;
+      } while (j > 0 && list[j - 1].at != from);
+      if (j == 0 || list[j - 1].round >= a.round) {
+        refuse(where(a) + " came from " + std::to_string(from) +
+               ", which it had not reached before");
+      }
     }
-    base += static_cast<std::int64_t>(walk.size()) + 1;
-    path_begin[k + 1] = path.size();
+    path_begin[static_cast<std::size_t>(origin) + 1] = path.size();
   }
   std::partial_sum(r.entry_begin.begin(), r.entry_begin.end(),
                    r.entry_begin.begin());
@@ -1334,29 +1363,29 @@ PathReturnResult return_along_paths(const Graph& g,
     r.port_base[v + 1] = r.port_base[v] + static_cast<std::size_t>(g.degree(v));
   }
 
-  // Fill the entries in token id order, so each vertex's are sorted by id,
+  // Fill the entries in origin order, so each vertex's are sorted by origin,
   // and count the entries that leave by each port. A reply starts at its
-  // path's first step, the walk's end, holding the leader's word; a reply
-  // with no path is at its origin already.
+  // path's first step, the leader, holding the word; a reply with no path is
+  // at its origin already.
   r.entries.resize(path.size());
   r.heap_begin.assign(r.port_base[n] + 1, 0);
   std::vector<std::size_t> fill(r.entry_begin.begin(), r.entry_begin.end() - 1);
   std::vector<std::pair<VertexId, std::size_t>> starts;
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    if (path_begin[k] == path_begin[k + 1]) {
-      const VertexId origin =
-          gather.traces[static_cast<std::size_t>(ids[k])].origin;
-      r.received[origin] = words[k];
+  for (VertexId origin = 0; origin < n; ++origin) {
+    const std::size_t first = path_begin[origin];
+    const std::size_t last = path_begin[static_cast<std::size_t>(origin) + 1];
+    if (first == last) {
+      r.received[origin] = words[origin];
       r.arrived[origin] = 1;
       continue;
     }
-    for (std::size_t s = path_begin[k]; s < path_begin[k + 1]; ++s) {
-      const Step& step = path[s];
-      r.entries[fill[step.at]++] = {ids[k], 0, step.port, step.round};
+    for (std::size_t s = first; s < last; ++s) {
+      const FirstArrival& step = *path[s];
+      r.entries[fill[step.at]++] = {origin, 0, step.port, step.round};
       ++r.heap_begin[r.port_base[step.at] + step.port + 1];
     }
-    const VertexId end = path[path_begin[k]].at;
-    r.entries[fill[end] - 1].word = words[k];
+    const VertexId end = path[first]->at;
+    r.entries[fill[end] - 1].word = words[origin];
     starts.emplace_back(end, fill[end] - 1);
   }
   std::partial_sum(r.heap_begin.begin(), r.heap_begin.end(),

@@ -102,55 +102,16 @@ class WalkStream {
   std::uint64_t state_;
 };
 
-// One hop of a forward walk: the vertex the token moved to and the round it
-// moved in. The hop's sender is the previous hop's `to` (the origin for the
-// first hop).
-struct TokenHop {
-  graph::VertexId to = graph::kInvalidVertex;
+// A registration token's first arrival at a vertex other than its origin, as
+// that vertex records it: the vertex, its port toward the neighbour that
+// handed the token over, and the round that neighbour sent it in (the
+// receipt round − 1). This is *local bookkeeping*, which is what makes the
+// return below routable — no path ever travels in a message.
+struct FirstArrival {
+  graph::VertexId at = graph::kInvalidVertex;
+  int port = -1;
   std::int32_t round = -1;
-  friend bool operator==(const TokenHop&, const TokenHop&) = default;
-};
-
-// Forward walk of one token, origin -> ... -> leader, every hop of it. Kept
-// as *local bookkeeping*: every vertex the token visited remembers which
-// neighbour first handed it the token and in which round, which is what
-// makes the return below routable — no path ever travels in a message.
-// return_along_paths reads a replied token's first-arrival path off its walk.
-//
-// The walk is stored as a byte log (DESIGN.md §19): each hop is two LEB128
-// varints, zig-zag(to − from) then round − previous round − 1. That is two
-// bytes a hop on a grid, and more where neighbours' ids lie far apart
-// (2.7 on a 500-vertex triangulation). A walk's rounds strictly increase,
-// so the second varint is never negative.
-class TokenTrace {
- public:
-  TokenTrace() = default;
-  TokenTrace(graph::VertexId origin, int cluster)
-      : origin(origin), cluster(cluster) {}
-
-  graph::VertexId origin = graph::kInvalidVertex;
-  int cluster = -1;
-
-  // Records the next hop. Throws std::invalid_argument unless hop.round is
-  // later than the previous hop's round (non-negative for the first hop).
-  void append(TokenHop hop);
-  // Forgets the walk, keeping the log's storage (a re-seeded token walks
-  // again from its origin).
-  void clear();
-  std::int64_t hop_count() const { return hop_count_; }
-  // The walk decoded, first hop first; empty when the origin is its own
-  // leader.
-  std::vector<TokenHop> hops() const;
-  // Decodes one hop in place: `hop` holds the hop before the one stored at
-  // byte `pos` ({origin, -1} for the first) and receives it. Returns the
-  // position of the hop after it; the log ends at position log_size().
-  std::size_t decode(std::size_t pos, TokenHop& hop) const;
-  std::size_t log_size() const { return log_.size(); }
-
- private:
-  std::vector<std::uint8_t> log_;
-  TokenHop last_;  // the last hop appended
-  std::int64_t hop_count_ = 0;
+  friend bool operator==(const FirstArrival&, const FirstArrival&) = default;
 };
 
 struct GatherResult {
@@ -158,8 +119,15 @@ struct GatherResult {
   std::vector<std::vector<std::vector<std::int64_t>>> delivered;
   // Token id of each delivered payload, aligned with `delivered`.
   std::vector<std::vector<std::int64_t>> delivered_ids;
-  // Trace per token id (global numbering across all origins).
-  std::vector<TokenTrace> traces;
+  // Token ids by origin: vertex v's tokens are ids [token_begin[v],
+  // token_begin[v + 1]), in the order of its list. The first of them is v's
+  // registration, the token a reply to v rides.
+  std::vector<std::int64_t> token_begin;
+  // Per vertex v: the first arrivals of v's registration, in the order they
+  // happened (DESIGN.md §19). Once the registration is absorbed, the last
+  // record is its leader's. Empty at a leader and at a vertex without
+  // tokens; the other tokens record nothing.
+  std::vector<std::vector<FirstArrival>> first_arrivals;
   bool complete = false;  // all tokens absorbed before max_rounds
   // Per-edge, per-round token budget the forward walk ran under. The return
   // sends at most min(this, stats.max_edge_load) replies per edge a round.
@@ -169,8 +137,11 @@ struct GatherResult {
 // Routes each token from its origin to the origin's cluster leader by lazy
 // random walks; tokens queue when an edge's per-round budget is full (the
 // paper instead batches O(log n) messages per edge into O(log n) rounds —
-// the same total work, measured here directly). Hop rounds are 32-bit: a
-// net.max_rounds above INT32_MAX throws std::invalid_argument.
+// the same total work, measured here directly). A vertex's first token is
+// its registration: each vertex keeps one seen-bit per registration of its
+// cluster, Σ|V_i|² bits in all, and records a registration's first arrival
+// in the origin's list. Recorded rounds are 32-bit: a net.max_rounds above
+// INT32_MAX throws std::invalid_argument.
 GatherResult random_walk_gather(const graph::Graph& g,
                                 const std::vector<int>& cluster_of,
                                 const std::vector<graph::VertexId>& leader_of,
@@ -180,8 +151,11 @@ GatherResult random_walk_gather(const graph::Graph& g,
 // --- Reliable random-walk gather under faults (DESIGN.md §12) -------------------
 
 struct ReliableGatherOptions {
-  // net.faults carries the fault plan; crash rounds are interpreted on the
-  // gather's own cumulative round timeline (re-election rounds included).
+  // net.faults carries the fault plan. Its crash and churn rounds are read
+  // on the gather's own cumulative round timeline (re-election rounds
+  // included): every re-election and epoch starts from the vertices and
+  // topology as they stand, and the result's stats count each crash and
+  // churn event once.
   NetworkOptions net;
   std::uint64_t seed = 1;
   // Rounds per epoch before walkers give up, after which the host checks
@@ -215,12 +189,15 @@ struct ReliableGatherResult {
 // carries a per-token sequence number, receivers acknowledge (acks batched,
 // kMaxMessageWords ids per message) and deduplicate on (token, seq), and
 // senders retransmit unacknowledged hops on the same port — so drops,
-// duplicates, and delays cannot lose or double-deliver a token, and the
-// recorded traces stay valid for the return. Crash-stopped leaders
-// are replaced by host-orchestrated re-election between epochs; tokens
-// stranded at crashed or given-up walkers restart from their origins.
-// Throws std::invalid_argument when max_epochs x (net.max_rounds +
-// epoch_rounds + delay span + 8) could pass INT32_MAX (32-bit hop rounds).
+// duplicates, and delays cannot lose or double-deliver a token. A vertex
+// records a registration's first arrival when it accepts a copy, at the
+// acceptance round − 1 on the cumulative timeline, so the records stay
+// valid for the return. Crash-stopped leaders are replaced by
+// host-orchestrated re-election between epochs; tokens stranded at crashed
+// or given-up walkers restart from their origins, and a restarted
+// registration forgets its records. Throws std::invalid_argument when
+// max_epochs x (net.max_rounds + epoch_rounds + delay span + 8) could pass
+// INT32_MAX (32-bit recorded rounds).
 ReliableGatherResult reliable_walk_gather(
     const graph::Graph& g, const std::vector<int>& cluster_of,
     const std::vector<graph::VertexId>& leader_of,
@@ -250,35 +227,35 @@ struct PathReturnResult {
   RunStats stats;
 };
 
-// Delivers words[k] from the end of token ids[k]'s walk (its leader) back to
-// the token's origin, as a store-and-forward run on the simulator. The reply
-// follows the walk's first-arrival path: start where the walk ends, step
-// back along the hop that first brought the token to the current vertex,
-// and stop at the origin. The path visits no vertex twice, and its hops keep
-// their forward rounds. A vertex on it knows, for each reply that will pass
-// it, the port back toward the origin and the forward round of that first
-// arrival, the reply's priority. Every round each directed edge sends its
-// waiting replies latest forward round first, ties by lower token id, and at
-// most cap = max(1, min(gather.stats.max_edge_load, gather.bandwidth_tokens))
-// of them, so no edge carries more per round than in the forward run. Each
-// reply is one message [id, word] (tag kTagReturnReply) per path hop. Give
-// each reverse hop the round before its mirror round (forward round r,
-// mirrored at T − 1 − r in a T-round gather) as a deadline: the replies due
-// on an edge in a round are at most the forward load of its mirror round, at
-// most the cap, and each is ready because its previous hop was due earlier.
-// So this earliest-deadline-first schedule meets every deadline and takes at
+// Delivers words[v] to every vertex v, from where v's registration ended
+// (its leader) back to v, as a store-and-forward run on the simulator. The
+// reply follows the first-arrival path: start at the last record of v's
+// list, step back through the port it names to the vertex that first handed
+// the registration over, whose own record is an earlier one, and stop at v.
+// The path visits no vertex twice, and its hops keep their forward rounds. A
+// vertex on it knows, for each reply that will pass it, the port back toward
+// the origin and the forward round of that first arrival, the reply's
+// priority. Every round each directed edge sends its waiting replies latest
+// forward round first, ties by lower origin, and at most cap = max(1,
+// min(gather.stats.max_edge_load, gather.bandwidth_tokens)) of them, so no
+// edge carries more per round than in the forward run. Each reply is one
+// message [origin, word] (tag kTagReturnReply) per path hop. Give each
+// reverse hop the round before its mirror round (forward round r, mirrored
+// at T − 1 − r in a T-round gather) as a deadline: the replies due on an
+// edge in a round are at most the forward load of its mirror round, at most
+// the cap, and each is ready because its previous hop was due earlier. So
+// this earliest-deadline-first schedule meets every deadline and takes at
 // most the mirror's T rounds; it ends after about the longest path plus the
 // queueing. The run uses `net` with bandwidth_tokens set to the cap; a
-// dropped reply is not resent. The routing tables are built before the run,
-// decoding each replied walk once, and the round loop allocates nothing. A
-// return whose paths have no hops runs no rounds. The ids must increase
-// strictly within [0, gather.traces.size()), with one word each and no two
-// on the same origin; otherwise, or for a replied walk that leaves
-// [0, g.num_vertices()), throws std::invalid_argument, and for a path hop
-// between non-neighbours of `g` std::logic_error; both before the run.
+// dropped reply is not resent. The routing tables are built before the
+// run, stepping back through each list once, and the round loop allocates
+// nothing. A vertex with an empty list keeps its word, and a return whose
+// paths have no hops runs no rounds. Throws std::invalid_argument, before
+// the run, unless there is one word and one list per vertex of `g`, and for
+// a record on a path whose vertex or port lies outside `g` or whose port
+// leads neither to the origin nor to an earlier record of a smaller round.
 PathReturnResult return_along_paths(const graph::Graph& g,
                                     const GatherResult& gather,
-                                    const std::vector<std::int64_t>& ids,
                                     const std::vector<std::int64_t>& words,
                                     const NetworkOptions& net = {});
 

@@ -175,19 +175,15 @@ Partition partition_and_gather(const Graph& g, double eps,
                           orientation.stats);
 
   // Token per oriented intra-cluster edge: [u, v, weight, sign]; plus one
-  // registration ("hello") token [v, -1, 0, 0] per vertex, which both
-  // announces the vertex to the leader and pins a return path for the
-  // reversed result delivery (Theorem 2.6's "exchange a distinct message
-  // with each vertex").
+  // registration ("hello") token [v, -1, 0, 0] per vertex, first in its
+  // list, which both announces the vertex to the leader and records the
+  // first arrivals the reversed result delivery follows back (Theorem 2.6's
+  // "exchange a distinct message with each vertex").
   std::vector<std::vector<GatherToken>> tokens(n);
-  out.hello_token_of.resize(n);
-  std::int64_t next_token_id = 0;
   for (VertexId v = 0; v < n; ++v) {
-    out.hello_token_of[v] = next_token_id++;
     tokens[v].push_back({v, {v, -1, 0, 0}});
     for (EdgeId e : orientation.owned[v]) {
       const graph::Edge ed = g.edge(e);
-      ++next_token_id;
       tokens[v].push_back(
           {v,
            {ed.u, ed.v, g.weight(e),
@@ -268,25 +264,31 @@ Partition partition_and_gather(const Graph& g, double eps,
 std::int64_t return_results(Partition& partition,
                             const std::vector<std::int64_t>& per_vertex_word,
                             const char* label) {
-  // Attach each vertex's answer to its registration token and send it back
-  // along the token's first-arrival path, on the simulator. A token that
-  // never reached its leader has no path to reverse.
+  // Send each vertex's answer back along the first-arrival path of its
+  // registration token, on the simulator. A registration that never reached
+  // its leader has no path to reverse.
   if (partition.graph == nullptr) {
     throw std::logic_error("return_results: the partition has no graph");
   }
-  if (per_vertex_word.size() != partition.hello_token_of.size()) {
+  const std::size_t n =
+      static_cast<std::size_t>(partition.graph->num_vertices());
+  if (per_vertex_word.size() != n) {
     throw std::invalid_argument(
         "return_results: " + std::to_string(per_vertex_word.size()) +
-        " words for " + std::to_string(partition.hello_token_of.size()) +
+        " words for " + std::to_string(n) +
         " vertices; there must be exactly one per vertex");
   }
-  std::vector<bool> delivered(partition.gather.traces.size(), false);
+  // Vertex v's registration is its first token, id token_begin[v].
+  const std::vector<std::int64_t>& token_begin = partition.gather.token_begin;
+  std::vector<bool> delivered(static_cast<std::size_t>(token_begin.back()),
+                              false);
   for (const auto& ids : partition.gather.delivered_ids) {
     for (const std::int64_t id : ids) delivered[id] = true;
   }
   std::size_t missing = 0;
-  for (const std::int64_t id : partition.hello_token_of) {
-    missing += !delivered[id];
+  for (std::size_t v = 0; v < n; ++v) {
+    missing += token_begin[v] == token_begin[v + 1] ||
+               !delivered[static_cast<std::size_t>(token_begin[v])];
   }
   if (missing > 0) {
     throw std::runtime_error(
@@ -299,7 +301,6 @@ std::int64_t return_results(Partition& partition,
     TRACE_SPAN(partition.net.trace, "phase:return");
     congest::MetricsPhase mphase(partition.net.metrics, "phase:return");
     delivery = congest::return_along_paths(*partition.graph, partition.gather,
-                                           partition.hello_token_of,
                                            per_vertex_word, partition.net);
   }
   // Every vertex must have received exactly its own word back.

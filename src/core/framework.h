@@ -139,11 +139,10 @@ struct Partition {
   int gather_epochs = 0;
   int gather_reelections = 0;
   double eps_effective = 0.0;  // the ε' actually passed to the decomposition
-  // The gather's result, every token's whole walk included, and the id of
-  // each vertex's registration ("hello") token. return_results sends each
-  // answer back along the first-arrival path of that token's walk.
+  // The gather's result, the first arrivals of each vertex's registration
+  // ("hello") token included. return_results sends each answer back along
+  // the first-arrival path they record.
   congest::GatherResult gather;
-  std::vector<std::int64_t> hello_token_of;
 };
 
 // Throws std::invalid_argument unless 0 < eps < 1.
@@ -164,7 +163,7 @@ Partition partition_and_gather(const graph::Graph& g, double eps,
 // std::invalid_argument unless there is exactly one word per vertex. Only a
 // registration token that reached its leader has a path to reverse: if any
 // vertex's did not, throws std::runtime_error naming how many. All three,
-// and return_along_paths' refusal of a hop between non-neighbours, throw
+// and return_along_paths' refusal of malformed first-arrival records, throw
 // before the ledger changes. Adds the measured run to the ledger under
 // `label` and returns its rounds.
 std::int64_t return_results(Partition& partition,

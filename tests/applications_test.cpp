@@ -358,11 +358,11 @@ void expect_return_follows_paths(const congest::RoundLedger& ledger,
   for (std::size_t k = 0; k < partitions.size(); ++k) {
     SCOPED_TRACE("partition " + std::to_string(k));
     const Partition& p = partitions[k];
-    const congest::GatherResult paths =
-        congest::with_first_arrival_paths(p.gather, p.hello_token_of);
     std::int64_t path_hops = 0;
-    for (const std::int64_t id : p.hello_token_of) {
-      path_hops += paths.traces[id].hop_count();
+    for (graph::VertexId v = 0; v < p.graph->num_vertices(); ++v) {
+      path_hops += static_cast<std::int64_t>(
+          congest::first_arrival_path(*p.graph, v, p.gather.first_arrivals[v])
+              .size());
     }
     EXPECT_EQ(returns[k]->stats.messages_sent, path_hops);
     EXPECT_GT(path_hops, 0);
@@ -402,9 +402,9 @@ TEST(ReturnAlongPaths, McmSendsOneMessagePerKeptHop) {
     keep_edge[e] = !removed[g.edge(e).u] && !removed[g.edge(e).v];
   }
   f.density_bound = 1;
+  const Graph gbar = graph::edge_subgraph(g, keep_edge);
   std::vector<Partition> partitions;
-  partitions.push_back(
-      partition_and_gather(graph::edge_subgraph(g, keep_edge), eps * 0.125, f));
+  partitions.push_back(partition_and_gather(gbar, eps * 0.125, f));
   expect_return_follows_paths(r.ledger, partitions);
 }
 

@@ -289,43 +289,45 @@ TEST(DiameterCheck, FlagsWideClusters) {
   EXPECT_GT(flagged, 0);
 }
 
-// A hop log written by hand: `origin`, then the given (to, round) hops.
-TokenTrace forged_walk(VertexId origin, std::initializer_list<TokenHop> hops) {
-  TokenTrace trace(origin, 0);
-  for (const TokenHop& hop : hops) trace.append(hop);
-  return trace;
+// ---- First-arrival records and the path return ---------------------------
+
+// The port of v that leads to its neighbour u.
+int port(const Graph& g, VertexId v, VertexId u) {
+  const auto nbrs = g.neighbors(v);
+  return static_cast<int>(std::find(nbrs.begin(), nbrs.end(), u) -
+                          nbrs.begin());
 }
 
-// The byte log must give back every hop it was handed: steps of any sign
-// and size up to the full 32-bit range, waits from none to INT32_MAX, and
-// a walk that starts again after clear().
-TEST(HopLog, DecodesWhatWasAppended) {
-  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
-  const std::vector<TokenHop> hops = {
-      {1, 0}, {0, 1}, {64, 2}, {0, 130}, {kMax, 131}, {0, 20000},
-      {kMax, 20001}, {63, 20002}, {127, 1 << 20}, {5, kMax}};
-  TokenTrace trace(7, 0);
-  for (const TokenHop& hop : hops) trace.append(hop);
-  EXPECT_EQ(trace.hop_count(), static_cast<std::int64_t>(hops.size()));
-  EXPECT_EQ(trace.hops(), hops);
-  // One byte per field while the step lies within ±63 and the wait is
-  // under 128 rounds.
-  trace.clear();
-  EXPECT_TRUE(trace.hops().empty());
-  EXPECT_EQ(trace.log_size(), 0u);
-  trace.append({8, 0});
-  trace.append({40, 128});
-  EXPECT_EQ(trace.log_size(), 4u);
-  EXPECT_EQ(trace.hops(), (std::vector<TokenHop>{{8, 0}, {40, 128}}));
+// A gather result that holds first-arrival lists alone: vertex v's
+// registration walked walks[v], recorded as first_arrival_reference finds it.
+GatherResult gather_of_walks(
+    const Graph& g, const std::map<VertexId, std::vector<TokenHop>>& walks) {
+  GatherResult gather;
+  gather.first_arrivals.resize(g.num_vertices());
+  for (const auto& [v, walk] : walks) {
+    gather.first_arrivals[v] = first_arrival_reference(g, v, walk);
+  }
+  return gather;
 }
 
-TEST(HopLog, RejectsRoundsThatDoNotIncrease) {
-  TokenTrace trace(0, 0);
-  EXPECT_THROW(trace.append({1, -1}), std::invalid_argument);
-  trace.append({1, 3});
-  EXPECT_THROW(trace.append({2, 3}), std::invalid_argument);
-  EXPECT_THROW(trace.append({2, 2}), std::invalid_argument);
-  EXPECT_EQ(trace.hops(), (std::vector<TokenHop>{{1, 3}}));
+// What the return relies on: every record's port leads to the origin or to
+// an earlier record of a smaller round, and no vertex is recorded twice or
+// at the origin.
+void expect_routable(const Graph& g, VertexId origin,
+                     const std::vector<FirstArrival>& list) {
+  for (std::size_t j = 0; j < list.size(); ++j) {
+    const FirstArrival& a = list[j];
+    ASSERT_GE(a.port, 0);
+    ASSERT_LT(a.port, g.degree(a.at));
+    EXPECT_NE(a.at, origin);
+    const VertexId from = g.neighbors(a.at)[a.port];
+    bool earlier = from == origin;
+    for (std::size_t k = 0; k < j; ++k) {
+      EXPECT_NE(list[k].at, a.at) << "origin " << origin << " record " << j;
+      earlier = earlier || (list[k].at == from && list[k].round < a.round);
+    }
+    EXPECT_TRUE(earlier) << "origin " << origin << " record " << j;
+  }
 }
 
 // The deterministic fields of two runs agree.
@@ -336,42 +338,138 @@ void expect_same_run(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.max_edge_load, b.max_edge_load);
 }
 
-// The return on whole walks against the reference paths (tests/oracles):
-// return_along_paths on the walks cut by first_arrival_reference gives the
-// same RunStats and words, and the mirror schedule on those paths sends the
-// same messages and words and delivers the same words. Returns the run on
-// the whole walks.
+// Hops of the first-arrival paths the lists record (tests/oracles).
+std::int64_t path_hops(const Graph& g, const GatherResult& gather) {
+  std::int64_t hops = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    hops += static_cast<std::int64_t>(
+        first_arrival_path(g, v, gather.first_arrivals[v]).size());
+  }
+  return hops;
+}
+
+// The return against the oracles (tests/oracles): every word comes back to
+// its vertex with one message [origin, word] per hop of the reference path
+// its list records, and the mirror schedule on the same lists sends the same
+// messages and words and delivers the same words. Returns the run.
 PathReturnResult expect_return_follows_reference_paths(
     const Graph& g, const GatherResult& gather,
-    const std::vector<std::int64_t>& ids,
     const std::vector<std::int64_t>& words) {
-  const PathReturnResult back = return_along_paths(g, gather, ids, words);
-  const GatherResult paths = with_first_arrival_paths(gather, ids);
-  const PathReturnResult on_paths = return_along_paths(g, paths, ids, words);
-  expect_same_run(back.stats, on_paths.stats);
-  EXPECT_EQ(back.word, on_paths.word);
-  EXPECT_EQ(back.arrived, on_paths.arrived);
-  std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
-  for (std::size_t k = 0; k < ids.size(); ++k) reply[ids[k]] = {words[k]};
-  const ReverseDeliveryResult oracle =
-      reverse_delivery(g.num_vertices(), paths, reply);
+  const PathReturnResult back = return_along_paths(g, gather, words);
+  const std::int64_t hops = path_hops(g, gather);
+  EXPECT_EQ(back.stats.messages_sent, hops);
+  EXPECT_EQ(back.stats.words_sent, 2 * hops);
+  std::vector<std::vector<std::int64_t>> reply(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) reply[v] = {words[v]};
+  const ReverseDeliveryResult oracle = reverse_delivery(g, gather, reply);
   EXPECT_EQ(back.stats.messages_sent, oracle.stats.messages_sent);
   EXPECT_EQ(back.stats.words_sent, oracle.stats.words_sent);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto& received = oracle.received[v];
-    EXPECT_EQ(back.arrived[v], received.empty() ? 0 : 1) << "vertex " << v;
-    if (back.arrived[v] && !received.empty()) {
-      EXPECT_EQ(back.word[v], received[0][0]) << "vertex " << v;
-    }
+    EXPECT_TRUE(back.arrived[v]) << "vertex " << v;
+    EXPECT_EQ(back.word[v], words[v]) << "vertex " << v;
+    EXPECT_EQ(oracle.received[v], reply[v]) << "vertex " << v;
   }
   return back;
 }
 
-// The return cuts each replied walk to its first-arrival path as it builds
-// its tables. On a complete graph every hop is an edge, so each forged
-// walk's reply travels its known path: one message [id, word] per kept hop,
-// as the reference finds. A trace nobody replies to is not read, although
-// it leaves the graph.
+// One word a vertex, 40 + v.
+std::vector<std::int64_t> words_for(const Graph& g) {
+  std::vector<std::int64_t> words(g.num_vertices());
+  std::iota(words.begin(), words.end(), std::int64_t{40});
+  return words;
+}
+
+// The gathers record each registration's first arrivals as the reference
+// walker's whole walks have them (tests/oracles): on several graphs and
+// token mixes, a vertex without tokens among them, at one and four threads
+// with every round sharded, the same lists, delivered order, rounds,
+// messages, words and peak load.
+TEST(Gather, RecordsTheFirstArrivalsOfTheReferenceWalks) {
+  Rng rng(21);
+  const Graph tri = graph::random_maximal_planar(60, rng);
+  const Graph grid = graph::grid(8, 8);
+  std::vector<int> halves(grid.num_vertices());
+  for (VertexId v = 0; v < grid.num_vertices(); ++v) halves[v] = (v % 8) / 4;
+  struct Case {
+    const char* name;
+    const Graph* g;
+    std::vector<int> cluster;
+    int tokens;  // per vertex; vertex 5 gets none
+    std::uint64_t seed;
+    int bandwidth;
+  };
+  const std::vector<Case> cases = {
+      {"triangulation", &tri, single_cluster(tri), 2, 5, 3},
+      {"grid halves", &grid, halves, 3, 9, 2},
+      {"grid", &grid, single_cluster(grid), 1, 1, 1},
+  };
+  for (const Case& c : cases) {
+    const Graph& g = *c.g;
+    const auto leaders = elect_cluster_leaders(g, c.cluster);
+    std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (int k = 0; k < c.tokens && v != 5; ++k) {
+        tokens[v].push_back({v, {v, k}});
+      }
+    }
+    GatherOptions opt;
+    opt.seed = c.seed;
+    opt.net.bandwidth_tokens = c.bandwidth;
+    opt.net.sparse_serial_threshold = 0;
+    const ReferenceGather ref =
+        reference_walk_gather(g, c.cluster, leaders.leader_of, tokens, opt);
+    ASSERT_TRUE(ref.complete) << c.name;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " at " + std::to_string(threads));
+      opt.net.num_threads = threads;
+      const GatherResult r =
+          random_walk_gather(g, c.cluster, leaders.leader_of, tokens, opt);
+      EXPECT_TRUE(r.complete);
+      EXPECT_EQ(r.delivered_ids, ref.delivered_ids);
+      expect_same_run(r.stats, ref.stats);
+      const auto n = static_cast<std::size_t>(g.num_vertices());
+      ASSERT_EQ(r.token_begin.size(), n + 1);
+      ASSERT_EQ(r.first_arrivals.size(), n);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (tokens[v].empty()) {
+          EXPECT_EQ(r.token_begin[v], r.token_begin[v + 1]);
+          EXPECT_TRUE(r.first_arrivals[v].empty());
+          continue;
+        }
+        EXPECT_EQ(r.first_arrivals[v],
+                  first_arrival_reference(g, v, ref.walks[r.token_begin[v]]))
+            << "vertex " << v;
+      }
+    }
+  }
+}
+
+// A first-arrival path's rounds increase from its origin to its leader: the
+// return refuses a record whose predecessor on the path was reached in the
+// same round or later.
+TEST(HopLog, RejectsRoundsThatDoNotIncrease) {
+  const Graph g = graph::path(4);
+  GatherResult gather;
+  gather.first_arrivals.assign(4, {});
+  const std::vector<std::int64_t> words(4, 7);
+  for (const auto& [first, second] :
+       {std::pair{3, 3}, std::pair{4, 3}, std::pair{3, 4}}) {
+    gather.first_arrivals[0] = {{1, port(g, 1, 0), first},
+                                {2, port(g, 2, 1), second}};
+    if (first < second) {
+      EXPECT_NO_THROW(return_along_paths(g, gather, words));
+    } else {
+      EXPECT_THROW(return_along_paths(g, gather, words), std::invalid_argument)
+          << first << " then " << second;
+    }
+  }
+}
+
+// The first arrivals of a walk and the path they record, on forged walks
+// that end, as a gather's do, where they first reach their last vertex. On
+// a complete graph every hop is an edge, so each reply travels its known
+// path, one message [origin, word] per hop, and every other vertex keeps
+// its word.
 TEST(FirstArrivalCut, KnownAnswersOnForgedWalks) {
   struct Case {
     const char* name;
@@ -388,71 +486,78 @@ TEST(FirstArrivalCut, KnownAnswersOnForgedWalks) {
       {"a loop through a path vertex is erased", 0,
        {{1, 0}, {2, 1}, {1, 2}, {3, 3}}, {{1, 0}, {3, 3}}},
       // Chronological loop erasure keeps 0 -> 1 -> 3 -> 2 -> 5 here: it
-      // follows each vertex's last departure, the cut each first arrival.
+      // follows each vertex's last departure, the records each first arrival.
       {"first arrivals, not last departures", 0,
        {{1, 0}, {2, 1}, {1, 2}, {3, 3}, {2, 4}, {5, 5}},
        {{1, 0}, {2, 1}, {5, 5}}},
-      {"a walk that ends where it was before ends at that first arrival", 0,
-       {{1, 0}, {2, 1}, {1, 2}}, {{1, 0}}},
-      {"a walk back to its origin leaves no path", 0, {{1, 0}, {0, 7}}, {}},
   };
   const Graph g = graph::complete(8);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    EXPECT_EQ(first_arrival_reference(c.origin, c.walk), c.path);
-    GatherResult gather;
+    GatherResult gather = gather_of_walks(g, {{c.origin, c.walk}});
     gather.stats.rounds = 8;
     gather.stats.max_edge_load = 1;
-    gather.traces.emplace_back(c.origin, 3);
-    for (const TokenHop& hop : c.walk) gather.traces.back().append(hop);
-    gather.traces.push_back(forged_walk(0, {{1, 0}, {99, 1}}));
-    const std::int64_t word = 40 + c.origin;
+    const std::vector<FirstArrival>& list = gather.first_arrivals[c.origin];
+    expect_routable(g, c.origin, list);
+    std::vector<TokenHop> path;
+    for (const FirstArrival& a : first_arrival_path(g, c.origin, list)) {
+      path.push_back({a.at, a.round});
+    }
+    EXPECT_EQ(path, c.path);
     const PathReturnResult back =
-        expect_return_follows_reference_paths(g, gather, {0}, {word});
+        expect_return_follows_reference_paths(g, gather, words_for(g));
     const auto hops = static_cast<std::int64_t>(c.path.size());
-    EXPECT_EQ(back.stats.messages_sent, hops);
-    EXPECT_EQ(back.stats.words_sent, 2 * hops);
     EXPECT_EQ(back.stats.rounds, hops == 0 ? 0 : hops + 1);
-    EXPECT_EQ(std::count(back.arrived.begin(), back.arrived.end(), 1), 1);
-    ASSERT_TRUE(back.arrived[c.origin]);
-    EXPECT_EQ(back.word[c.origin], word);
   }
 }
 
-// A replied walk must stay within the graph, even where the cut would erase
-// the stray vertex: the return refuses before it runs. Unreplied, the same
-// walks are not read.
+// A record on a path must lie within the graph: the return refuses a vertex
+// or a port outside it before it runs.
 TEST(FirstArrivalCut, RejectsAVertexOutsideTheGraph) {
   const Graph g = graph::complete(5);
-  GatherResult gather;
-  for (const TokenTrace& walk :
-       {forged_walk(0, {{5, 0}}), forged_walk(9, {{1, 0}}),
-        forged_walk(0, {{1, 0}, {7, 1}, {1, 2}, {2, 3}})}) {
-    gather.traces = {walk};
-    EXPECT_THROW(return_along_paths(g, gather, {0}, {7}),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(return_along_paths(g, gather, {}, {}));
+  const std::vector<std::int64_t> words(5, 7);
+  const std::vector<std::vector<FirstArrival>> lists = {
+      {{5, 0, 0}}, {{-1, 0, 0}}, {{1, 4, 0}}, {{1, -1, 0}},
+      {{2, 0, 0}, {9, 0, 1}}};
+  for (const std::vector<FirstArrival>& list : lists) {
+    GatherResult gather;
+    gather.first_arrivals.assign(5, {});
+    gather.first_arrivals[0] = list;
+    EXPECT_THROW(return_along_paths(g, gather, words), std::invalid_argument);
   }
 }
 
+// A reply steps back through the records alone: a port that leads neither
+// to the origin nor to an earlier record, a record at the origin, or a path
+// that comes back to one of its vertices is refused. A record off the path
+// is not read.
 TEST(FirstArrivalCut, RejectsATokenIdOutsideTheTraces) {
   const Graph g = graph::complete(5);
+  const std::vector<std::int64_t> words(5, 7);
   GatherResult gather;
-  gather.traces = {forged_walk(0, {{1, 0}})};
-  EXPECT_THROW(return_along_paths(g, gather, {1}, {7}), std::invalid_argument);
-  EXPECT_THROW(return_along_paths(g, gather, {-1}, {7}),
-               std::invalid_argument);
-  const PathReturnResult back = return_along_paths(g, gather, {0}, {7});
-  ASSERT_TRUE(back.arrived[0]);
-  EXPECT_EQ(back.word[0], 7);
+  gather.first_arrivals.assign(5, {});
+  const std::vector<std::vector<FirstArrival>> refused = {
+      {{2, port(g, 2, 1), 3}},
+      {{0, port(g, 0, 1), 0}},
+      {{1, port(g, 1, 2), 0}, {2, port(g, 2, 1), 1}},
+      {{1, port(g, 1, 0), 0}, {2, port(g, 2, 1), 1}, {1, port(g, 1, 2), 2}}};
+  for (const std::vector<FirstArrival>& list : refused) {
+    gather.first_arrivals[0] = list;
+    EXPECT_THROW(return_along_paths(g, gather, words), std::invalid_argument);
+  }
+  gather.first_arrivals[0] = {
+      {1, port(g, 1, 0), 0}, {3, port(g, 3, 1), 1}, {2, port(g, 2, 1), 2}};
+  const PathReturnResult back = return_along_paths(g, gather, words);
+  EXPECT_EQ(back.stats.messages_sent, 2);
+  EXPECT_TRUE(back.arrived[0]);
 }
 
 // Random walks with random waits on a small graph, so that they revisit
-// their origins and their paths often, returned along in batches of one
-// walk per vertex: the return's shared scratch must give every reply the
-// reference path, in RunStats and words. The reference paths are walks
-// along edges with no vertex twice, and most of the walked hops are loops
-// the cut erases.
+// their origins and their paths often, each cut after its last first
+// arrival as a gather's walk ends at its leader, and returned along in
+// batches of one walk per vertex: the return's shared scratch must give
+// every reply the reference path. The paths are walks along edges with no
+// vertex twice, and most of the walked hops are loops the records erase.
 TEST(FirstArrivalCut, MatchesTheReferenceOnRandomWalks) {
   Rng rng(29);
   const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
@@ -460,69 +565,70 @@ TEST(FirstArrivalCut, MatchesTheReferenceOnRandomWalks) {
   };
   const Graph g = graph::grid(4, 4);
   const int n = g.num_vertices();
-  GatherResult gather;
-  gather.stats.max_edge_load = 2;
-  gather.bandwidth_tokens = 2;
   std::int64_t walked = 0;
-  for (int w = 0; w < 400; ++w) {
-    const VertexId origin = w % n;
-    const int length = static_cast<int>(uniform(0, 120));
-    TokenTrace trace(origin, 0);
-    VertexId at = origin;
-    std::int32_t round = -1;
-    for (int h = 0; h < length; ++h) {
-      const auto nbrs = g.neighbors(at);
-      at = nbrs[static_cast<std::size_t>(
-          uniform(0, static_cast<std::int64_t>(nbrs.size()) - 1))];
-      round += 1 + static_cast<std::int32_t>(uniform(0, 3));
-      trace.append({at, round});
-      gather.stats.rounds = std::max<std::int64_t>(gather.stats.rounds,
-                                                   round + 1);
-    }
-    walked += length;
-    const std::vector<TokenHop> walk = trace.hops();
-    const std::vector<TokenHop> path = first_arrival_reference(origin, walk);
-    std::vector<bool> seen(n, false);
-    seen[origin] = true;
-    VertexId from = origin;
-    for (const TokenHop& hop : path) {
-      EXPECT_TRUE(g.has_edge(from, hop.to));
-      EXPECT_FALSE(seen[hop.to]) << "walk " << w << " revisits " << hop.to;
-      seen[hop.to] = true;
-      from = hop.to;
-    }
-    if (!walk.empty()) {
-      EXPECT_EQ(from, walk.back().to);
-    }
-    gather.traces.push_back(std::move(trace));
-  }
   std::int64_t kept = 0;
-  for (int first = 0; first < 400; first += n) {
-    SCOPED_TRACE("walks from " + std::to_string(first));
-    std::vector<std::int64_t> ids(n), words(n);
-    std::iota(ids.begin(), ids.end(), std::int64_t{first});
-    for (int k = 0; k < n; ++k) words[k] = 1000 + ids[k];
-    kept += expect_return_follows_reference_paths(g, gather, ids, words)
+  for (int batch = 0; batch < 25; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    GatherResult gather;
+    gather.first_arrivals.resize(n);
+    gather.stats.max_edge_load = 2;
+    gather.bandwidth_tokens = 2;
+    for (VertexId origin = 0; origin < n; ++origin) {
+      const int length = static_cast<int>(uniform(0, 120));
+      std::vector<TokenHop> walk;
+      VertexId at = origin;
+      std::int32_t round = -1;
+      for (int h = 0; h < length; ++h) {
+        const auto nbrs = g.neighbors(at);
+        at = nbrs[static_cast<std::size_t>(
+            uniform(0, static_cast<std::int64_t>(nbrs.size()) - 1))];
+        round += 1 + static_cast<std::int32_t>(uniform(0, 3));
+        walk.push_back({at, round});
+      }
+      std::vector<FirstArrival> list = first_arrival_reference(g, origin, walk);
+      if (!list.empty()) {
+        while (walk.back().round != list.back().round) walk.pop_back();
+      }
+      walked += static_cast<std::int64_t>(walk.size());
+      expect_routable(g, origin, list);
+      const std::vector<FirstArrival> path =
+          first_arrival_path(g, origin, list);
+      std::vector<bool> seen(n, false);
+      seen[origin] = true;
+      VertexId from = origin;
+      for (const FirstArrival& step : path) {
+        EXPECT_EQ(g.neighbors(step.at)[step.port], from);
+        EXPECT_FALSE(seen[step.at]) << "origin " << origin;
+        seen[step.at] = true;
+        from = step.at;
+      }
+      if (!walk.empty()) {
+        EXPECT_EQ(from, walk.back().to);
+      }
+      gather.stats.rounds =
+          std::max<std::int64_t>(gather.stats.rounds, round + 1);
+      gather.first_arrivals[origin] = std::move(list);
+    }
+    kept += expect_return_follows_reference_paths(g, gather, words_for(g))
                 .stats.messages_sent;
   }
-  // The walks wander: most of their hops are loops the cut erases.
+  // The walks wander: most of their hops are loops the records erase.
   EXPECT_LT(kept * 4, walked);
 }
 
-// A gather's own walks, whole: the walk gather's, two tokens a vertex, and
-// the reliable gather's under drops, whose undelivered tokens walk again
-// from their origins in later epochs. Each vertex's first token gets a
-// reply. Some replied walks revisit a vertex, so only a return that cuts
-// them can take them.
-std::int64_t walks_that_revisit(const GatherResult& gather,
-                                const std::vector<std::int64_t>& ids) {
-  std::int64_t revisiting = 0;
-  for (const std::int64_t id : ids) {
-    const TokenTrace& t = gather.traces[id];
-    revisiting += first_arrival_reference(t.origin, t.hops()).size() <
-                  static_cast<std::size_t>(t.hop_count());
+// A gather's own records: the walk gather's, two tokens a vertex, against
+// the reference walker's whole walks; and the reliable gather's under
+// drops, whose undelivered registrations walk again from their origins in
+// later epochs and forget their records. Some registrations wandered, so
+// their lists are longer than their paths.
+std::int64_t lists_longer_than_paths(const Graph& g,
+                                     const GatherResult& gather) {
+  std::int64_t longer = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto& list = gather.first_arrivals[v];
+    longer += first_arrival_path(g, v, list).size() < list.size();
   }
-  return revisiting;
+  return longer;
 }
 
 TEST(PathReturn, FollowsTheWalkGathersWholeWalks) {
@@ -539,19 +645,18 @@ TEST(PathReturn, FollowsTheWalkGathersWholeWalks) {
   const GatherResult gather =
       random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
   ASSERT_TRUE(gather.complete);
-  std::vector<std::int64_t> ids, words;
+  const ReferenceGather ref =
+      reference_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ids.push_back(2 * v);
-    words.push_back(7 * v + 3);
+    EXPECT_EQ(gather.first_arrivals[v],
+              first_arrival_reference(g, v, ref.walks[gather.token_begin[v]]));
+    expect_routable(g, v, gather.first_arrivals[v]);
   }
-  EXPECT_GT(walks_that_revisit(gather, ids), 0);
+  EXPECT_GT(lists_longer_than_paths(g, gather), 0);
   const PathReturnResult back =
-      expect_return_follows_reference_paths(g, gather, ids, words);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_TRUE(back.arrived[v]) << "vertex " << v;
-    EXPECT_EQ(back.word[v], 7 * v + 3);
-  }
+      expect_return_follows_reference_paths(g, gather, words_for(g));
   EXPECT_LE(back.stats.max_edge_load, gather.stats.max_edge_load);
+  EXPECT_LE(back.stats.rounds, gather.stats.rounds);
 }
 
 TEST(PathReturn, FollowsTheReliableGathersReseededWalks) {
@@ -570,16 +675,11 @@ TEST(PathReturn, FollowsTheReliableGathersReseededWalks) {
       g, cluster, leaders.leader_of, tokens, opt);
   ASSERT_TRUE(r.gather.complete);
   EXPECT_GT(r.epochs, 1);  // some tokens were re-seeded
-  std::vector<std::int64_t> ids(g.num_vertices()), words(g.num_vertices());
-  std::iota(ids.begin(), ids.end(), std::int64_t{0});
-  for (VertexId v = 0; v < g.num_vertices(); ++v) words[v] = 5 * v + 1;
-  EXPECT_GT(walks_that_revisit(r.gather, ids), 0);
-  const PathReturnResult back =
-      expect_return_follows_reference_paths(g, r.gather, ids, words);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_TRUE(back.arrived[v]) << "vertex " << v;
-    EXPECT_EQ(back.word[v], 5 * v + 1);
+    expect_routable(g, v, r.gather.first_arrivals[v]);
   }
+  EXPECT_GT(lists_longer_than_paths(g, r.gather), 0);
+  expect_return_follows_reference_paths(g, r.gather, words_for(g));
 }
 
 TEST(ReverseDelivery, RepliesFollowRecordedPathsBackwards) {
@@ -596,35 +696,32 @@ TEST(ReverseDelivery, RepliesFollowRecordedPathsBackwards) {
   const auto gather =
       random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
   ASSERT_TRUE(gather.complete);
-  // Reply to every token with 1000 + origin.
-  std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
-  for (std::size_t id = 0; id < gather.traces.size(); ++id) {
-    reply[id] = {1000 + gather.traces[id].origin};
-  }
-  const auto r = reverse_delivery(g.num_vertices(), gather, reply);
+  std::vector<std::vector<std::int64_t>> reply(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) reply[v] = {1000 + v};
+  const auto r = reverse_delivery(g, gather, reply);
   EXPECT_TRUE(r.load_ok);
   EXPECT_LE(r.stats.rounds, gather.stats.rounds);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(r.received[v].size(), 1u) << "vertex " << v;
-    EXPECT_EQ(r.received[v][0][0], 1000 + v);
+    EXPECT_EQ(r.received[v], std::vector<std::int64_t>{1000 + v});
   }
-  // Message count mirrors the forward hops of the replied tokens.
-  EXPECT_EQ(r.stats.messages_sent,
-            gather.stats.messages_sent);
+  // One message per hop of each recorded path, a part of the forward hops.
+  EXPECT_EQ(r.stats.messages_sent, path_hops(g, gather));
+  EXPECT_LT(r.stats.messages_sent, gather.stats.messages_sent);
 }
 
+// Replies are indexed by vertex: one to a vertex outside the graph is
+// refused, an empty one past the graph is not.
 TEST(ReverseDelivery, RejectsAReplyWhoseOriginIsOutOfRange) {
+  const Graph g = graph::path(2);
   GatherResult gather;
   gather.stats.rounds = 1;
-  gather.traces = {forged_walk(0, {{1, 0}}), forged_walk(2, {{1, 0}})};
-  EXPECT_THROW(reverse_delivery(2, gather, {{7}, {8}}), std::invalid_argument);
-  gather.traces[1] = TokenTrace(graph::kInvalidVertex, 0);
-  EXPECT_THROW(reverse_delivery(2, gather, {{7}, {8}}), std::invalid_argument);
-  EXPECT_NO_THROW(reverse_delivery(2, gather, {{7}, {}}));
+  gather.first_arrivals = {{}, {{0, 0, 0}}};
+  EXPECT_THROW(reverse_delivery(g, gather, {{7}, {8}, {9}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(reverse_delivery(g, gather, {{7}, {8}, {}}));
 }
 
 TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
-  Rng rng(20);
   Graph g = graph::grid(5, 5);
   const auto cluster = single_cluster(g);
   const auto leaders = elect_cluster_leaders(g, cluster);
@@ -637,22 +734,20 @@ TEST(ReverseDelivery, PartialRepliesSkipUnansweredTokens) {
   const auto gather =
       random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
   ASSERT_TRUE(gather.complete);
-  std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
-  reply[0] = {7};  // only token 0 gets a reply
-  const auto r = reverse_delivery(g.num_vertices(), gather, reply);
+  std::vector<std::vector<std::int64_t>> reply(g.num_vertices());
+  reply[0] = {7};  // only vertex 0 gets a reply
+  const auto r = reverse_delivery(g, gather, reply);
   EXPECT_TRUE(r.load_ok);
   int delivered = 0;
-  for (const auto& per_vertex : r.received) {
-    delivered += static_cast<int>(per_vertex.size());
-  }
+  for (const auto& received : r.received) delivered += !received.empty();
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(r.received[gather.traces[0].origin][0][0], 7);
+  EXPECT_EQ(r.received[0], std::vector<std::int64_t>{7});
 }
 
-// The streaming check against a direct replay of the decoded hop logs: every
-// replied hop counted into a map keyed by (reverse round, from, to). The
-// RunStats, load_ok and received must agree exactly, for a budget the walk
-// met and one it did not.
+// The sorted-key load check against a direct replay of the recorded paths:
+// every replied hop counted into a map keyed by (reverse round, from, to).
+// The RunStats, load_ok and received must agree exactly, for a budget the
+// walk met and one it did not.
 TEST(ReverseDelivery, MatchesAMapReplayOfTheDecodedWalks) {
   Rng rng(21);
   const Graph g = graph::random_maximal_planar(60, rng);
@@ -667,164 +762,164 @@ TEST(ReverseDelivery, MatchesAMapReplayOfTheDecodedWalks) {
   GatherResult gather =
       random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
   ASSERT_TRUE(gather.complete);
-  // Every third token gets no reply; the others get 1 or 2 words.
-  std::vector<std::vector<std::int64_t>> reply(gather.traces.size());
-  for (std::size_t id = 0; id < reply.size(); ++id) {
-    if (id % 3 != 0) reply[id].assign(id % 3, static_cast<std::int64_t>(id));
+  // Every third vertex gets no reply; the others get 1 or 2 words.
+  std::vector<std::vector<std::int64_t>> reply(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (v % 3 != 0) reply[v].assign(v % 3, v);
   }
   for (const int budget : {3, 1}) {
     gather.bandwidth_tokens = budget;
     const std::int64_t horizon = gather.stats.rounds;
     RunStats expected;
-    std::vector<std::vector<std::vector<std::int64_t>>> received(
-        g.num_vertices());
     std::map<std::tuple<std::int64_t, VertexId, VertexId>, int> load;
-    for (std::size_t id = 0; id < reply.size(); ++id) {
-      if (reply[id].empty()) continue;
-      const TokenTrace& trace = gather.traces[id];
-      received[trace.origin].push_back(reply[id]);
-      VertexId from = trace.origin;
-      for (const TokenHop& hop : trace.hops()) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (reply[v].empty()) continue;
+      for (const FirstArrival& step :
+           first_arrival_path(g, v, gather.first_arrivals[v])) {
         ++expected.messages_sent;
-        expected.words_sent += static_cast<std::int64_t>(reply[id].size()) + 1;
-        expected.rounds = std::max(expected.rounds, horizon - hop.round);
-        ++load[{horizon - 1 - hop.round, hop.to, from}];
-        from = hop.to;
+        expected.words_sent += static_cast<std::int64_t>(reply[v].size()) + 1;
+        expected.rounds = std::max(expected.rounds, horizon - step.round);
+        ++load[{horizon - 1 - step.round, step.at,
+                g.neighbors(step.at)[step.port]}];
       }
     }
     for (const auto& [key, count] : load) {
       expected.max_edge_load = std::max(expected.max_edge_load, count);
     }
-    const auto r = reverse_delivery(g.num_vertices(), gather, reply);
+    const auto r = reverse_delivery(g, gather, reply);
     EXPECT_EQ(r.stats.rounds, expected.rounds) << budget;
     EXPECT_EQ(r.stats.messages_sent, expected.messages_sent) << budget;
     EXPECT_EQ(r.stats.words_sent, expected.words_sent) << budget;
     EXPECT_EQ(r.stats.max_edge_load, expected.max_edge_load) << budget;
     EXPECT_EQ(r.load_ok, expected.max_edge_load <= budget) << budget;
-    EXPECT_EQ(r.received, received) << budget;
+    EXPECT_EQ(r.received, reply) << budget;
   }
   // The walk met its budget of 3, and shared an edge-round at least once.
   EXPECT_GT(gather.stats.max_edge_load, 1);
 }
 
-// The replaced check keyed its load map by (round << 40) ^ (from << 20) ^ to,
-// so distinct directed edges aliased once a vertex id reached 2^20: the
+// An old check keyed its load map by (round << 40) ^ (from << 20) ^ to, so
+// distinct directed edges aliased once a vertex id reached 2^20: the
 // reverse hops (1 -> 0) and (0 -> 2^20) in one round read as load 2.
 TEST(ReverseDelivery, DistinctEdgesDoNotAliasPastTwoToTheTwenty) {
   constexpr VertexId kFar = VertexId{1} << 20;
+  const Graph g = Graph::from_edges(kFar + 1, {{0, 1}, {0, kFar}});
   GatherResult gather;
   gather.stats.rounds = 1;
   gather.bandwidth_tokens = 1;
-  // Token 0 walks 0 -> 1, token 1 walks kFar -> 0, both in round 0.
-  gather.traces = {forged_walk(0, {{1, 0}}), forged_walk(kFar, {{0, 0}})};
-  const auto r = reverse_delivery(kFar + 1, gather, {{7}, {8}});
+  // Vertex 0's registration walks 0 -> 1, kFar's kFar -> 0, both in round 0.
+  gather.first_arrivals.resize(kFar + 1);
+  gather.first_arrivals[0] = {{1, port(g, 1, 0), 0}};
+  gather.first_arrivals[kFar] = {{0, port(g, 0, kFar), 0}};
+  std::vector<std::vector<std::int64_t>> reply(kFar + 1);
+  reply[0] = {7};
+  reply[kFar] = {8};
+  const auto r = reverse_delivery(g, gather, reply);
   EXPECT_TRUE(r.load_ok);
   EXPECT_EQ(r.stats.max_edge_load, 1);
   EXPECT_EQ(r.stats.messages_sent, 2);
-  EXPECT_EQ(r.received[0][0][0], 7);
-  EXPECT_EQ(r.received[kFar][0][0], 8);
+  EXPECT_EQ(r.received[0], std::vector<std::int64_t>{7});
+  EXPECT_EQ(r.received[kFar], std::vector<std::int64_t>{8});
 }
 
 TEST(ReverseDelivery, SameEdgeOverloadStillFails) {
+  // Vertices 0 and 3 both reach 1 in round 0 and go on to 2 in round 1: both
+  // reverse hops 2 -> 1 fall in one round.
+  const Graph g = Graph::from_edges(4, {{0, 1}, {1, 2}, {1, 3}});
   GatherResult gather;
-  gather.stats.rounds = 1;
+  gather.stats.rounds = 2;
   gather.bandwidth_tokens = 1;
-  // Two tokens walk 0 -> 1 in round 0: both reverse hops are (1 -> 0).
-  gather.traces = {forged_walk(0, {{1, 0}}), forged_walk(0, {{1, 0}})};
-  const auto r = reverse_delivery(2, gather, {{7}, {8}});
+  gather.first_arrivals = {
+      {{1, port(g, 1, 0), 0}, {2, port(g, 2, 1), 1}}, {}, {},
+      {{1, port(g, 1, 3), 0}, {2, port(g, 2, 1), 1}}};
+  const auto r = reverse_delivery(g, gather, {{7}, {}, {}, {8}});
   EXPECT_FALSE(r.load_ok);
   EXPECT_EQ(r.stats.max_edge_load, 2);
 }
 
 TEST(ReverseDelivery, HopOutsideTheForwardHorizonFails) {
+  const Graph g = graph::path(2);
   GatherResult gather;
   gather.stats.rounds = 1;
   // Round 1 has no mirror in 1 round.
-  gather.traces = {forged_walk(0, {{1, 1}})};
-  EXPECT_FALSE(reverse_delivery(2, gather, {{7}}).load_ok);
+  gather.first_arrivals = {{{1, 0, 1}}, {}};
+  EXPECT_FALSE(reverse_delivery(g, gather, {{7}, {}}).load_ok);
 }
 
 // On the path 0 - 1 - 2 - 3 with leader 0, one reply a round on each edge:
-// token 0 came from 1 in forward round 2, token 1 from 3 through 2 and 1 in
-// rounds 0, 1 and 3. The latest forward round goes first, so token 1's reply
-// leaves 0 in round 0 and reaches 3 in round 3, and token 0's leaves in round
-// 1: four rounds. Token 0's first would take five, as the mirror of the
-// five-round gather does.
+// vertex 1's registration came from 1 in forward round 2, vertex 3's from 3
+// through 2 and 1 in rounds 0, 1 and 3. The latest forward round goes first,
+// so 3's reply leaves 0 in round 0 and reaches 3 in round 3, and 1's leaves
+// in round 1: four rounds. 1's first would take five, as the mirror of the
+// five-round gather does. Vertices 0 and 2 keep their words.
 TEST(PathReturn, LatestForwardRoundGoesFirst) {
   const Graph g = graph::path(4);
   GatherResult gather;
   gather.stats.rounds = 5;
   gather.stats.max_edge_load = 1;
   gather.bandwidth_tokens = 3;
-  gather.traces = {forged_walk(1, {{0, 2}}),
-                   forged_walk(3, {{2, 0}, {1, 1}, {0, 3}})};
-  const auto r = return_along_paths(g, gather, {0, 1}, {7, 8});
+  gather.first_arrivals = {
+      {},
+      {{0, port(g, 0, 1), 2}},
+      {},
+      {{2, port(g, 2, 3), 0}, {1, port(g, 1, 2), 1}, {0, port(g, 0, 1), 3}}};
+  const auto r = return_along_paths(g, gather, {5, 7, 6, 8});
   EXPECT_EQ(r.stats.rounds, 4);
   EXPECT_EQ(r.stats.messages_sent, 4);
   EXPECT_EQ(r.stats.words_sent, 4 * 2);
   EXPECT_EQ(r.stats.max_edge_load, 1);
-  const auto oracle = reverse_delivery(g.num_vertices(), gather, {{7}, {8}});
+  const auto oracle = reverse_delivery(g, gather, {{}, {7}, {}, {8}});
   EXPECT_EQ(oracle.stats.rounds, 5);
-  EXPECT_EQ(r.arrived, (std::vector<char>{0, 1, 0, 1}));
-  EXPECT_EQ(r.word[1], oracle.received[1][0][0]);
-  EXPECT_EQ(r.word[3], oracle.received[3][0][0]);
-  EXPECT_EQ(r.word[1], 7);
-  EXPECT_EQ(r.word[3], 8);
+  EXPECT_EQ(r.arrived, (std::vector<char>{1, 1, 1, 1}));
+  EXPECT_EQ(r.word, (std::vector<std::int64_t>{5, 7, 6, 8}));
+  EXPECT_EQ(oracle.received[1], std::vector<std::int64_t>{7});
+  EXPECT_EQ(oracle.received[3], std::vector<std::int64_t>{8});
 }
 
-// A vertex routes a reply by the token's entry in its table, so a replied
-// walk must lie within the graph and its first-arrival path must run over
-// its edges. A walk that visits a vertex twice is cut, not refused. An
-// unreplied trace is not read.
+// A vertex routes a reply by its entry in its table, so a path's records
+// must lie within the graph and step back over its edges: a record outside
+// it, or whose port leads to a vertex the registration never reached (as a
+// hop from 3 straight to 0 would), is refused before the run.
 TEST(PathReturn, RefusesTracesThatAreNotPathsOfTheGraph) {
   const Graph g = graph::path(4);
   GatherResult gather;
   gather.stats.max_edge_load = 1;
-  const auto refuses = [&](TokenTrace trace) {
-    gather.traces = {std::move(trace)};
-    EXPECT_NO_THROW(return_along_paths(g, gather, {}, {}));
-    return_along_paths(g, gather, {0}, {7});
+  gather.first_arrivals.assign(4, {});
+  const std::vector<std::int64_t> words(4, 7);
+  const auto refuses = [&](std::vector<FirstArrival> list) {
+    gather.first_arrivals[3] = std::move(list);
+    return_along_paths(g, gather, words);
   };
-  EXPECT_THROW(refuses(forged_walk(1, {{4, 0}})), std::invalid_argument);
-  EXPECT_THROW(refuses(forged_walk(-1, {{0, 0}})), std::invalid_argument);
-  EXPECT_NO_THROW(refuses(forged_walk(3, {{2, 0}, {1, 1}, {2, 2}})));
-  EXPECT_NO_THROW(refuses(forged_walk(1, {{0, 0}, {1, 1}})));
-  try {
-    refuses(forged_walk(0, {{2, 0}}));
-    ADD_FAILURE() << "a hop from 0 to 2 was accepted";
-  } catch (const std::invalid_argument& e) {
-    ADD_FAILURE() << e.what();
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("not neighbours"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_NO_THROW(refuses(forged_walk(0, {{1, 0}, {2, 1}})));
+  EXPECT_THROW(refuses({{4, 0, 0}}), std::invalid_argument);
+  EXPECT_THROW(refuses({{0, 1, 0}}), std::invalid_argument);
+  EXPECT_THROW(refuses({{0, port(g, 0, 1), 0}}), std::invalid_argument);
+  EXPECT_THROW(refuses({{3, port(g, 3, 2), 0}}), std::invalid_argument);
+  EXPECT_NO_THROW(refuses(
+      {{2, port(g, 2, 3), 0}, {1, port(g, 1, 2), 1}, {0, port(g, 0, 1), 2}}));
 }
 
-// One word per replied token, the tokens in increasing order, and one reply
-// per origin: the result has one word slot per vertex.
+// One word and one first-arrival list per vertex; the result has one word
+// slot per vertex.
 TEST(PathReturn, TakesOneWordPerTokenAndOneReplyPerOrigin) {
   const Graph g = graph::complete(4);
   GatherResult gather;
   gather.stats.max_edge_load = 1;
-  gather.traces = {forged_walk(1, {{0, 0}}), forged_walk(2, {{0, 0}}),
-                   forged_walk(1, {{0, 1}})};
-  EXPECT_THROW(return_along_paths(g, gather, {0, 1}, {7}),
+  gather.first_arrivals = {
+      {}, {{0, port(g, 0, 1), 0}}, {{0, port(g, 0, 2), 0}}, {}};
+  EXPECT_THROW(return_along_paths(g, gather, {7, 8, 9}), std::invalid_argument);
+  EXPECT_THROW(return_along_paths(g, gather, {7, 8, 9, 10, 11}),
                std::invalid_argument);
-  EXPECT_THROW(return_along_paths(g, gather, {1, 0}, {8, 7}),
+  GatherResult short_lists = gather;
+  short_lists.first_arrivals.pop_back();
+  EXPECT_THROW(return_along_paths(g, short_lists, {7, 8, 9, 10}),
                std::invalid_argument);
-  EXPECT_THROW(return_along_paths(g, gather, {0, 0}, {7, 7}),
-               std::invalid_argument);
-  EXPECT_THROW(return_along_paths(g, gather, {0, 2}, {7, 9}),
-               std::invalid_argument);
-  const auto r = return_along_paths(g, gather, {0, 1}, {7, 8});
-  EXPECT_EQ(r.arrived, (std::vector<char>{0, 1, 1, 0}));
-  EXPECT_EQ(r.word[1], 7);
-  EXPECT_EQ(r.word[2], 8);
+  const auto r = return_along_paths(g, gather, {7, 8, 9, 10});
+  EXPECT_EQ(r.arrived, (std::vector<char>{1, 1, 1, 1}));
+  EXPECT_EQ(r.word, (std::vector<std::int64_t>{7, 8, 9, 10}));
   EXPECT_EQ(r.stats.messages_sent, 2);
 }
 
-// Hop rounds are 32-bit, so a round budget past INT32_MAX is refused up
+// Recorded rounds are 32-bit, so a round budget past INT32_MAX is refused up
 // front instead of wrapping mid-run; INT32_MAX itself is accepted.
 TEST(Gather, RejectsRoundBudgetPastInt32) {
   const Graph g = graph::grid(3, 3);
@@ -1059,8 +1154,9 @@ TEST(Integration, PrimitivesAreBitIdenticalUnderParallelExecution) {
   EXPECT_EQ(par_orient.stats.messages_sent, serial_orient.stats.messages_sent);
 
   // The walk gather pins the schedule itself, not just its totals: same
-  // delivered ids and payloads, same hop log for every token. The sparse
-  // fast path is off so every round of the 4-thread run is sharded.
+  // delivered ids and payloads, same first-arrival records for every
+  // registration. The sparse fast path is off so every round of the
+  // 4-thread run is sharded.
   std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     tokens[v].push_back({v, {v, 3 * v}});
@@ -1077,11 +1173,8 @@ TEST(Integration, PrimitivesAreBitIdenticalUnderParallelExecution) {
   ASSERT_TRUE(serial_gather.complete);
   EXPECT_EQ(par_gather.delivered_ids, serial_gather.delivered_ids);
   EXPECT_EQ(par_gather.delivered, serial_gather.delivered);
-  ASSERT_EQ(par_gather.traces.size(), serial_gather.traces.size());
-  for (std::size_t id = 0; id < serial_gather.traces.size(); ++id) {
-    EXPECT_TRUE(par_gather.traces[id].hops() == serial_gather.traces[id].hops())
-        << "token " << id;
-  }
+  EXPECT_EQ(par_gather.token_begin, serial_gather.token_begin);
+  EXPECT_EQ(par_gather.first_arrivals, serial_gather.first_arrivals);
   EXPECT_EQ(par_gather.stats.rounds, serial_gather.stats.rounds);
   EXPECT_EQ(par_gather.stats.messages_sent, serial_gather.stats.messages_sent);
   EXPECT_EQ(par_gather.stats.words_sent, serial_gather.stats.words_sent);

@@ -81,7 +81,7 @@ TEST(CrossModule, MixingTimeWithinCheegerWindow) {
 }
 
 // Simulator determinism: identical seeds => identical statistics, token
-// deliveries, and traces.
+// deliveries, and first-arrival records.
 TEST(CrossModule, GatherIsDeterministicGivenSeed) {
   Rng rng(4);
   Graph g = graph::random_maximal_planar(50, rng);
@@ -100,15 +100,14 @@ TEST(CrossModule, GatherIsDeterministicGivenSeed) {
                                               tokens, opt);
   EXPECT_EQ(r1.stats.rounds, r2.stats.rounds);
   EXPECT_EQ(r1.stats.messages_sent, r2.stats.messages_sent);
-  ASSERT_EQ(r1.traces.size(), r2.traces.size());
-  for (std::size_t i = 0; i < r1.traces.size(); ++i) {
-    EXPECT_TRUE(r1.traces[i].hops() == r2.traces[i].hops());
-  }
+  EXPECT_EQ(r1.delivered_ids, r2.delivered_ids);
+  EXPECT_EQ(r1.first_arrivals, r2.first_arrivals);
 }
 
-// The walk-gather traces must be *consistent walks*: each hop along an edge
-// from the previous vertex, hop rounds strictly increasing, and ending at
-// the leader.
+// The walk gather's first-arrival records must trace *consistent walks*
+// back: each record's port leads to the origin or to an earlier record of a
+// smaller round, every vertex is recorded at most once and never at its
+// origin, and each list ends at the origin's leader.
 TEST(CrossModule, GatherTracesAreValidWalks) {
   Rng rng(5);
   Graph g = graph::random_maximal_planar(60, rng);
@@ -123,17 +122,22 @@ TEST(CrossModule, GatherTracesAreValidWalks) {
   const auto r = congest::random_walk_gather(g, cluster, leaders.leader_of,
                                              tokens, opt);
   ASSERT_TRUE(r.complete);
-  for (const auto& trace : r.traces) {
-    const std::vector<congest::TokenHop> hops = trace.hops();
-    VertexId at = trace.origin;
-    for (std::size_t h = 0; h < hops.size(); ++h) {
-      EXPECT_TRUE(g.has_edge(at, hops[h].to));
-      if (h > 0) {
-        EXPECT_GT(hops[h].round, hops[h - 1].round);
-      }
-      at = hops[h].to;
+  for (VertexId origin = 0; origin < g.num_vertices(); ++origin) {
+    const std::vector<congest::FirstArrival>& list = r.first_arrivals[origin];
+    std::vector<int> round_of(g.num_vertices(), -1);
+    for (const congest::FirstArrival& a : list) {
+      ASSERT_GE(a.port, 0);
+      ASSERT_LT(a.port, g.degree(a.at));
+      EXPECT_NE(a.at, origin);
+      EXPECT_EQ(round_of[a.at], -1) << "vertex " << a.at << " twice";
+      const VertexId from = g.neighbors(a.at)[a.port];
+      EXPECT_TRUE(from == origin ||
+                  (round_of[from] >= 0 && round_of[from] < a.round))
+          << "origin " << origin << " at " << a.at;
+      round_of[a.at] = a.round;
     }
-    EXPECT_EQ(at, leaders.leader_of[trace.origin]);
+    const VertexId last = list.empty() ? origin : list.back().at;
+    EXPECT_EQ(last, leaders.leader_of[origin]);
   }
 }
 

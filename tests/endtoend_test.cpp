@@ -57,30 +57,25 @@ TEST(EndToEnd, UnitBandwidthReturnRejectsSharedEdgeRound) {
   Graph g = graph::random_maximal_planar(80, rng);
   FrameworkOptions opt;
   opt.walk_bandwidth = 1;
-  const Partition p = partition_and_gather(g, 0.3, opt);
+  Partition p = partition_and_gather(g, 0.3, opt);
   ASSERT_TRUE(p.gather_complete);
-  const auto& hello = p.hello_token_of;
-  congest::GatherResult paths =
-      congest::with_first_arrival_paths(p.gather, hello);
-  std::vector<std::vector<std::int64_t>> reply(paths.traces.size());
-  for (int v = 0; v < g.num_vertices(); ++v) reply[hello[v]] = {100 + v};
-  EXPECT_TRUE(
-      congest::reverse_delivery(g.num_vertices(), paths, reply).load_ok);
-  // Give another registration token the hop log of one with at least two
-  // hops: every hop after the first then carries both replies in one round.
+  std::vector<std::vector<std::int64_t>> reply(g.num_vertices());
+  for (int v = 0; v < g.num_vertices(); ++v) reply[v] = {100 + v};
+  EXPECT_TRUE(congest::reverse_delivery(g, p.gather, reply).load_ok);
+  // Take a vertex a whose path has at least two hops, a -> b -> ..., and
+  // give b the records of a's path past b: b's path then runs over a's
+  // hops after the first, in the same rounds, and every one of them carries
+  // both replies in one round.
   int a = -1;
+  std::vector<congest::FirstArrival> path;
   for (int v = 0; v < g.num_vertices() && a < 0; ++v) {
-    if (paths.traces[hello[v]].hop_count() >= 2) a = v;
+    path = congest::first_arrival_path(g, v, p.gather.first_arrivals[v]);
+    if (path.size() >= 2) a = v;
   }
   ASSERT_GE(a, 0);
-  const int b = a == 0 ? 1 : 0;
-  congest::TokenTrace& forged = paths.traces[hello[b]];
-  forged.clear();
-  for (const congest::TokenHop& hop : paths.traces[hello[a]].hops()) {
-    forged.append(hop);
-  }
-  const auto overloaded =
-      congest::reverse_delivery(g.num_vertices(), paths, reply);
+  const graph::VertexId b = path.front().at;
+  p.gather.first_arrivals[b].assign(path.begin() + 1, path.end());
+  const auto overloaded = congest::reverse_delivery(g, p.gather, reply);
   EXPECT_FALSE(overloaded.load_ok)
       << "a load-2 edge-round passed a bandwidth-1 check";
   EXPECT_EQ(overloaded.stats.max_edge_load, 2);

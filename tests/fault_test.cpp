@@ -19,6 +19,7 @@
 #include "src/congest/fault.h"
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
+#include "src/congest/trace.h"
 #include "src/core/framework.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -582,6 +583,10 @@ TEST(ReliableGather, StatsAddUpEveryRun) {
   EXPECT_GE(r.gather.stats.vertices_crashed, 1);
 }
 
+// Under drops, tokens are re-seeded and a registration forgets the records
+// of its failed epochs: every record's port still leads to the origin or to
+// an earlier record of a smaller round, each list ends at its absorbing
+// leader, and every word the return sends comes back.
 TEST(ReliableGather, TracesStayRoutableForReverseDelivery) {
   const Graph g = graph::torus_grid(6, 6);
   const std::vector<int> cl(g.num_vertices(), 0);
@@ -590,22 +595,74 @@ TEST(ReliableGather, TracesStayRoutableForReverseDelivery) {
   opt.net.bandwidth_tokens = 2;
   opt.net.faults.seed = 17;
   opt.net.faults.drop_probability = 0.05;
+  opt.epoch_rounds = 24;
+  opt.max_epochs = 64;
   const auto r = congest::reliable_walk_gather(g, cl, leaders.leader_of,
                                                one_token_per_vertex(g), opt);
   ASSERT_TRUE(r.gather.complete);
-  // Each delivered token's trace must end at its absorbing leader and have
-  // strictly increasing hop rounds (what the return relies on).
-  for (const auto& ids : r.gather.delivered_ids) {
-    for (const std::int64_t id : ids) {
-      const congest::TokenTrace& t = r.gather.traces[id];
-      const std::vector<congest::TokenHop> hops = t.hops();
-      const VertexId last = hops.empty() ? t.origin : hops.back().to;
-      EXPECT_EQ(r.final_leader_of[last], last);
-      for (std::size_t h = 1; h < hops.size(); ++h) {
-        EXPECT_LT(hops[h - 1].round, hops[h].round);
+  ASSERT_GT(r.epochs, 1);
+  for (VertexId origin = 0; origin < g.num_vertices(); ++origin) {
+    const std::vector<congest::FirstArrival>& list =
+        r.gather.first_arrivals[origin];
+    for (std::size_t j = 0; j < list.size(); ++j) {
+      const VertexId from = g.neighbors(list[j].at)[list[j].port];
+      bool earlier = from == origin;
+      for (std::size_t k = 0; k < j; ++k) {
+        earlier = earlier ||
+                  (list[k].at == from && list[k].round < list[j].round);
       }
+      EXPECT_TRUE(earlier) << "origin " << origin << " record " << j;
+    }
+    const VertexId last = list.empty() ? origin : list.back().at;
+    EXPECT_EQ(r.final_leader_of[last], last) << "origin " << origin;
+  }
+  std::vector<std::int64_t> words(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) words[v] = 11 * v + 2;
+  const auto back = congest::return_along_paths(g, r.gather, words);
+  EXPECT_EQ(back.word, words);
+  EXPECT_EQ(back.arrived, std::vector<char>(g.num_vertices(), 1));
+}
+
+// Counts the messages that cross edge {u, v} in either direction.
+class EdgeWatch final : public congest::TraceSink {
+ public:
+  EdgeWatch(VertexId u, VertexId v) : u_(u), v_(v) {}
+  void on_edge_load(std::int64_t, VertexId from, VertexId to, int messages,
+                    std::int64_t) override {
+    if ((from == u_ && to == v_) || (from == v_ && to == u_)) {
+      crossings += messages;
     }
   }
+  std::int64_t crossings = 0;
+
+ private:
+  VertexId u_, v_;
+};
+
+// The plan's churn runs on the gather's cumulative timeline, as its crashes
+// do: an edge deleted at round 0 stays deleted through every epoch and the
+// re-election, and the deletion and the leader's crash each count once.
+TEST(ReliableGather, ChurnFiresOnceOnTheCumulativeTimeline) {
+  const Graph g = graph::torus_grid(6, 6);
+  const std::vector<int> cl(g.num_vertices(), 0);
+  const auto leaders = clean_leaders(g, cl);
+  const VertexId old_leader = leaders.leader_of[0];
+  const graph::Edge cut = g.edge(0);
+  EdgeWatch watch(cut.u, cut.v);
+  congest::ReliableGatherOptions opt;
+  opt.net.bandwidth_tokens = 2;
+  opt.net.trace = &watch;
+  opt.epoch_rounds = 256;
+  opt.net.faults.crashes.push_back(congest::CrashEvent{old_leader, 3});
+  opt.net.faults.churn.push_back(
+      {congest::ChurnKind::kEdgeDelete, 0, cut.u, cut.v});
+  const auto r = congest::reliable_walk_gather(g, cl, leaders.leader_of,
+                                               one_token_per_vertex(g), opt);
+  ASSERT_GE(r.epochs, 2);
+  ASSERT_GE(r.reelections, 1);
+  EXPECT_EQ(r.gather.stats.churn_events, 1);
+  EXPECT_EQ(r.gather.stats.vertices_crashed, 1);
+  EXPECT_EQ(watch.crossings, 0);
 }
 
 // --- End-to-end: the framework pipeline under faults ----------------------

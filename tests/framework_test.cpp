@@ -287,40 +287,38 @@ TEST(Framework, ReturnRefusesFewerWordsThanVertices) {
   expect_word_count_refused(0);
 }
 
-// partition_and_gather keeps every token's whole walk: a walk along edges
-// from the vertex to its leader, in increasing rounds. The return cuts the
-// registration walks to their first-arrival paths itself, so some of them
-// still visit a vertex twice.
-TEST(Framework, RegistrationTokensKeepTheirWholeWalks) {
+// partition_and_gather keeps the first arrivals of each registration: the
+// records trace a walk along edges back from the vertex's leader, rounds
+// decreasing, to the vertex itself. The return steps back through them
+// itself, so some lists hold more records than the path they trace.
+TEST(Framework, RegistrationTokensKeepTheirFirstArrivals) {
   Rng rng(5);
   const Graph g = graph::random_maximal_planar(60, rng);
   const Partition p = partition_and_gather(g, 0.3);
   ASSERT_TRUE(p.gather_complete);
-  // Checks that `t` walks from its origin to the origin's leader, and
-  // returns whether it visits a vertex twice.
-  const auto revisits = [&](const congest::TokenTrace& t) {
-    std::vector<bool> seen(g.num_vertices(), false);
-    seen[t.origin] = true;
-    bool again = false;
-    VertexId at = t.origin;
-    std::int32_t round = -1;
-    for (const congest::TokenHop& hop : t.hops()) {
-      EXPECT_TRUE(g.has_edge(at, hop.to));
-      EXPECT_GT(hop.round, round);
-      again = again || seen[hop.to];
-      seen[hop.to] = true;
-      at = hop.to;
-      round = hop.round;
-    }
-    EXPECT_EQ(at, p.leader_of[t.origin]);
-    return again;
-  };
-  int registration_walks_that_revisit = 0;
+  int lists_longer_than_paths = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    registration_walks_that_revisit +=
-        revisits(p.gather.traces[p.hello_token_of[v]]) ? 1 : 0;
+    const std::vector<congest::FirstArrival>& list = p.gather.first_arrivals[v];
+    const VertexId leader = p.leader_of[v];
+    if (leader == v) {
+      EXPECT_TRUE(list.empty());
+      continue;
+    }
+    ASSERT_FALSE(list.empty());
+    EXPECT_EQ(list.back().at, leader);
+    const std::vector<congest::FirstArrival> path =
+        congest::first_arrival_path(g, v, list);
+    VertexId from = v;
+    std::int32_t round = -1;
+    for (const congest::FirstArrival& step : path) {
+      EXPECT_EQ(g.neighbors(step.at)[step.port], from);
+      EXPECT_GT(step.round, round);
+      from = step.at;
+      round = step.round;
+    }
+    lists_longer_than_paths += path.size() < list.size() ? 1 : 0;
   }
-  EXPECT_GT(registration_walks_that_revisit, 0);
+  EXPECT_GT(lists_longer_than_paths, 0);
 }
 
 // A registration token that never reached its leader has no path to reverse.
@@ -336,13 +334,13 @@ TEST(Framework, ReturnRefusesUndeliveredRegistrations) {
   opt.faults.seed = 1;
   Partition p = partition_and_gather(g, 0.2, opt);
   ASSERT_FALSE(p.gather_complete);
-  std::vector<bool> delivered(p.gather.traces.size(), false);
+  std::vector<bool> delivered(p.gather.token_begin.back(), false);
   for (const auto& ids : p.gather.delivered_ids) {
     for (const std::int64_t id : ids) delivered[id] = true;
   }
   int missing = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    missing += !delivered[p.hello_token_of[v]];
+    missing += !delivered[p.gather.token_begin[v]];
   }
   ASSERT_GT(missing, 0);
   const auto entries = p.ledger.entries().size();
@@ -360,46 +358,41 @@ TEST(Framework, ReturnRefusesUndeliveredRegistrations) {
 
 // ---- The return runs on the simulator ------------------------------------------
 
-// One word per vertex, 7v + 3, and the same words as replies on the
-// registration tokens, for the mirror schedule that takes replies by token
-// id.
+// One word per vertex, 7v + 3, and the same words as one-word replies, for
+// the mirror schedule.
 struct Words {
   std::vector<std::int64_t> per_vertex;
   std::vector<std::vector<std::int64_t>> reply;
 };
 Words words_for(const Partition& p) {
   Words w;
-  w.per_vertex.resize(p.hello_token_of.size());
-  w.reply.resize(p.gather.traces.size());
+  w.per_vertex.resize(p.leader_of.size());
+  w.reply.resize(p.leader_of.size());
   for (std::size_t v = 0; v < w.per_vertex.size(); ++v) {
     w.per_vertex[v] = 7 * static_cast<std::int64_t>(v) + 3;
-    w.reply[p.hello_token_of[v]] = {w.per_vertex[v]};
+    w.reply[v] = {w.per_vertex[v]};
   }
   return w;
 }
 
 // The pipeline's return against the mirror schedule it replaced
-// (congest::reverse_delivery, a test oracle), run on the registration
-// tokens' reference first-arrival paths: the same words reach the same
-// vertices with the same messages and words, in at most the oracle's
-// rounds, and no edge carries more in a round than the gather's peak. The
-// ledger records that run. Returns its stats.
+// (congest::reverse_delivery, a test oracle), run on the same first-arrival
+// records: the same words reach the same vertices with the same messages
+// and words, in at most the oracle's rounds, and no edge carries more in a
+// round than the gather's peak. The ledger records that run. Returns its
+// stats.
 congest::RunStats expect_return_within_the_mirror(const Graph& g,
                                                   Partition& p) {
   EXPECT_TRUE(p.gather_complete);
   const Words w = words_for(p);
-  const auto oracle = congest::reverse_delivery(
-      g.num_vertices(),
-      congest::with_first_arrival_paths(p.gather, p.hello_token_of), w.reply);
+  const auto oracle = congest::reverse_delivery(g, p.gather, w.reply);
   EXPECT_TRUE(oracle.load_ok);
-  const auto back = congest::return_along_paths(g, p.gather, p.hello_token_of,
-                                                w.per_vertex, p.net);
+  const auto back =
+      congest::return_along_paths(g, p.gather, w.per_vertex, p.net);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_TRUE(back.arrived[v]) << "vertex " << v;
     EXPECT_EQ(back.word[v], w.per_vertex[v]) << "vertex " << v;
-    EXPECT_EQ(oracle.received[v],
-              std::vector<std::vector<std::int64_t>>{{w.per_vertex[v]}})
-        << "vertex " << v;
+    EXPECT_EQ(oracle.received[v], w.reply[v]) << "vertex " << v;
   }
   EXPECT_GT(back.stats.messages_sent, 0);
   EXPECT_EQ(back.stats.messages_sent, oracle.stats.messages_sent);
@@ -450,9 +443,7 @@ TEST(Framework, ReturnIsTheSameAtOneAndFourThreads) {
     opt.sparse_serial_threshold = 0;
     Partition p = partition_and_gather(g, 0.2, opt);
     const Words w = words_for(p);
-    Run out{congest::return_along_paths(g, p.gather, p.hello_token_of,
-                                        w.per_vertex, p.net),
-            0};
+    Run out{congest::return_along_paths(g, p.gather, w.per_vertex, p.net), 0};
     out.ledger_rounds = return_results(p, w.per_vertex, "result return");
     return out;
   };
@@ -507,24 +498,26 @@ TEST(Framework, ReturnIsTheLastObservedPhase) {
             entry.messages_sent);
 }
 
-// A reply can only go back over an edge: a registration walk forged to hop
-// between non-neighbours is refused before the ledger changes.
+// A reply can only go back over an edge it came by: a registration's
+// records forged to say that vertex 0's registration first reached 14, two
+// rows down and two columns across, from 8, which it never reached (as a
+// hop from 0 straight to 14 would have it), are refused before the ledger
+// changes.
 TEST(Framework, ReturnRefusesAHopBetweenNonNeighbours) {
   const Graph g = graph::grid(6, 6);
   Partition p = partition_and_gather(g, 0.3);
   ASSERT_TRUE(p.gather_complete);
   const auto entries = p.ledger.entries().size();
-  // Vertex 0 is a corner of the grid; vertex 14 is two rows down and two
-  // columns across.
-  congest::TokenTrace& forged = p.gather.traces[p.hello_token_of[0]];
   ASSERT_FALSE(g.has_edge(0, 14));
-  forged.clear();
-  forged.append({14, 0});
+  const auto nbrs = g.neighbors(14);
+  const int to_8 =
+      static_cast<int>(std::find(nbrs.begin(), nbrs.end(), 8) - nbrs.begin());
+  p.gather.first_arrivals[0] = {{14, to_8, 0}};
   try {
     return_results(p, words_for(p).per_vertex, "result return");
     ADD_FAILURE() << "a hop from 0 to 14 was returned along";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("not neighbours"), std::string::npos)
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("had not reached"), std::string::npos)
         << e.what();
   }
   EXPECT_EQ(p.ledger.entries().size(), entries);

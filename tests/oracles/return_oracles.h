@@ -1,6 +1,8 @@
-// The path return's test oracles (src/congest/primitives.h,
-// return_along_paths): the first-arrival path by its definition, and the
-// mirror schedule the return replaced.
+// The walk gathers' and the path return's test oracles
+// (src/congest/primitives.h): a serial walker that replays the walk gather's
+// schedule and keeps whole walks, the first arrivals of a walk by their
+// definition, the first-arrival path, and the mirror schedule the return
+// replaced.
 #pragma once
 
 #include <cstdint>
@@ -10,44 +12,75 @@
 
 namespace ecd::congest {
 
-// The first-arrival path of `walk` by its definition, in quadratic time: from
-// where the walk ends, search the walk from its start for the first hop into
-// the current vertex, keep that hop and go on from its sender, until the
-// origin. Empty for an empty walk or one that ends at its origin.
-std::vector<TokenHop> first_arrival_reference(
-    graph::VertexId origin, const std::vector<TokenHop>& walk);
+// One hop of a whole walk: the vertex the token moved to and the round it
+// moved in. The hop's sender is the previous hop's `to` (the origin for the
+// first hop).
+struct TokenHop {
+  graph::VertexId to = graph::kInvalidVertex;
+  std::int32_t round = -1;
+  friend bool operator==(const TokenHop&, const TokenHop&) = default;
+};
 
-// `gather` with the walk of each token in `ids` replaced by its
-// first_arrival_reference path: the hops a return to those tokens sends on.
-GatherResult with_first_arrival_paths(GatherResult gather,
-                                      const std::vector<std::int64_t>& ids);
+struct ReferenceGather {
+  // Per token id (numbered as the gather numbers them): every hop it made.
+  std::vector<std::vector<TokenHop>> walks;
+  // Per cluster: the absorbed token ids in the order the leader took them.
+  std::vector<std::vector<std::int64_t>> delivered_ids;
+  // rounds, messages_sent, words_sent and max_edge_load of the run.
+  RunStats stats;
+  bool complete = false;
+};
+
+// random_walk_gather's schedule replayed without the Network, one vertex
+// after another each round: every vertex's WalkStream seeded as the gather
+// seeds it; the held order, last round's kept tokens and then the arrivals
+// by port, first in first out; the per-port budget
+// options.net.bandwidth_tokens; and the leader absorbing on arrival. Stops
+// after options.net.max_rounds rounds, incomplete.
+ReferenceGather reference_walk_gather(
+    const graph::Graph& g, const std::vector<int>& cluster_of,
+    const std::vector<graph::VertexId>& leader_of,
+    const std::vector<std::vector<GatherToken>>& tokens,
+    const GatherOptions& options);
+
+// The first arrivals of `walk` from `origin` by their definition: each hop
+// into a vertex other than the origin that the walk had not reached before,
+// as (that vertex, its port toward the hop's sender, the hop's round), in
+// walk order.
+std::vector<FirstArrival> first_arrival_reference(
+    const graph::Graph& g, graph::VertexId origin,
+    const std::vector<TokenHop>& walk);
+
+// The first-arrival path a first-arrival list records, by its definition, in
+// quadratic time: from the last record, search the list from its start for
+// the record of the vertex its port leads to, until the port leads to the
+// origin. Origin end first; empty for an empty list. Throws
+// std::invalid_argument when a port leads to a vertex with no record.
+std::vector<FirstArrival> first_arrival_path(
+    const graph::Graph& g, graph::VertexId origin,
+    const std::vector<FirstArrival>& list);
 
 struct ReverseDeliveryResult {
-  // Reply payload received by each origin vertex (one per token, in token
-  // id order restricted to that origin).
-  std::vector<std::vector<std::vector<std::int64_t>>> received;
+  // Per vertex: the reply it received, empty if none.
+  std::vector<std::vector<std::int64_t>> received;
   RunStats stats;
   // True iff the reverse schedule respected the per-edge budget every round
   // (it must: it mirrors a part of the forward schedule hop by hop).
   bool load_ok = false;
 };
 
-// Delivers `reply[token_id]` from each cluster leader back to the token's
-// origin along its trace, in reverse: the hop taken at forward round r is
-// traversed backwards at round T − 1 − r, T the forward round count. A
-// trace holds the forward walk or a part of it, so the replayed hops are
-// part of the forward schedule at their forward rounds: in every round each
-// edge carries at most its forward load, and the delivery takes at most T
-// rounds (exactly the forward load and rounds when every token's whole walk
-// is replayed). The forward budget `gather.bandwidth_tokens` is verified, not
-// assumed, in O(hops + rounds) time and O(tokens + rounds) scratch: the
-// replied hop logs are decoded in place, one round at a time. Throws
-// std::invalid_argument for a reply to a token whose origin lies outside
-// [0, num_vertices). Run on with_first_arrival_paths, it is the schedule
-// return_along_paths must match in messages and words and stay within in
-// rounds.
+// Delivers `reply[v]` (none when empty) from where v's registration ended
+// back to v along the first-arrival path of gather.first_arrivals[v], in
+// reverse: the hop taken at forward round r is traversed backwards at round
+// T − 1 − r, T the forward round count. The replayed hops are part of the
+// forward schedule at their forward rounds, so in every round each edge
+// carries at most its forward load, and the delivery takes at most T rounds.
+// The forward budget `gather.bandwidth_tokens` is verified, not assumed; a
+// hop outside [0, T) fails the check. It is the schedule return_along_paths
+// must match in messages and words and stay within in rounds. Throws
+// std::invalid_argument for a reply to a vertex outside `g`.
 ReverseDeliveryResult reverse_delivery(
-    int num_vertices, const GatherResult& gather,
+    const graph::Graph& g, const GatherResult& gather,
     const std::vector<std::vector<std::int64_t>>& reply);
 
 }  // namespace ecd::congest

@@ -342,10 +342,10 @@ struct GridGather {
 
 // The walk gather's data path (DESIGN.md §19): tokens wait and travel in
 // wire form, the held/kept lists and port loads are reused every round, and
-// a hop appends about two bytes to its token's hop log. What is left is
-// set-up (ports, algorithms, the Network, the result) and amortized growth
-// of the lists and hop logs: far below 0.1 allocations per simulated
-// message. The per-token vector path this replaced made about 4.4.
+// a hop records at most one first arrival. What is left is set-up (ports,
+// algorithms, seen-bits, the Network, the result) and amortized growth of
+// the lists: far below 0.1 allocations per simulated message. The
+// per-token vector path this replaced made about 4.4.
 TEST(SparseAlloc, WalkGatherAllocatesFarLessThanOncePerMessage) {
   const GridGather grid;
   const std::int64_t before = allocation_count();
@@ -360,31 +360,62 @@ TEST(SparseAlloc, WalkGatherAllocatesFarLessThanOncePerMessage) {
       << " messages";
 }
 
-// The hop log keeps each walk as a varint byte stream, two bytes a hop on a
-// grid. Dropping the logs must free at most 4 bytes per recorded hop,
-// growth slack and allocator rounding included. A log of 8-byte hops frees
-// about 11.5.
-TEST(SparseAlloc, HopLogStoresAtMostFourBytesPerHop) {
+// The reliable gather on the same grid without faults, in one epoch: its
+// walkers keep their held and kept lists, port loads and accepted sets from
+// round to round, and payloads wait in WordBuffers, so it too stays far
+// below 0.1 allocations per message. With a std::deque of held tokens, a
+// load vector a round, a payload vector a copy and a std::set node a hop, it
+// made 3.98 (2,137,884 for 536,917 messages).
+TEST(SparseAlloc, ReliableGatherAllocatesFarLessThanOncePerMessage) {
   const GridGather grid;
+  ReliableGatherOptions opt;
+  opt.net = grid.opt.net;
+  opt.epoch_rounds = 1 << 16;
+  const std::int64_t before = allocation_count();
+  const ReliableGatherResult r = reliable_walk_gather(
+      grid.g, grid.cluster, grid.leader_of, grid.tokens, opt);
+  const std::int64_t allocs = allocation_count() - before;
+  ASSERT_TRUE(r.gather.complete);
+  ASSERT_EQ(r.epochs, 1);
+  EXPECT_LT(static_cast<double>(allocs) /
+                static_cast<double>(r.gather.stats.messages_sent),
+            0.1)
+      << allocs << " allocations for " << r.gather.stats.messages_sent
+      << " messages";
+}
+
+// A hop records at most one first arrival, of 12 bytes, and only where a
+// registration reaches a vertex the first time; the other tokens record
+// nothing. With the framework's mix on a grid, one registration and two
+// edge tokens a vertex, dropping the records must free at most one byte
+// per hop of the gather, growth slack and allocator rounding included. The
+// byte logs of whole walks this replaced kept about two bytes a hop of
+// every token. (Registrations alone record about 2.2 bytes a hop here.)
+TEST(SparseAlloc, FirstArrivalRecordsStoreAtMostOneBytePerHop) {
+  GridGather grid;
+  for (VertexId v = 0; v < grid.g.num_vertices(); ++v) {
+    grid.tokens[v].push_back({v, {v, v + 1, 1, 1}});
+    grid.tokens[v].push_back({v, {v, v + 16, 1, 1}});
+  }
   GatherResult r = grid.run();
   ASSERT_TRUE(r.complete);
   // Every message of the walk gather is one hop of one token.
   const std::int64_t hops = r.stats.messages_sent;
   const auto array_bytes =
-      static_cast<std::int64_t>(malloc_usable_size(r.traces.data()));
+      static_cast<std::int64_t>(malloc_usable_size(r.first_arrivals.data()));
   const std::int64_t before = freed_bytes();
-  std::vector<TokenTrace>().swap(r.traces);
-  const std::int64_t log_bytes = freed_bytes() - before - array_bytes;
-  EXPECT_LE(log_bytes, 4 * hops)
-      << log_bytes << " log bytes for " << hops << " hops";
+  std::vector<std::vector<FirstArrival>>().swap(r.first_arrivals);
+  const std::int64_t record_bytes = freed_bytes() - before - array_bytes;
+  EXPECT_LE(record_bytes, hops)
+      << record_bytes << " record bytes for " << hops << " hops";
 }
 
-// Everything the walk gather allocates, less what the same Network allocates
-// built alone and less the hop logs, is the gather's own state: ports,
-// walkers, token lists, mailbox growth, traces and the delivered result.
-// The hop logs are measured by appending every walk again to a fresh
-// TokenTrace, so they grow through the same sizes as in the gather. On this
-// grid that state came to 2,280 bytes a vertex with eight-byte walk
+// Everything the walk gather allocates, less what the same Network
+// allocates built alone and less the first-arrival lists, is the gather's
+// own state: ports, walkers, token lists, seen-bits, mailbox growth and the
+// delivered result. The lists are measured by appending every record again
+// to a fresh list, so they grow through the same sizes as in the gather. On
+// this grid that state came to 2,280 bytes a vertex with eight-byte walk
 // streams and to 4,771 with a std::mt19937_64 per walker (2,504 bytes
 // each). The bound, 3 KiB, sits between the two: a walker engine of more
 // than about 800 bytes fails it.
@@ -399,121 +430,121 @@ TEST(SparseAlloc, WalkGatherStateStaysSmallPerVertex) {
   { const Network network(grid.g, grid.opt.net); }
   const std::int64_t network_bytes = allocated_bytes() - network_before;
 
-  std::vector<std::vector<TokenHop>> walks;
-  walks.reserve(r.traces.size());
-  for (const TokenTrace& t : r.traces) walks.push_back(t.hops());
-  const std::int64_t logs_before = allocated_bytes();
-  for (std::size_t id = 0; id < walks.size(); ++id) {
-    TokenTrace log(r.traces[id].origin, r.traces[id].cluster);
-    for (const TokenHop& hop : walks[id]) log.append(hop);
+  const std::int64_t lists_before = allocated_bytes();
+  for (const std::vector<FirstArrival>& list : r.first_arrivals) {
+    std::vector<FirstArrival> again;
+    for (const FirstArrival& a : list) again.push_back(a);
   }
-  const std::int64_t log_bytes = allocated_bytes() - logs_before;
+  const std::int64_t list_bytes = allocated_bytes() - lists_before;
 
   const double per_vertex =
-      static_cast<double>(gather_bytes - network_bytes - log_bytes) /
+      static_cast<double>(gather_bytes - network_bytes - list_bytes) /
       grid.g.num_vertices();
   EXPECT_LT(per_vertex, 3072.0)
       << gather_bytes << " gather bytes, " << network_bytes
-      << " network bytes, " << log_bytes << " hop-log bytes";
+      << " network bytes, " << list_bytes << " record bytes";
 }
 
-// Whole walks, as a gather logs them: on the 16x16 grid, one simple random
-// walk from every vertex to the corner of highest id, the t-th hop of each
-// in round t.
-std::vector<TokenTrace> walks_to_corner(const Graph& g) {
+// Whole walks' records: on the 16x16 grid, one simple random walk from
+// every vertex to the corner of highest id, the t-th hop of each in round
+// t, and the first arrivals each records.
+GatherResult walks_to_corner(const Graph& g, std::int64_t& hops) {
   const VertexId corner = g.num_vertices() - 1;
   graph::Rng rng(41);
-  std::vector<TokenTrace> walks;
+  GatherResult gather;
+  hops = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    walks.emplace_back(v, 0);
+    std::vector<TokenHop> walk;
     std::int32_t round = 0;
     for (VertexId at = v; at != corner; ++round) {
       const auto nbrs = g.neighbors(at);
       at = nbrs[std::uniform_int_distribution<std::size_t>(
           0, nbrs.size() - 1)(rng)];
-      walks.back().append({at, round});
+      walk.push_back({at, round});
     }
+    hops += static_cast<std::int64_t>(walk.size());
+    gather.first_arrivals.push_back(first_arrival_reference(g, v, walk));
   }
-  return walks;
+  return gather;
 }
 
-std::int64_t total_hops(const std::vector<TokenTrace>& traces) {
-  std::int64_t hops = 0;
-  for (const TokenTrace& t : traces) hops += t.hop_count();
-  return hops;
-}
-
-// The return cuts every replied walk in the same scratch: one entry per
-// vertex, and one decode buffer sized by the longest walk. So whole walks
-// cost it no more allocations than their first-arrival paths: on these
-// walks to the corner, which keep under a tenth of their hops, the two
-// returns make exactly as many.
+// The return steps back through every list in the same scratch: one entry
+// per path step and one path mark per vertex. So lists that hold whole
+// walks' first arrivals cost it no more allocations than lists that hold
+// their paths alone: on these walks to the corner, whose paths keep under a
+// tenth of their hops, the two returns make exactly as many.
 TEST(SparseAlloc, PathReturnCutsWholeWalksWithoutAllocatingPerWalk) {
   const Graph g = graph::grid(16, 16);
-  GatherResult walks;
-  walks.traces = walks_to_corner(g);
-  std::vector<std::int64_t> ids(walks.traces.size());
-  std::iota(ids.begin(), ids.end(), std::int64_t{0});
-  const std::vector<std::int64_t> words(ids.size(), 1);
-  const GatherResult paths = with_first_arrival_paths(walks, ids);
+  std::int64_t walked = 0;
+  const GatherResult walks = walks_to_corner(g, walked);
+  GatherResult paths = walks;
+  std::int64_t path_hops = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    paths.first_arrivals[v] = first_arrival_path(g, v, walks.first_arrivals[v]);
+    path_hops += static_cast<std::int64_t>(paths.first_arrivals[v].size());
+  }
+  const std::vector<std::int64_t> words(g.num_vertices(), 1);
   std::vector<std::int64_t> allocs, messages;
-  for (const GatherResult* gather : {&std::as_const(walks), &paths}) {
+  for (const GatherResult* gather : {&walks, &std::as_const(paths)}) {
     const std::int64_t before = allocation_count();
-    const PathReturnResult back = return_along_paths(g, *gather, ids, words);
+    const PathReturnResult back = return_along_paths(g, *gather, words);
     allocs.push_back(allocation_count() - before);
     messages.push_back(back.stats.messages_sent);
   }
   EXPECT_EQ(allocs[0], allocs[1]);
   EXPECT_EQ(messages[0], messages[1]);
-  EXPECT_EQ(messages[1], total_hops(paths.traces));
-  EXPECT_LT(messages[0] * 10, total_hops(walks.traces));
+  EXPECT_EQ(messages[1], path_hops);
+  EXPECT_LT(messages[0] * 10, walked);
 }
 
-// reverse_delivery reads the replied hop logs in place, one round at a
-// time, so what it allocates (scratch and result together) grows with
-// tokens + rounds + n, not with hops. A counting sort that keeps an 8-byte
-// key per replied hop passes this bound several times over.
+// reverse_delivery keeps one key per replied path hop, so what it allocates
+// (scratch and result together) grows with those hops and the vertices,
+// not with the hops of the walks: on this grid the paths keep under a
+// twentieth of the walk gather's hops.
 TEST(SparseAlloc, ReverseDeliveryAllocatesLinearlyInTokensRoundsAndVertices) {
   const GridGather grid;
   const GatherResult r = grid.run();
   ASSERT_TRUE(r.complete);
-  const auto tokens = static_cast<std::int64_t>(r.traces.size());
-  const std::vector<std::vector<std::int64_t>> reply(r.traces.size(), {1});
+  const int n = grid.g.num_vertices();
+  const std::vector<std::vector<std::int64_t>> reply(n, {1});
+  std::int64_t path_hops = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    path_hops += static_cast<std::int64_t>(
+        first_arrival_path(grid.g, v, r.first_arrivals[v]).size());
+  }
   const std::int64_t before = allocated_bytes();
-  const ReverseDeliveryResult back =
-      reverse_delivery(grid.g.num_vertices(), r, reply);
+  const ReverseDeliveryResult back = reverse_delivery(grid.g, r, reply);
   const std::int64_t bytes = allocated_bytes() - before;
   ASSERT_TRUE(back.load_ok);
-  ASSERT_EQ(back.stats.messages_sent, r.stats.messages_sent);
-  const std::int64_t bound =
-      32 * (tokens + r.stats.rounds + grid.g.num_vertices());
-  EXPECT_LT(bytes, bound) << bytes << " bytes for " << tokens << " tokens, "
-                          << r.stats.rounds << " rounds, "
-                          << r.stats.messages_sent << " hops";
+  ASSERT_EQ(back.stats.messages_sent, path_hops);
+  EXPECT_LT(20 * path_hops, r.stats.messages_sent);
+  const std::int64_t bound = 96 * (path_hops + n);
+  EXPECT_LT(bytes, bound) << bytes << " bytes for " << path_hops
+                          << " path hops and " << n << " vertices";
 }
 
 // The path return (DESIGN.md §19) sizes its routing tables, heaps and word
-// slots before its run, so a round allocates nothing: on the same whole
-// walks, a cap of one reply per edge a round takes more rounds than the
-// gather's own peak (143 against 100 on this grid) and makes exactly as many
-// allocations. What it does allocate is one algorithm a vertex and a few
-// dozen tables and Network buffers (329 on this grid): the replies, the
-// words received and the hops fill flat arrays. A received list per vertex
-// came to more than three allocations a vertex.
+// slots before its run, so a round allocates nothing: on the same records,
+// a cap of one reply per edge a round takes more rounds than the gather's
+// own peak and makes exactly as many allocations. What it does allocate is
+// one algorithm a vertex and a few dozen tables and Network buffers: the
+// replies, the words received and the hops fill flat arrays. A received
+// list per vertex came to more than three allocations a vertex.
 TEST(SparseAlloc, PathReturnAllocatesOnlyAtSetUp) {
   const GridGather grid;
   GatherResult r = grid.run();
   ASSERT_TRUE(r.complete);
-  std::vector<std::int64_t> ids(r.traces.size());
-  std::iota(ids.begin(), ids.end(), std::int64_t{0});
-  const std::vector<std::int64_t> words(r.traces.size(), 1);
-  const std::int64_t path_hops =
-      total_hops(with_first_arrival_paths(r, ids).traces);
+  const std::vector<std::int64_t> words(grid.g.num_vertices(), 1);
+  std::int64_t path_hops = 0;
+  for (VertexId v = 0; v < grid.g.num_vertices(); ++v) {
+    path_hops += static_cast<std::int64_t>(
+        first_arrival_path(grid.g, v, r.first_arrivals[v]).size());
+  }
   std::vector<std::int64_t> allocs, rounds;
   for (const int peak : {r.stats.max_edge_load, 1}) {
     r.stats.max_edge_load = peak;
     const std::int64_t before = allocation_count();
-    const PathReturnResult back = return_along_paths(grid.g, r, ids, words);
+    const PathReturnResult back = return_along_paths(grid.g, r, words);
     allocs.push_back(allocation_count() - before);
     rounds.push_back(back.stats.rounds);
     ASSERT_EQ(back.stats.messages_sent, path_hops);
