@@ -234,7 +234,8 @@ void run_substrate_bench(benchmark::State& state, const graph::Graph& g,
 // always-on MetricsRegistry (DESIGN.md §13); metrics:1 vs metrics:0 on the
 // same (n, threads) row is the E15 overhead measurement, and
 // allocs_per_round must stay ~0 with metrics on — the registry's round
-// path is array arithmetic on buffers preallocated by the Network.
+// path is array arithmetic on buffers preallocated by the Network, plus one
+// per-round sample in a vector that grows by doubling.
 void BM_Flood(benchmark::State& state) {
   const graph::Graph g = grid_of(static_cast<int>(state.range(0)));
   NetworkOptions opt;

@@ -62,13 +62,13 @@ void BM_Routing(benchmark::State& state) {
   state.counters["local_max_words"] =
       static_cast<double>(local.max_message_words);
 
-  // Untimed traced re-run: congestion counters for this row (the timed loop
-  // above keeps the default null sink, so tracing cost never enters timing).
-  ecd::congest::MetricsCollector collector;
-  core::FrameworkOptions traced;
-  traced.trace = &collector;
-  core::partition_and_gather(g, 0.3, traced);
-  bench::register_trace_counters(state, collector);
+  // Untimed observed re-run: congestion counters for this row (the timed
+  // loop above attaches no registry, so its cost never enters timing).
+  ecd::congest::MetricsRegistry metrics;
+  core::FrameworkOptions observed;
+  observed.metrics = &metrics;
+  core::partition_and_gather(g, 0.3, observed);
+  bench::register_trace_counters(state, metrics);
 
   // Allocation audit over one full pipeline run.
   std::int64_t allocs = 0;

@@ -23,8 +23,8 @@
 #include <sys/resource.h>
 #endif
 
+#include "src/congest/metrics.h"
 #include "src/congest/profiler.h"
-#include "src/congest/trace.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 
@@ -72,25 +72,27 @@ inline double eps_from_arg(std::int64_t permille) {
   return static_cast<double>(permille) / 1000.0;
 }
 
-// Registers trace-derived congestion counters on a benchmark row: peak
-// per-edge per-round load, p99 edge load, total words, and per-top-level-
-// phase word volumes (counter `words[phase]`). Attach a MetricsCollector
-// to the run under test (outside the timed loop — tracing is not free) and
-// hand it here.
+// Registers registry-derived congestion counters on a benchmark row: peak
+// per-edge per-round load, the p99 of the per-round peak load (a log-bucket
+// bound), total words, and per-top-level-phase word volumes (counter
+// `words[phase]`). Attach a MetricsRegistry to the run under test (outside
+// the timed loop — observing is not free) and hand it here.
 inline void register_trace_counters(benchmark::State& state,
-                                    const congest::MetricsCollector& mc) {
-  const congest::RunStats totals = mc.totals();
+                                    const congest::MetricsRegistry& metrics) {
+  const congest::RunStats& totals = metrics.totals();
   state.counters["trace_peak_edge_load"] =
       static_cast<double>(totals.max_edge_load);
-  state.counters["trace_p99_edge_load"] = mc.load_percentile(99);
+  state.counters["trace_p99_edge_load"] = static_cast<double>(
+      metrics.round_edge_load_histogram().percentile(99));
   state.counters["trace_words"] = static_cast<double>(totals.words_sent);
   state.counters["trace_violations"] =
-      static_cast<double>(mc.violations().size());
-  for (const auto& s : mc.spans()) {
-    if (s.depth != 0) continue;
-    std::string name = s.name;
+      static_cast<double>(metrics.violations().size());
+  for (const auto& phase : metrics.phases()) {
+    if (phase.depth != 0) continue;
+    std::string name = phase.name;
     if (name.rfind("phase:", 0) == 0) name = name.substr(6);
-    state.counters["words[" + name + "]"] = static_cast<double>(s.words);
+    state.counters["words[" + name + "]"] =
+        static_cast<double>(phase.stats.words_sent);
   }
 }
 

@@ -10,13 +10,11 @@
 //   ecd_cli ldd <file> [opts]                low-diameter decomp (Thm 1.5)
 //   ecd_cli triangles <file>                 distributed triangle census
 //   ecd_cli trace --family <f> --n <k>       run the Thm 2.6 pipeline with
-//                                            the metrics collector attached;
+//                                            the metrics registry attached;
 //                                            print the per-phase table +
 //                                            hotspot report, write a trace
-//   ecd_cli report --family <f> --n <k>      run the pipeline with the
-//                                            always-on metrics registry
-//                                            (works at any --threads), print
-//                                            the per-phase table, write an
+//   ecd_cli report --family <f> --n <k>      the same pipeline run and
+//                                            per-phase table; write an
 //                                            ecd-run-report-v1 JSON snapshot
 //   ecd_cli profile --family <f> --n <k>     run the pipeline with the
 //                                            wall-clock execution profiler
@@ -39,35 +37,32 @@
 //          --distributed  fully measured decomposition (no modeled rounds)
 //          --dot <out>    write a cluster-colored DOT file (decompose/ldd)
 //
-// trace options: --family <f> --n <k>        generated input (see `gen`)
-//                --out <path>                trace file (default ecd_trace.json)
-//                --format chrome|jsonl       trace format (default chrome)
-//                --top <k>                   hotspot edges to print (default 10)
+// trace and report options:
+//                --family <f> --n <k>        generated input (see `gen`)
+//                --eps/--seed/--distributed  as above
 //                --threads <k>               simulator worker threads
 //                                            (default 1; 0 = hardware) — the
-//                                            trace is byte-identical at every
-//                                            value (DESIGN.md §18)
-//                --sample r[,v[,t]]          sampling filters: keep rounds
-//                                            r | round, delivery events for
-//                                            vertices v | vertex, messages
-//                                            with tag == t (t < 0: all tags);
-//                                            defaults 1,1,-1 = everything
+//                                            output is byte-identical at
+//                                            every value (DESIGN.md §18)
+//                --fault-permille <k>        drop k/1000 of gather messages
+//                                            (routes through reliable gather)
+//                --out <path>                output file (default
+//                                            ecd_trace.json / ecd_report.json)
+//                --top <k>                   congested edges to print or
+//                                            report (default 10)
+// trace only:    --format chrome|jsonl       trace format (default chrome)
 //                --ring <k>                  flight-recorder mode: bounded
 //                                            ring of the last k rounds of
 //                                            events, dumped to --out as
 //                                            flight JSONL (auto-dumped on an
 //                                            aborted run); skips the hotspot
 //                                            report and ignores --format
-//
-// report options: --family/--n/--eps/--seed/--distributed as above
-//                 --threads <k>              simulator worker threads
-//                                            (default 1; 0 = hardware)
-//                 --fault-permille <k>       drop k/1000 of gather messages
-//                                            (routes through reliable gather)
-//                 --out <path>               report file (default
-//                                            ecd_report.json)
-//                 --top <k>                  congested edges in the report
-//                                            (default 10)
+//                --sample r[,v[,t]]          with --ring only: keep the
+//                                            events of rounds r | round,
+//                                            delivery events for vertices
+//                                            v | vertex, messages with
+//                                            tag == t (t < 0: all tags);
+//                                            defaults 1,1,-1 = everything
 //
 // profile options: --family/--n/--eps/--seed/--distributed/--threads/
 //                  --fault-permille as above
@@ -186,7 +181,7 @@ struct Options {
       "  triangles <file>                   distributed triangle census\n"
       "  trace --family <f> --n <k>         traced pipeline run + hotspot"
       " report\n"
-      "        [--threads <k>] [--sample r[,v[,t]]] [--ring <k>]\n"
+      "        [--threads <k>] [--ring <k> [--sample r[,v[,t]]]]\n"
       "  report --family <f> --n <k>        metrics registry run ->"
       " ecd-run-report-v1\n"
       "  profile --family <f> --n <k>       execution profiler run ->"
@@ -283,192 +278,104 @@ int cmd_gen(int argc, char** argv) {
   return 0;
 }
 
-int cmd_trace(int argc, char** argv) {
-  std::string family = "grid", out_path = "ecd_trace.json", format = "chrome";
-  int n = 1024, top_k = 10, threads = 1, ring_rounds = 0;
+// The flags `trace` and `report` share. The event-stream flags (--format,
+// --sample, --ring) are trace's alone.
+struct PipelineFlags {
+  std::string family = "grid";
+  std::string out_path;
+  std::string format = "chrome";
+  int n = 1024;
+  int top_k = 10;
+  int threads = 1;
+  int fault_permille = 0;
+  int ring_rounds = 0;
   double eps = 0.2;
   std::uint64_t seed = 1;
   bool distributed = false;
-  ecd::congest::TraceConfig tcfg;
+  bool sampled = false;
+  ecd::congest::TraceConfig sample;
+};
+
+PipelineFlags parse_pipeline_flags(int argc, char** argv, bool trace,
+                                   const char* default_out) {
+  PipelineFlags f;
+  f.out_path = default_out;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-    } else if (arg == "--eps" && i + 1 < argc) {
-      eps = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+    const bool has_value = i + 1 < argc;
+    if (arg == "--family" && has_value) {
+      f.family = argv[++i];
+    } else if (arg == "--n" && has_value) {
+      f.n = std::atoi(argv[++i]);
+    } else if (arg == "--eps" && has_value) {
+      f.eps = std::atof(argv[++i]);
+    } else if (arg == "--seed" && has_value) {
+      f.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--distributed") {
-      distributed = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--sample" && i + 1 < argc) {
+      f.distributed = true;
+    } else if (arg == "--threads" && has_value) {
+      f.threads = std::atoi(argv[++i]);
+    } else if (arg == "--fault-permille" && has_value) {
+      f.fault_permille = std::atoi(argv[++i]);
+    } else if (arg == "--out" && has_value) {
+      f.out_path = argv[++i];
+    } else if (arg == "--top" && has_value) {
+      f.top_k = std::atoi(argv[++i]);
+    } else if (trace && arg == "--format" && has_value) {
+      f.format = argv[++i];
+      if (f.format != "chrome" && f.format != "jsonl") usage();
+    } else if (trace && arg == "--sample" && has_value) {
       long long r = 1;
       int v = 1, t = -1;
       if (std::sscanf(argv[++i], "%lld,%d,%d", &r, &v, &t) < 1) usage();
-      tcfg.round_period = r;
-      tcfg.vertex_stride = v;
-      tcfg.tag_filter = t;
-    } else if (arg == "--ring" && i + 1 < argc) {
-      ring_rounds = std::atoi(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--format" && i + 1 < argc) {
-      format = argv[++i];
-      if (format != "chrome" && format != "jsonl") usage();
-    } else if (arg == "--top" && i + 1 < argc) {
-      top_k = std::atoi(argv[++i]);
+      f.sample.round_period = r;
+      f.sample.vertex_stride = v;
+      f.sample.tag_filter = t;
+      f.sampled = true;
+    } else if (trace && arg == "--ring" && has_value) {
+      f.ring_rounds = std::atoi(argv[++i]);
     } else {
       usage();
     }
   }
-  ecd::graph::Rng rng(seed);
-  const Graph g = make_family(family, n, rng);
-
-  ecd::core::FrameworkOptions fopt;
-  fopt.seed = seed;
-  fopt.num_threads = threads;
-  fopt.trace_config = tcfg;
-  if (distributed) {
-    fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
+  if (f.sampled && f.ring_rounds <= 0) {
+    std::fprintf(stderr,
+                 "--sample thins the event stream only; use it with --ring "
+                 "(the trace file and the hotspot report read every round)\n");
+    std::exit(2);
   }
-
-  if (ring_rounds > 0) {
-    // Flight-recorder mode: a bounded ring of the last --ring rounds, no
-    // per-edge aggregation, no hotspot report — the trace shape for runs
-    // too large for MetricsCollector. The ring auto-dumps on an abnormal
-    // run end, so a failing run still ships its post-mortem.
-    ecd::congest::FlightRecorder::Options ropt;
-    ropt.keep_rounds = ring_rounds;
-    ecd::congest::FlightRecorder recorder(ropt);
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    recorder.set_auto_dump(&out);
-    fopt.trace = &recorder;
-    try {
-      auto p = ecd::core::partition_and_gather(g, eps, fopt);
-      std::vector<std::int64_t> answers(g.num_vertices());
-      for (int v = 0; v < g.num_vertices(); ++v) answers[v] = v;
-      ecd::core::return_results(p, answers, "result return (reversed walks)");
-      std::printf(
-          "family=%s n=%d m=%d eps=%.3f clusters=%d gather_complete=%d\n",
-          family.c_str(), g.num_vertices(), g.num_edges(), eps,
-          p.decomposition.num_clusters, p.gather_complete ? 1 : 0);
-    } catch (const std::exception& e) {
-      // The recorder already dumped its ring via on_abort.
-      std::fprintf(stderr, "run aborted: %s (flight dump in %s)\n", e.what(),
-                   out_path.c_str());
-      return 1;
-    }
-    recorder.dump_jsonl(out);
-    std::printf("wrote %s (flight format, %lld events retained, %lld"
-                " dropped, last round %lld)\n",
-                out_path.c_str(),
-                static_cast<long long>(recorder.events_retained()),
-                static_cast<long long>(recorder.events_dropped()),
-                static_cast<long long>(recorder.last_round()));
-    return 0;
-  }
-
-  ecd::congest::MetricsCollector collector;
-  fopt.trace = &collector;
-  auto p = ecd::core::partition_and_gather(g, eps, fopt);
-  return_ids(p);
-
-  std::printf("family=%s n=%d m=%d eps=%.3f clusters=%d gather_complete=%d\n",
-              family.c_str(), g.num_vertices(), g.num_edges(), eps,
-              p.decomposition.num_clusters, p.gather_complete ? 1 : 0);
-  std::printf("%-22s %10s %12s %12s %14s\n", "phase", "rounds", "messages",
-              "words", "max-edge-load");
-  for (const auto& s : collector.spans()) {
-    if (s.depth != 0) continue;
-    std::printf("%-22s %10lld %12lld %12lld %14d\n",
-                s.name.c_str(), static_cast<long long>(s.rounds),
-                static_cast<long long>(s.messages),
-                static_cast<long long>(s.words), s.max_edge_load);
-  }
-  const auto totals = collector.totals();
-  std::printf("%-22s %10lld %12lld %12lld %14d\n", "total (simulated)",
-              static_cast<long long>(totals.rounds),
-              static_cast<long long>(totals.messages_sent),
-              static_cast<long long>(totals.words_sent),
-              totals.max_edge_load);
-  std::printf("\nround ledger:\n%s\n", p.ledger.to_string().c_str());
-  std::printf("%s", ecd::congest::hotspot_report(collector, top_k).c_str());
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (format == "jsonl") {
-    ecd::congest::export_jsonl(collector, out);
-  } else {
-    ecd::congest::export_chrome_trace(collector, out);
-  }
-  std::printf("wrote %s (%s format)\n", out_path.c_str(), format.c_str());
-  return 0;
+  return f;
 }
 
-int cmd_report(int argc, char** argv) {
-  std::string family = "grid", out_path = "ecd_report.json";
-  int n = 1024, top_k = 10, threads = 1, fault_permille = 0;
-  double eps = 0.2;
-  std::uint64_t seed = 1;
-  bool distributed = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-    } else if (arg == "--eps" && i + 1 < argc) {
-      eps = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--distributed") {
-      distributed = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--fault-permille" && i + 1 < argc) {
-      fault_permille = std::atoi(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--top" && i + 1 < argc) {
-      top_k = std::atoi(argv[++i]);
-    } else {
-      usage();
-    }
-  }
-  ecd::graph::Rng rng(seed);
-  const Graph g = make_family(family, n, rng);
-
-  ecd::congest::MetricsRegistry metrics;
+// Runs partition_and_gather on `g` with the registry (and the event stream
+// `sink`, when given) attached, returns every vertex its id, and prints the
+// run line, the registry's per-phase table and the round ledger.
+ecd::core::Partition run_pipeline(const PipelineFlags& f, const Graph& g,
+                                  ecd::congest::MetricsRegistry& metrics,
+                                  ecd::congest::TraceSink* sink) {
   ecd::core::FrameworkOptions fopt;
-  fopt.seed = seed;
+  fopt.seed = f.seed;
   fopt.metrics = &metrics;
-  fopt.num_threads = threads;
-  if (distributed) {
+  fopt.trace = sink;
+  fopt.trace_config = f.sample;
+  fopt.num_threads = f.threads;
+  if (f.distributed) {
     fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
   }
-  if (fault_permille > 0) {
-    fopt.faults.drop_probability = fault_permille / 1000.0;
-    fopt.faults.seed = seed;
+  if (f.fault_permille > 0) {
+    fopt.faults.drop_probability = f.fault_permille / 1000.0;
+    fopt.faults.seed = f.seed;
   }
-  auto p = ecd::core::partition_and_gather(g, eps, fopt);
+  auto p = ecd::core::partition_and_gather(g, f.eps, fopt);
   // The return runs on the simulator in its own "phase:return", so the
   // registry's top-level phases add up to the ledger's measured total.
   return_ids(p);
 
   std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d "
               "gather_complete=%d\n",
-              family.c_str(), g.num_vertices(), g.num_edges(), eps, threads,
-              p.decomposition.num_clusters, p.gather_complete ? 1 : 0);
+              f.family.c_str(), g.num_vertices(), g.num_edges(), f.eps,
+              f.threads, p.decomposition.num_clusters,
+              p.gather_complete ? 1 : 0);
   std::printf("%-22s %10s %12s %12s %14s\n", "phase", "rounds", "messages",
               "words", "max-edge-load");
   for (const auto& ph : metrics.phases()) {
@@ -488,7 +395,7 @@ int cmd_report(int argc, char** argv) {
   std::printf("critical path: %lld rounds (longest single run %lld)\n",
               static_cast<long long>(metrics.critical_path_total()),
               static_cast<long long>(metrics.critical_path_longest_run()));
-  if (fault_permille > 0) {
+  if (f.fault_permille > 0) {
     std::printf("faults: dropped=%lld retransmissions=%lld epochs=%lld\n",
                 static_cast<long long>(totals.messages_dropped),
                 static_cast<long long>(
@@ -497,25 +404,83 @@ int cmd_report(int argc, char** argv) {
                     metrics.counter("gather.epochs")->value()));
   }
   std::printf("\nround ledger:\n%s\n", p.ledger.to_string().c_str());
+  return p;
+}
 
-  std::ofstream out(out_path);
+int cmd_trace(int argc, char** argv) {
+  const PipelineFlags f =
+      parse_pipeline_flags(argc, argv, /*trace=*/true, "ecd_trace.json");
+  ecd::graph::Rng rng(f.seed);
+  const Graph g = make_family(f.family, f.n, rng);
+  std::ofstream out(f.out_path);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    std::fprintf(stderr, "cannot write %s\n", f.out_path.c_str());
     return 1;
   }
+  ecd::congest::MetricsRegistry metrics;
+
+  if (f.ring_rounds > 0) {
+    // Flight-recorder mode: the event stream, in a bounded ring of the last
+    // --ring rounds, is the trace file. The ring auto-dumps on an abnormal
+    // run end, so a failing run still ships its post-mortem.
+    ecd::congest::FlightRecorder::Options ropt;
+    ropt.keep_rounds = f.ring_rounds;
+    ecd::congest::FlightRecorder recorder(ropt);
+    recorder.set_auto_dump(&out);
+    try {
+      run_pipeline(f, g, metrics, &recorder);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "run aborted: %s (flight dump in %s)\n", e.what(),
+                   f.out_path.c_str());
+      return 1;
+    }
+    recorder.dump_jsonl(out);
+    std::printf("wrote %s (flight format, %lld events retained, %lld"
+                " dropped, last round %lld)\n",
+                f.out_path.c_str(),
+                static_cast<long long>(recorder.events_retained()),
+                static_cast<long long>(recorder.events_dropped()),
+                static_cast<long long>(recorder.last_round()));
+    return 0;
+  }
+
+  run_pipeline(f, g, metrics, nullptr);
+  std::printf("%s", ecd::congest::hotspot_report(metrics, f.top_k).c_str());
+  if (f.format == "jsonl") {
+    ecd::congest::export_jsonl(metrics, out);
+  } else {
+    ecd::congest::export_chrome_trace(metrics, out);
+  }
+  std::printf("wrote %s (%s format)\n", f.out_path.c_str(), f.format.c_str());
+  return 0;
+}
+
+int cmd_report(int argc, char** argv) {
+  const PipelineFlags f =
+      parse_pipeline_flags(argc, argv, /*trace=*/false, "ecd_report.json");
+  ecd::graph::Rng rng(f.seed);
+  const Graph g = make_family(f.family, f.n, rng);
+  std::ofstream out(f.out_path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", f.out_path.c_str());
+    return 1;
+  }
+  ecd::congest::MetricsRegistry metrics;
+  const auto p = run_pipeline(f, g, metrics, nullptr);
+
   ecd::congest::RunReportContext ctx;
-  ctx.title = "partition_and_gather (" + family + ")";
-  ctx.info = {{"family", family},
+  ctx.title = "partition_and_gather (" + f.family + ")";
+  ctx.info = {{"family", f.family},
               {"n", std::to_string(g.num_vertices())},
               {"m", std::to_string(g.num_edges())},
-              {"eps", std::to_string(eps)},
-              {"seed", std::to_string(seed)},
-              {"threads", std::to_string(threads)},
-              {"fault_permille", std::to_string(fault_permille)},
+              {"eps", std::to_string(f.eps)},
+              {"seed", std::to_string(f.seed)},
+              {"threads", std::to_string(f.threads)},
+              {"fault_permille", std::to_string(f.fault_permille)},
               {"clusters", std::to_string(p.decomposition.num_clusters)}};
-  ctx.top_k_edges = top_k;
+  ctx.top_k_edges = f.top_k;
   ecd::congest::write_run_report(out, metrics, ctx);
-  std::printf("wrote %s (ecd-run-report-v1)\n", out_path.c_str());
+  std::printf("wrote %s (ecd-run-report-v1)\n", f.out_path.c_str());
   return 0;
 }
 

@@ -78,6 +78,7 @@ LogHistogram* MetricsRegistry::histogram(std::string_view name) {
 
 void MetricsRegistry::begin_run(int num_vertices, int num_edges) {
   (void)num_vertices, (void)num_edges;
+  run_base_round_ = totals_.rounds;
 }
 
 void MetricsRegistry::record_round(const RunStats& round) {
@@ -94,6 +95,8 @@ void MetricsRegistry::record_round(const RunStats& round) {
     stats.messages_purged += round.messages_purged;
   };
   accrue(totals_);
+  rounds_.push_back(
+      {round.messages_sent, round.words_sent, round.max_edge_load});
   round_messages_.record(round.messages_sent);
   round_words_.record(round.words_sent);
   round_edge_load_.record(round.max_edge_load);
@@ -149,12 +152,19 @@ void MetricsRegistry::end_run(const RunStats& run_totals,
   }
 }
 
+void MetricsRegistry::record_violation(const CongestionError& err) {
+  violations_.push_back({err.kind(), run_base_round_ + err.round(), err.from(),
+                         err.to(), err.used(), err.budget()});
+  for (const std::size_t i : open_) ++phases_[i].violations;
+}
+
 // --- MetricsRegistry: phases -------------------------------------------------
 
 void MetricsRegistry::phase_begin(std::string name) {
   PhaseMetrics phase;
   phase.name = std::move(name);
   phase.depth = static_cast<int>(open_.size());
+  phase.begin_round = totals_.rounds;
   open_.push_back(phases_.size());
   phases_.push_back(std::move(phase));
 }
@@ -184,6 +194,7 @@ std::vector<EdgeLoadStats> MetricsRegistry::top_edges(int k) const {
 void MetricsRegistry::reset() {
   totals_ = RunStats{};
   runs_ = 0;
+  run_base_round_ = 0;
   cp_total_ = 0;
   cp_longest_ = 0;
   round_messages_.clear();
@@ -192,15 +203,15 @@ void MetricsRegistry::reset() {
   tags_.fill(TagTraffic{});
   phases_.clear();
   open_.clear();
+  rounds_.clear();
+  violations_.clear();
   edges_.clear();
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
 }
 
-namespace {
-
-void json_escape(std::ostream& os, std::string_view s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -220,6 +231,25 @@ void json_escape(std::ostream& os, std::string_view s) {
   }
   os << '"';
 }
+
+void write_report_header(
+    std::ostream& os, std::string_view schema, std::string_view title,
+    const std::vector<std::pair<std::string, std::string>>& info) {
+  os << "{\"schema\":";
+  write_json_string(os, schema);
+  os << ",\"title\":";
+  write_json_string(os, title);
+  os << ",\"info\":{";
+  for (std::size_t i = 0; i < info.size(); ++i) {
+    if (i) os << ',';
+    write_json_string(os, info[i].first);
+    os << ':';
+    write_json_string(os, info[i].second);
+  }
+  os << '}';
+}
+
+namespace {
 
 void write_histogram_json(std::ostream& os, const LogHistogram& h) {
   os << "{\"count\":" << h.count() << ",\"sum\":" << h.sum()
@@ -257,7 +287,7 @@ void write_tags_json(std::ostream& os,
     first = false;
     const int tag = metrics_slot_tag(slot);
     os << "{\"id\":" << tag << ",\"name\":";
-    json_escape(os, tag < 0 ? "user_overflow" : tag_name(tag));
+    write_json_string(os, tag < 0 ? "user_overflow" : tag_name(tag));
     os << ",\"messages\":" << tags[slot].messages
        << ",\"words\":" << tags[slot].words << '}';
   }
@@ -285,7 +315,7 @@ void MetricsRegistry::write_json(std::ostream& os, int top_k_edges) const {
     const PhaseMetrics& p = phases_[i];
     if (i) os << ',';
     os << "{\"name\":";
-    json_escape(os, p.name);
+    write_json_string(os, p.name);
     os << ",\"depth\":" << p.depth << ",\"closed\":"
        << (p.closed ? "true" : "false") << ",\"runs\":" << p.runs
        << ",\"critical_path\":" << p.critical_path << ",\"stats\":";
@@ -317,7 +347,7 @@ void MetricsRegistry::write_json(std::ostream& os, int top_k_edges) const {
     for (const auto& [name, c] : counters_) {
       if (!first) os << ',';
       first = false;
-      json_escape(os, name);
+      write_json_string(os, name);
       os << ':' << c.value();
     }
   }
@@ -327,7 +357,7 @@ void MetricsRegistry::write_json(std::ostream& os, int top_k_edges) const {
     for (const auto& [name, g] : gauges_) {
       if (!first) os << ',';
       first = false;
-      json_escape(os, name);
+      write_json_string(os, name);
       os << ":{\"value\":" << g.value() << ",\"max\":" << g.max() << '}';
     }
   }
@@ -337,7 +367,7 @@ void MetricsRegistry::write_json(std::ostream& os, int top_k_edges) const {
     for (const auto& [name, h] : histograms_) {
       if (!first) os << ',';
       first = false;
-      json_escape(os, name);
+      write_json_string(os, name);
       os << ':';
       write_histogram_json(os, h);
     }
@@ -353,28 +383,20 @@ std::string MetricsRegistry::to_json(int top_k_edges) const {
 
 void write_run_report(std::ostream& os, const MetricsRegistry& metrics,
                       const RunReportContext& context) {
-  os << "{\"schema\":\"ecd-run-report-v1\",\"title\":";
-  json_escape(os, context.title);
-  os << ",\"info\":{";
-  for (std::size_t i = 0; i < context.info.size(); ++i) {
-    if (i) os << ',';
-    json_escape(os, context.info[i].first);
-    os << ':';
-    json_escape(os, context.info[i].second);
-  }
+  write_report_header(os, "ecd-run-report-v1", context.title, context.info);
   // Wall-clock elapsed time lives outside the "metrics" snapshot: the
   // snapshot is the determinism witness (byte-compared across thread
   // counts), the wall section is a measurement. Phase durations count
   // simulated-run wall time accrued while the phase was open; host-side
   // work between runs is not attributed.
-  os << "},\"wall\":{\"duration_ns\":" << metrics.totals().duration_ns
+  os << ",\"wall\":{\"duration_ns\":" << metrics.totals().duration_ns
      << ",\"phases\":[";
   {
     const auto& phases = metrics.phases();
     for (std::size_t i = 0; i < phases.size(); ++i) {
       if (i) os << ',';
       os << "{\"name\":";
-      json_escape(os, phases[i].name);
+      write_json_string(os, phases[i].name);
       os << ",\"depth\":" << phases[i].depth
          << ",\"duration_ns\":" << phases[i].stats.duration_ns << '}';
     }
@@ -382,6 +404,142 @@ void write_run_report(std::ostream& os, const MetricsRegistry& metrics,
   os << "]},\"metrics\":";
   metrics.write_json(os, context.top_k_edges);
   os << "}\n";
+}
+
+
+// --- Exporters -------------------------------------------------------------------
+
+namespace {
+
+const char* violation_kind_name(CongestionError::Kind kind) {
+  return kind == CongestionError::Kind::kBandwidth ? "bandwidth"
+                                                   : "message_size";
+}
+
+}  // namespace
+
+void export_jsonl(const MetricsRegistry& metrics, std::ostream& os) {
+  const RunStats& t = metrics.totals();
+  os << "{\"type\":\"meta\",\"runs\":" << metrics.runs_observed()
+     << ",\"rounds\":" << t.rounds << ",\"messages\":" << t.messages_sent
+     << ",\"words\":" << t.words_sent
+     << ",\"max_edge_load\":" << t.max_edge_load << "}\n";
+  for (const PhaseMetrics& p : metrics.phases()) {
+    os << "{\"type\":\"span\",\"name\":";
+    write_json_string(os, p.name);
+    os << ",\"depth\":" << p.depth << ",\"begin_round\":" << p.begin_round
+       << ",\"rounds\":" << p.stats.rounds
+       << ",\"messages\":" << p.stats.messages_sent
+       << ",\"words\":" << p.stats.words_sent
+       << ",\"max_edge_load\":" << p.stats.max_edge_load
+       << ",\"violations\":" << p.violations << "}\n";
+  }
+  const auto& tags = metrics.tag_slots();
+  for (int slot = 0; slot < kMetricsTagSlots; ++slot) {
+    if (tags[slot].messages == 0) continue;
+    const int tag = metrics_slot_tag(slot);
+    os << "{\"type\":\"tag\",\"tag\":";
+    write_json_string(os, tag < 0 ? "user_overflow" : tag_name(tag));
+    os << ",\"id\":" << tag << ",\"messages\":" << tags[slot].messages
+       << ",\"words\":" << tags[slot].words << "}\n";
+  }
+  const std::vector<RoundSample>& rounds = metrics.rounds();
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    os << "{\"type\":\"round\",\"round\":" << r
+       << ",\"messages\":" << rounds[r].messages
+       << ",\"words\":" << rounds[r].words
+       << ",\"max_edge_load\":" << rounds[r].max_edge_load << "}\n";
+  }
+  for (const EdgeLoadStats& e : metrics.top_edges(-1)) {
+    os << "{\"type\":\"edge\",\"from\":" << e.from << ",\"to\":" << e.to
+       << ",\"messages\":" << e.messages << ",\"words\":" << e.words
+       << ",\"peak_load\":" << e.peak_load << "}\n";
+  }
+  for (const ViolationRecord& v : metrics.violations()) {
+    os << "{\"type\":\"violation\",\"kind\":\""
+       << violation_kind_name(v.kind) << "\",\"round\":" << v.round
+       << ",\"from\":" << v.from << ",\"to\":" << v.to
+       << ",\"used\":" << v.used << ",\"budget\":" << v.budget << "}\n";
+  }
+  // Churn line only on runs that churned, so churn-free traces keep their
+  // shape.
+  if (t.churn_events > 0 || t.messages_purged > 0) {
+    os << "{\"type\":\"churn\",\"churn_events\":" << t.churn_events
+       << ",\"purged\":" << t.messages_purged << "}\n";
+  }
+}
+
+void export_chrome_trace(const MetricsRegistry& metrics, std::ostream& os) {
+  os << "{\"traceEvents\":[";
+  bool first = true;
+  const auto sep = [&] {
+    if (!first) os << ",";
+    first = false;
+    os << "\n";
+  };
+  for (const PhaseMetrics& p : metrics.phases()) {
+    sep();
+    // 1 round = 1 µs; zero-round phases get dur 1 so they stay visible.
+    os << "{\"name\":";
+    write_json_string(os, p.name);
+    os << ",\"ph\":\"X\",\"ts\":" << p.begin_round
+       << ",\"dur\":" << std::max<std::int64_t>(p.stats.rounds, 1)
+       << ",\"pid\":0,\"tid\":0,\"args\":{\"rounds\":" << p.stats.rounds
+       << ",\"messages\":" << p.stats.messages_sent
+       << ",\"words\":" << p.stats.words_sent
+       << ",\"max_edge_load\":" << p.stats.max_edge_load << "}}";
+  }
+  const std::vector<RoundSample>& rounds = metrics.rounds();
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    sep();
+    os << "{\"name\":\"traffic\",\"ph\":\"C\",\"ts\":" << r
+       << ",\"pid\":0,\"args\":{\"messages\":" << rounds[r].messages
+       << ",\"words\":" << rounds[r].words << "}}";
+    sep();
+    os << "{\"name\":\"max_edge_load\",\"ph\":\"C\",\"ts\":" << r
+       << ",\"pid\":0,\"args\":{\"load\":" << rounds[r].max_edge_load
+       << "}}";
+  }
+  for (const ViolationRecord& v : metrics.violations()) {
+    sep();
+    os << "{\"name\":\"violation:" << violation_kind_name(v.kind)
+       << "\",\"ph\":\"i\",\"ts\":" << v.round
+       << ",\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{\"from\":" << v.from
+       << ",\"to\":" << v.to << ",\"used\":" << v.used
+       << ",\"budget\":" << v.budget << "}}";
+  }
+  os << "\n]}\n";
+}
+
+std::string hotspot_report(const MetricsRegistry& metrics, int top_k) {
+  std::ostringstream os;
+  const RunStats& t = metrics.totals();
+  os << "=== congestion hotspots ===\n";
+  os << "rounds=" << t.rounds << " messages=" << t.messages_sent
+     << " words=" << t.words_sent << " max-edge-load=" << t.max_edge_load
+     << " violations=" << metrics.violations().size() << "\n";
+  const LogHistogram& load = metrics.round_edge_load_histogram();
+  os << "per-round peak edge load (log-bucket bounds): p50="
+     << load.percentile(50) << " p99=" << load.percentile(99) << "\n";
+  os << "top congested directed edges (by total messages):\n";
+  for (const EdgeLoadStats& e : metrics.top_edges(top_k)) {
+    os << "  " << e.from << "->" << e.to << ": " << e.messages
+       << " msgs, " << e.words << " words, peak load " << e.peak_load
+       << "\n";
+  }
+  os << "per-phase peak edge load per round (bucket bound: rounds):\n";
+  for (const PhaseMetrics& p : metrics.phases()) {
+    if (p.depth != 0) continue;
+    os << "  " << p.name << ":";
+    if (p.round_edge_load.empty()) os << " (no rounds)";
+    for (int b = 0; b < LogHistogram::kBuckets; ++b) {
+      if (p.round_edge_load.bucket_count(b) == 0) continue;
+      os << " " << LogHistogram::bucket_upper_bound(b) << ":"
+         << p.round_edge_load.bucket_count(b);
+    }
+    os << "\n";
+  }
+  return os.str();
 }
 
 }  // namespace ecd::congest

@@ -1,20 +1,21 @@
-// Always-on, parallel-safe metrics for the CONGEST simulator
-// (DESIGN.md §13 "Metrics registry").
+// The aggregate observer of the CONGEST simulator (DESIGN.md §9 and §13).
 //
-// The legacy TraceSink (src/congest/trace.h) streams one callback per
-// event, replayed on the caller thread at every round barrier. This
-// registry is the aggregate-only counterpart: the Network accumulates per-tag traffic,
-// per-edge high-water marks and causal-depth ("critical path") updates in
-// per-shard, cache-line-padded rows during the round, and reduces them on
-// the orchestrating thread at the existing round barrier — the same
-// pattern as the ShardAccum stat reduction of DESIGN.md §11. Snapshots are
-// therefore bit-identical for every NetworkOptions::num_threads value, and
-// the steady state of a run allocates nothing (registration, phase opens
-// and first-time edge observations allocate; round-path updates never do).
+// The TraceSink (src/congest/trace.h) streams one callback per event,
+// replayed on the caller thread at every round barrier. This registry is
+// the aggregate: the Network accumulates per-tag traffic, per-edge
+// high-water marks and causal-depth ("critical path") updates in per-shard,
+// cache-line-padded rows during the round, and reduces them on the
+// orchestrating thread at the existing round barrier — the same pattern as
+// the ShardAccum stat reduction of DESIGN.md §11. Snapshots are therefore
+// bit-identical for every NetworkOptions::num_threads value. Registration,
+// phase opens, first-time edge observations and the growth of the
+// per-round sample list allocate; nothing else on the round path does.
 //
 // What a registry holds:
 //   * grand totals (RunStats summed over observed runs) and per-round
 //     log-bucketed histograms of messages / words / max edge load;
+//   * one sample per executed round (messages, words, max edge load) on a
+//     global timeline across runs;
 //   * per-message-tag message/word counts (fixed slot table, so the round
 //     path indexes an array instead of hashing);
 //   * per-directed-edge totals and peak single-round load;
@@ -22,18 +23,20 @@
 //     delivered message extends a chain one link past its sender's depth
 //     at the start of the delivering round (DESIGN.md §13 for why this
 //     lower-bounds any completion-time schedule of the same run);
+//   * the congestion violation each aborted run threw;
 //   * named counters / gauges / histograms for algorithm-layer facts
 //     (gather retransmissions, epochs, re-elections, ...);
-//   * a stack of "phases" (MetricsPhase RAII, mirrors TRACE_SPAN): every
+//   * a stack of "phases" (PhaseScope, src/congest/network.h): every
 //     round and tag record accrues to each open phase, so a
 //     partition_and_gather run yields per-phase round/bandwidth
 //     histograms without any per-event callback.
 //
-// write_json() emits the whole snapshot deterministically (fixed key
-// order, sorted edges/counters, integer-only values) — the thread-count
-// determinism tests literally compare snapshot strings. write_run_report()
-// wraps a snapshot in the "ecd-run-report-v1" schema consumed by
-// `ecd_cli report` (schema documented in DESIGN.md §13).
+// write_json() emits the deterministic snapshot (fixed key order, sorted
+// edges/counters, integer-only values) — the thread-count determinism
+// tests literally compare snapshot strings. The per-round samples, phase
+// begin rounds and violations stay out of it; the exporters below print
+// them. write_run_report() wraps a snapshot in the "ecd-run-report-v1"
+// schema consumed by `ecd_cli report` (schema documented in DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -129,6 +132,24 @@ struct TagTraffic {
 
 // --- Aggregate record types -------------------------------------------------
 
+// One executed round; its index in MetricsRegistry::rounds() is its round
+// on the registry's global timeline.
+struct RoundSample {
+  std::int64_t messages = 0;
+  std::int64_t words = 0;
+  int max_edge_load = 0;
+};
+
+// The congestion violation an aborted run threw.
+struct ViolationRecord {
+  CongestionError::Kind kind = CongestionError::Kind::kBandwidth;
+  std::int64_t round = 0;  // on the registry's global timeline
+  graph::VertexId from = graph::kInvalidVertex;
+  graph::VertexId to = graph::kInvalidVertex;
+  int used = 0;
+  int budget = 0;
+};
+
 struct EdgeLoadStats {
   graph::VertexId from = graph::kInvalidVertex;
   graph::VertexId to = graph::kInvalidVertex;
@@ -137,13 +158,15 @@ struct EdgeLoadStats {
   int peak_load = 0;  // max messages delivered in a single round
 };
 
-// One named phase (MetricsPhase). Phases accrue every round and tag record
-// that happens while they are open, so a parent's numbers include its
-// children's — the same containment rule as SpanStats.
+// One named phase (PhaseScope). Phases accrue every round, tag record and
+// violation that happens while they are open, so a parent's numbers
+// include its children's.
 struct PhaseMetrics {
   std::string name;
   int depth = 0;  // 0 = top-level
   bool closed = false;
+  std::int64_t begin_round = 0;  // global round at which it opened
+  std::int64_t violations = 0;   // runs aborted by a violation while open
   std::int64_t runs = 0;  // Network runs that *ended* while open
   // rounds/messages/words/max_edge_load/fault counters accrued while open.
   RunStats stats;
@@ -205,6 +228,8 @@ class MetricsRegistry {
   // `run_totals` is the finished run's RunStats (already accrued round by
   // round — only run/critical-path bookkeeping happens here).
   void end_run(const RunStats& run_totals, std::int64_t critical_path);
+  // The violation that aborts the current run (instead of end_run).
+  void record_violation(const CongestionError& err);
 
   // --- Phases ---------------------------------------------------------------
   void phase_begin(std::string name);
@@ -233,6 +258,11 @@ class MetricsRegistry {
   }
   // Phases in opening order (pre-order of the phase tree).
   const std::vector<PhaseMetrics>& phases() const { return phases_; }
+  // One sample per executed round, in order across every observed run.
+  const std::vector<RoundSample>& rounds() const { return rounds_; }
+  const std::vector<ViolationRecord>& violations() const {
+    return violations_;
+  }
   // Directed edges by (messages desc, from, to) — a total order, so the
   // cut at k is deterministic. k < 0 returns all edges.
   std::vector<EdgeLoadStats> top_edges(int k) const;
@@ -243,11 +273,14 @@ class MetricsRegistry {
   void write_json(std::ostream& os, int top_k_edges = 16) const;
   std::string to_json(int top_k_edges = 16) const;
 
+  // Clears every record. The per-round sample list keeps its capacity, so
+  // a reused registry stops allocating once it has seen its longest history.
   void reset();
 
  private:
   RunStats totals_;
   std::int64_t runs_ = 0;
+  std::int64_t run_base_round_ = 0;  // global round of the current run's 0
   std::int64_t cp_total_ = 0;
   std::int64_t cp_longest_ = 0;
   LogHistogram round_messages_;
@@ -256,6 +289,8 @@ class MetricsRegistry {
   std::array<TagTraffic, kMetricsTagSlots> tags_{};
   std::vector<PhaseMetrics> phases_;
   std::vector<std::size_t> open_;  // indices into phases_
+  std::vector<RoundSample> rounds_;
+  std::vector<ViolationRecord> violations_;
   std::unordered_map<std::uint64_t, EdgeLoadStats> edges_;
   // std::map: node-based, so instrument pointers stay stable forever.
   std::map<std::string, Counter, std::less<>> counters_;
@@ -263,25 +298,34 @@ class MetricsRegistry {
   std::map<std::string, LogHistogram, std::less<>> histograms_;
 };
 
-// RAII phase guard; null registry => no-op. Safe to use alongside
-// TRACE_SPAN — the two layers are independent.
-class MetricsPhase {
- public:
-  MetricsPhase(MetricsRegistry* registry, std::string_view name)
-      : registry_(registry) {
-    if (registry_) registry_->phase_begin(std::string(name));
-  }
-  MetricsPhase(const MetricsPhase&) = delete;
-  MetricsPhase& operator=(const MetricsPhase&) = delete;
-  ~MetricsPhase() {
-    if (registry_) registry_->phase_end();
-  }
+// --- Exporters ----------------------------------------------------------------
 
- private:
-  MetricsRegistry* registry_;
-};
+// One JSON object per line: a "meta" header, then "span" (one per phase),
+// "tag", "round", "edge", "violation" and, on runs that churned, "churn"
+// records (schema in DESIGN.md §9).
+void export_jsonl(const MetricsRegistry& metrics, std::ostream& os);
+
+// Chrome trace_event JSON ({"traceEvents": [...]}): phases as complete
+// ("X") events and per-round counter ("C") tracks, 1 round = 1 µs. Open
+// with chrome://tracing or https://ui.perfetto.dev.
+void export_chrome_trace(const MetricsRegistry& metrics, std::ostream& os);
+
+// Human-readable congestion hotspot summary: top-k congested directed
+// edges, p50/p99 of the per-round peak edge load, and each top-level
+// phase's per-round peak-load histogram.
+std::string hotspot_report(const MetricsRegistry& metrics, int top_k = 10);
 
 // --- Run report --------------------------------------------------------------
+
+// Writes `s` as a JSON string literal, quotes included, escaping what JSON
+// requires. Every JSON writer of the observability layer uses it.
+void write_json_string(std::ostream& os, std::string_view s);
+
+// Opens a report document: {"schema":…,"title":…,"info":{…} — the caller
+// writes its sections after it and the closing brace.
+void write_report_header(
+    std::ostream& os, std::string_view schema, std::string_view title,
+    const std::vector<std::pair<std::string, std::string>>& info);
 
 struct RunReportContext {
   // Free-form description of what produced the metrics (shown verbatim).

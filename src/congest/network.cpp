@@ -68,6 +68,20 @@ CongestionError::CongestionError(Kind kind, std::int64_t round,
       used_(used),
       budget_(budget) {}
 
+PhaseScope::PhaseScope(const NetworkOptions& net, std::string_view name)
+    : trace_(net.trace), metrics_(net.metrics) {
+  if (trace_) {
+    name_ = name;
+    trace_->on_span_begin(name_);
+  }
+  if (metrics_) metrics_->phase_begin(std::string(name));
+}
+
+PhaseScope::~PhaseScope() {
+  if (metrics_) metrics_->phase_end();
+  if (trace_) trace_->on_span_end(name_);
+}
+
 Network::Network(const Graph& g, NetworkOptions options)
     : g_(g), options_(std::move(options)), n_(g.num_vertices()) {
   // Validate even when no fault fires: a malformed plan (negative
@@ -555,14 +569,12 @@ void Context::send(int port, Message message) {
       CongestionError err(CongestionError::Kind::kMessageSize, round_, id_,
                           neighbors_[port], message.size_words(),
                           kMaxMessageWords);
-      if (net.options_.trace) net.trace_violation(err, shard_);
       throw err;
     }
     if (fresh >= net.options_.bandwidth_tokens) {
       CongestionError err(CongestionError::Kind::kBandwidth, round_, id_,
                           neighbors_[port], fresh + 1,
                           net.options_.bandwidth_tokens);
-      if (net.options_.trace) net.trace_violation(err, shard_);
       throw err;
     }
   }
@@ -671,27 +683,19 @@ RunStats Network::run(std::vector<std::unique_ptr<VertexAlgorithm>>& algorithms)
   if (metrics_) metrics_begin_run();
   TraceSink* const trace = options_.trace;
   if (trace) trace->on_run_begin(n_, g_.num_edges(), options_);
-  // Rounds stash violations instead of calling the sink; clear stale
-  // stashes from a previous aborted run.
-  for (ShardAccum& acc : shard_accum_) acc.violation_armed = false;
   RunStats stats;
-  // Abnormal unwinds notify the sink before propagating, so a flight
+  // Abnormal unwinds notify the observers before propagating, so a flight
   // recorder can dump its ring as the post-mortem artifact. Catch order
-  // matters: CongestionError is a runtime_error.
+  // matters: CongestionError is a runtime_error. The violation caught is
+  // the lowest shard's first, whatever the thread count: the inline path
+  // computes shards in order and run_phases rethrows the lowest shard's
+  // exception.
   try {
     stats = run_rounds(algorithms);
-  } catch (const CongestionError&) {
+  } catch (const CongestionError& err) {
+    if (metrics_) metrics_->record_violation(err);
     if (trace) {
-      // Emit the lowest armed shard's stashed violation: the inline path
-      // computes shards in order and run_phases rethrows the lowest
-      // shard's exception, so this is the violation the caller sees.
-      for (const ShardAccum& acc : shard_accum_) {
-        if (!acc.violation_armed) continue;
-        trace->on_violation(CongestionError(
-            acc.violation_kind, acc.violation_round, acc.violation_from,
-            acc.violation_to, acc.violation_used, acc.violation_budget));
-        break;
-      }
+      trace->on_violation(err);
       trace->on_abort("congestion");
     }
     throw;
@@ -1108,21 +1112,6 @@ void Network::trace_replay_round(std::int64_t r, int out) {
     }
     trace->on_edge_load(r, port_peer_[rs], to, delivered.size(), edge_words);
   }
-}
-
-void Network::trace_violation(const CongestionError& err, int shard) {
-  // Workers must not call the sink. Stash the shard's first violation;
-  // run() emits the lowest armed shard's record before rethrowing, and the
-  // exception it rethrows is that shard's, so sink and exception agree.
-  ShardAccum& acc = shard_accum_[shard];
-  if (acc.violation_armed) return;
-  acc.violation_armed = true;
-  acc.violation_kind = err.kind();
-  acc.violation_round = err.round();
-  acc.violation_from = err.from();
-  acc.violation_to = err.to();
-  acc.violation_used = err.used();
-  acc.violation_budget = err.budget();
 }
 
 RunStats Network::run_rounds(

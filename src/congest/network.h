@@ -25,6 +25,8 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/congest/fault.h"
@@ -110,13 +112,14 @@ struct NetworkOptions {
   // the event stream is byte-identical across thread counts.
   TraceSink* trace = nullptr;
   // Sampling filters for `trace` (ignored when trace is null). The
-  // defaults deliver the full event stream.
+  // defaults deliver the full event stream. They thin the event stream
+  // only: `metrics` sees every round whatever they say.
   TraceConfig trace_config;
-  // Always-on aggregate metrics (src/congest/metrics.h, DESIGN.md §13).
-  // Unlike `trace`, this works at every num_threads value: per-shard
-  // accumulator rows reduce at the round barrier, snapshots are
-  // bit-identical across thread counts, and the round path stays
-  // allocation-free. Null: one predictable branch per delivered port.
+  // Aggregate metrics (src/congest/metrics.h, DESIGN.md §13): per-shard
+  // accumulator rows reduce at the round barrier, so snapshots are
+  // bit-identical across thread counts. The round path allocates only
+  // when the registry's per-round sample list grows (amortized). Null: one
+  // predictable branch per delivered port.
   MetricsRegistry* metrics = nullptr;
   // Threads stepping vertices each round (DESIGN.md §11). 1 (the default)
   // runs every round on the calling thread; 0 resolves to
@@ -158,6 +161,24 @@ struct NetworkOptions {
   // not run two Networks on one pool concurrently (a pool serves one
   // dispatch at a time).
   ThreadPool* shared_pool = nullptr;
+};
+
+// Opens a named phase on the observers of `net` for the rest of the
+// enclosing scope: a span on the trace sink and a phase on the metrics
+// registry, both closed by the destructor. Phases nest, so a primitive's
+// phase sits inside the pipeline phase that called it. No observer attached:
+// a no-op.
+class PhaseScope {
+ public:
+  PhaseScope(const NetworkOptions& net, std::string_view name);
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+  ~PhaseScope();
+
+ private:
+  TraceSink* trace_;
+  MetricsRegistry* metrics_;
+  std::string name_;  // the span's name, kept only for a trace sink
 };
 
 struct RunStats {
@@ -400,18 +421,6 @@ class Network {
     // writes it while deliver_shard resets the stats block; the barrier
     // reduction folds it in.
     std::int64_t churn_sends_dropped = 0;
-    // Traced runs stash the shard's first congestion violation here
-    // instead of calling the sink from the round; run() emits the lowest
-    // armed shard's record before rethrowing. That is the violation the
-    // caller sees: shards compute in order on the inline path, and
-    // run_phases rethrows the lowest-shard exception.
-    bool violation_armed = false;
-    CongestionError::Kind violation_kind = CongestionError::Kind::kBandwidth;
-    std::int64_t violation_round = 0;
-    graph::VertexId violation_from = graph::kInvalidVertex;
-    graph::VertexId violation_to = graph::kInvalidVertex;
-    int violation_used = 0;
-    int violation_budget = 0;
   };
 
   // Delivery-phase fault hook (DESIGN.md §12): applies options_.faults to
@@ -688,10 +697,6 @@ class Network {
   // that buffer is retired during the *next* round's delivery. Zero
   // allocation: lanes and trace_order_ are reserved at construction.
   void trace_replay_round(std::int64_t r, int out);
-  // Stashes a congestion violation in its shard's accumulator (the first
-  // per shard wins); run() hands it to the sink. Workers must not call the
-  // sink, so no round does.
-  void trace_violation(const CongestionError& err, int shard);
 
   // Per-vertex flag: buffer b delivers at least one message to the vertex.
   std::vector<char> mail_[2];

@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "src/congest/trace.h"
 #include "src/graph/splitmix.h"
 
 namespace ecd::congest {
@@ -519,9 +518,10 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       ctx.send((*intra_)[u.port_index], token_message(u.packed, u.payload));
     }
     // Fresh hops go only to neighbors the host knows were alive at epoch
-    // start (the crash-by-heartbeat assumption of DESIGN.md §12): a hop into
-    // a crashed vertex is never acked and would pin the token in unacked_
-    // for the rest of the epoch.
+    // start (the crash-by-heartbeat assumption of DESIGN.md §12) and over
+    // edges that are up: a hop into a crashed vertex or a deleted edge is
+    // never acked and would pin the token in unacked_ for the rest of the
+    // epoch. A pick of a down edge blocks the hop like a full port.
     if (held_.empty() || walk_index_->empty()) return;
     kept_.clear();
     for (Token& t : held_) {
@@ -531,7 +531,7 @@ class ReliableWalkAlgo final : public VertexAlgorithm {
       }
       const std::size_t i = static_cast<std::size_t>(
           (*walk_index_)[stream_.pick(walk_index_->size())]);
-      if (load_[i] >= bandwidth_) {
+      if (load_[i] >= bandwidth_ || !ctx.port_live((*intra_)[i])) {
         kept_.push_back(std::move(t));
         continue;
       }
@@ -921,7 +921,7 @@ int port_to(const Graph& g, VertexId v, VertexId u) {
 LeaderElectionResult elect_cluster_leaders(const Graph& g,
                                            const std::vector<int>& cluster_of,
                                            const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "leader_election");
+  PhaseScope phase(net, "leader_election");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   algos.reserve(g.num_vertices());
@@ -946,7 +946,7 @@ BfsTreeResult build_cluster_bfs_trees(const Graph& g,
                                       const std::vector<int>& cluster_of,
                                       const std::vector<VertexId>& leader_of,
                                       const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "bfs_tree");
+  PhaseScope phase(net, "bfs_tree");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<BfsAlgo*> typed(g.num_vertices());
@@ -972,7 +972,7 @@ OrientationResult orient_cluster_edges(const Graph& g,
                                        const std::vector<int>& cluster_of,
                                        int peel_threshold,
                                        const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "orientation");
+  PhaseScope phase(net, "orientation");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<PeelAlgo*> typed(g.num_vertices());
@@ -1004,7 +1004,7 @@ GatherResult random_walk_gather(const Graph& g,
                                 const std::vector<VertexId>& leader_of,
                                 const std::vector<std::vector<GatherToken>>& tokens,
                                 const GatherOptions& options) {
-  TRACE_SPAN(options.net.trace, "walk_gather");
+  PhaseScope phase(options.net, "walk_gather");
   check_round_budget("random_walk_gather", options.net.max_rounds);
   const auto intra = intra_cluster_ports(g, cluster_of);
   GatherResult result;
@@ -1057,14 +1057,15 @@ ReliableGatherResult reliable_walk_gather(
     const std::vector<VertexId>& leader_of,
     const std::vector<std::vector<GatherToken>>& tokens,
     const ReliableGatherOptions& options) {
-  TRACE_SPAN(options.net.trace, "fault:reliable_gather");
+  PhaseScope gather_phase(options.net, "fault:reliable_gather");
   const auto intra = intra_cluster_ports(g, cluster_of);
   const int n = g.num_vertices();
   const FaultPlan& base_plan = options.net.faults;
   const int delay_span =
       base_plan.delay_probability > 0.0 ? base_plan.max_delay_rounds : 0;
-  const int timeout =
-      options.ack_timeout > 0 ? options.ack_timeout : 4 + 2 * delay_span;
+  // Rounds a sender waits for an ack before retransmitting on the same
+  // port: a hop and its ack, each possibly delayed.
+  const int timeout = 4 + 2 * delay_span;
   // Each epoch runs at most one re-election plus one epoch network run. The
   // first check keeps the sum in the second from overflowing.
   check_round_budget("reliable_walk_gather", options.net.max_rounds);
@@ -1174,7 +1175,7 @@ ReliableGatherResult reliable_walk_gather(
       }
     }
     if (leader_dead) {
-      TRACE_SPAN(options.net.trace, "fault:reelect");
+      PhaseScope reelect_phase(options.net, "fault:reelect");
       NetworkOptions eopt = options.net;
       eopt.faults = FaultPlan{};
       rebase(base_round, eopt.faults);
@@ -1186,27 +1187,16 @@ ReliableGatherResult reliable_walk_gather(
       ++result.reelections;
     }
 
-    TRACE_SPAN(options.net.trace, "fault:epoch");
+    PhaseScope epoch_phase(options.net, "fault:epoch");
     NetworkOptions nopt = options.net;
     FaultPlan& plan = nopt.faults;
     plan.seed = epoch == 0 ? base_plan.seed
                            : graph::splitmix64(base_plan.seed + epoch);
     rebase(base_round, plan);
-    if (base_plan.first_faulty_round > 0 ||
-        base_plan.last_faulty_round !=
-            std::numeric_limits<std::int64_t>::max()) {
-      plan.first_faulty_round =
-          std::max<std::int64_t>(0, base_plan.first_faulty_round - base_round);
-      plan.last_faulty_round =
-          base_plan.last_faulty_round ==
-                  std::numeric_limits<std::int64_t>::max()
-              ? base_plan.last_faulty_round
-              : base_plan.last_faulty_round - base_round;
-      if (plan.last_faulty_round < 0) {
-        plan.first_faulty_round = 1;  // window already closed: no faults
-        plan.last_faulty_round = 0;
-      }
-    }
+    // The message-fault window, moved onto this run's rounds. Parts of it
+    // that fall before round 0 are rounds this run never has.
+    plan.first_faulty_round = base_plan.first_faulty_round - base_round;
+    plan.last_faulty_round = base_plan.last_faulty_round - base_round;
     // The give-up deadline bounds the run: after it nobody sends, so the
     // network drains within the residual delay span.
     nopt.max_rounds = options.epoch_rounds + delay_span + 8;
@@ -1300,7 +1290,7 @@ PathReturnResult return_along_paths(const Graph& g,
                                     const GatherResult& gather,
                                     const std::vector<std::int64_t>& words,
                                     const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "path_return");
+  PhaseScope phase(net, "path_return");
   const int n = g.num_vertices();
   const auto refuse = [](const std::string& why) {
     throw std::invalid_argument("return_along_paths: " + why);
@@ -1422,7 +1412,7 @@ BroadcastResult broadcast_from_leaders(const Graph& g,
                                        const std::vector<VertexId>& leader_of,
                                        const std::vector<std::int64_t>& leader_value,
                                        const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "broadcast");
+  PhaseScope phase(net, "broadcast");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<FloodAlgo*> typed(g.num_vertices());
@@ -1448,7 +1438,7 @@ TreeGatherResult tree_gather(const Graph& g,
                              const std::vector<VertexId>& bfs_parent,
                              const std::vector<std::vector<GatherToken>>& tokens,
                              const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "tree_gather");
+  PhaseScope phase(net, "tree_gather");
   const int n = g.num_vertices();
   std::int64_t expected = 0;
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
@@ -1488,7 +1478,7 @@ ConvergecastResult convergecast_fold(const Graph& g,
                                      const std::vector<VertexId>& bfs_parent,
                                      const std::vector<std::int64_t>& value,
                                      Fold fold, const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "convergecast");
+  PhaseScope phase(net, "convergecast");
   const int n = g.num_vertices();
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<ConvergecastAlgo*> typed(n);
@@ -1514,7 +1504,7 @@ DiameterCheckResult check_cluster_diameter(const Graph& g,
                                            const std::vector<int>& cluster_of,
                                            int bound,
                                            const NetworkOptions& net) {
-  TRACE_SPAN(net.trace, "diameter_check");
+  PhaseScope phase(net, "diameter_check");
   const auto intra = intra_cluster_ports(g, cluster_of);
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   std::vector<DiameterCheckAlgo*> typed(g.num_vertices());

@@ -163,9 +163,6 @@ struct ReliableGatherOptions {
   // and re-seeds undelivered tokens at their origins.
   int epoch_rounds = 512;
   int max_epochs = 8;
-  // Rounds a sender waits for an ack before retransmitting on the same
-  // port; 0 derives 4 + 2 * max_delay_rounds from the fault plan.
-  int ack_timeout = 0;
 };
 
 struct ReliableGatherResult {

@@ -23,27 +23,6 @@ std::string fmt_ms(std::int64_t ns) {
   return buf;
 }
 
-void escape(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 // Chrome's trace viewer wants microseconds; keep nanosecond resolution.
 std::string us(std::int64_t ns) {
   char buf[64];
@@ -328,7 +307,7 @@ void ExecutionProfiler::write_chrome_trace(std::ostream& os) const {
     first = false;
     os << "{\"name\":\"" << key
        << "\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid << ",\"args\":{\"name\":";
-    escape(os, value);
+    write_json_string(os, value);
     os << "}}";
   };
   meta("process_name", 0, "ecd congest network");
@@ -363,16 +342,8 @@ void ExecutionProfiler::write_chrome_trace(std::ostream& os) const {
 void write_profile_report(std::ostream& os, const ExecutionProfiler& profiler,
                           const ProfileReportContext& context) {
   const ExecutionProfiler::Summary s = profiler.summary();
-  os << "{\"schema\":\"ecd-profile-v1\",\"title\":";
-  escape(os, context.title);
-  os << ",\"info\":{";
-  for (std::size_t i = 0; i < context.info.size(); ++i) {
-    if (i) os << ',';
-    escape(os, context.info[i].first);
-    os << ':';
-    escape(os, context.info[i].second);
-  }
-  os << "},\"profile\":{\"num_shards\":" << s.num_shards
+  write_report_header(os, "ecd-profile-v1", context.title, context.info);
+  os << ",\"profile\":{\"num_shards\":" << s.num_shards
      << ",\"runs\":" << s.runs << ",\"rounds\":" << s.rounds
      << ",\"wall_ns\":" << s.wall_ns;
   os << ",\"totals\":{";

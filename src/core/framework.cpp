@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/congest/metrics.h"
-#include "src/congest/trace.h"
 #include "src/expander/distributed_decomposition.h"
 #include "src/expander/weighted.h"
 #include "src/graph/metrics.h"
@@ -116,8 +115,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   net.num_threads = options.num_threads;
   net.sparse_serial_threshold = options.sparse_serial_threshold;
   {
-    TRACE_SPAN(options.trace, "phase:decomposition");
-    congest::MetricsPhase mphase(options.metrics, "phase:decomposition");
+    congest::PhaseScope phase(net, "phase:decomposition");
     if (options.decomposition_mode == DecompositionMode::kDistributed) {
       expander::DistributedDecompositionOptions ddopt;
       ddopt.phi = dopt.phi;
@@ -150,8 +148,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   // Leader election: the paper elects a maximum-cluster-degree vertex.
   congest::LeaderElectionResult election;
   {
-    TRACE_SPAN(options.trace, "phase:election");
-    congest::MetricsPhase mphase(options.metrics, "phase:election");
+    congest::PhaseScope phase(net, "phase:election");
     election = congest::elect_cluster_leaders(g, cluster_of, net);
   }
   out.leader_of = election.leader_of;
@@ -166,8 +163,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   const int threshold = std::max(1, graph::degeneracy(g).degeneracy);
   congest::OrientationResult orientation;
   {
-    TRACE_SPAN(options.trace, "phase:orientation");
-    congest::MetricsPhase mphase(options.metrics, "phase:orientation");
+    congest::PhaseScope phase(net, "phase:orientation");
     orientation =
         congest::orient_cluster_edges(g, cluster_of, threshold, net);
   }
@@ -205,8 +201,7 @@ Partition partition_and_gather(const Graph& g, double eps,
     ropt.seed = gopt.seed;
     ropt.epoch_rounds = options.gather_epoch_rounds;
     ropt.max_epochs = options.gather_max_epochs;
-    TRACE_SPAN(options.trace, "phase:gather");
-    congest::MetricsPhase mphase(options.metrics, "phase:gather");
+    congest::PhaseScope phase(net, "phase:gather");
     congest::ReliableGatherResult reliable = congest::reliable_walk_gather(
         g, cluster_of, out.leader_of, tokens, ropt);
     out.gather = std::move(reliable.gather);
@@ -230,8 +225,7 @@ Partition partition_and_gather(const Graph& g, double eps,
     out.ledger.add_measured("topology gather (reliable walks, §12)",
                             out.gather.stats);
   } else {
-    TRACE_SPAN(options.trace, "phase:gather");
-    congest::MetricsPhase mphase(options.metrics, "phase:gather");
+    congest::PhaseScope phase(net, "phase:gather");
     out.gather = congest::random_walk_gather(g, cluster_of, out.leader_of,
                                              tokens, gopt);
     out.ledger.add_measured("topology gather (Lemma 2.4 random walks)",
@@ -241,8 +235,7 @@ Partition partition_and_gather(const Graph& g, double eps,
   out.gather_complete = gather.complete;
 
   // Leader-side reconstruction.
-  TRACE_SPAN(options.trace, "phase:reconstruct");
-  congest::MetricsPhase reconstruct_phase(options.metrics, "phase:reconstruct");
+  congest::PhaseScope reconstruct_phase(net, "phase:reconstruct");
   const auto members = expander::cluster_members(out.decomposition);
   out.clusters.resize(out.decomposition.num_clusters);
   for (int c = 0; c < out.decomposition.num_clusters; ++c) {
@@ -298,8 +291,7 @@ std::int64_t return_results(Partition& partition,
   }
   congest::PathReturnResult delivery;
   {
-    TRACE_SPAN(partition.net.trace, "phase:return");
-    congest::MetricsPhase mphase(partition.net.metrics, "phase:return");
+    congest::PhaseScope phase(partition.net, "phase:return");
     delivery = congest::return_along_paths(*partition.graph, partition.gather,
                                            per_vertex_word, partition.net);
   }

@@ -61,24 +61,25 @@ struct FrameworkOptions {
   // <= ε'·w(E) instead of edge count) — the §1.3 weighted-problems variant.
   // Ignored on unweighted graphs.
   bool weighted_volumes = false;
-  // Observability (src/congest/trace.h): when set, the pipeline opens a
-  // "phase:*" span around each of its five phases (decomposition, election,
-  // orientation, gather, reconstruct), and return_results one more
-  // ("phase:return"); the primitives nest their own spans inside, and
-  // every simulator round/edge/message event is reported. Null:
-  // zero overhead. Valid at every num_threads value — sharded trace lanes
+  // Event stream (src/congest/trace.h): every simulator round/edge/message
+  // event is reported, and each phase below opens a span. Null: zero
+  // overhead. Valid at every num_threads value — sharded trace lanes
   // (DESIGN.md §18) replay events on the caller in a fixed merge order, so
   // the event stream is byte-identical across thread counts.
   congest::TraceSink* trace = nullptr;
-  // Sampling filters and flight-recorder gating for `trace`
-  // (NetworkOptions::trace_config): round/vertex/tag filters that bound
-  // trace volume deterministically. Defaults trace everything.
+  // Sampling filters for `trace` (NetworkOptions::trace_config):
+  // round/vertex/tag filters that bound the event stream
+  // deterministically. Defaults trace everything; `metrics` is never
+  // sampled.
   congest::TraceConfig trace_config;
-  // Aggregate metrics (src/congest/metrics.h): when set, every simulated
-  // phase runs with the registry attached — per-tag traffic, round
-  // histograms, edge high-water marks, critical path — and each pipeline
-  // phase opens a "phase:*" MetricsPhase. Unlike `trace`, works at every
-  // `num_threads` value with bit-identical snapshots.
+  // Aggregate metrics (src/congest/metrics.h): every simulated phase runs
+  // with the registry attached — per-tag traffic, per-round samples and
+  // histograms, edge high-water marks, critical path — with bit-identical
+  // snapshots at every `num_threads` value. The pipeline opens a
+  // "phase:*" PhaseScope on both observers around each of its five phases
+  // (decomposition, election, orientation, gather, reconstruct), and
+  // return_results one more ("phase:return"); the primitives nest their
+  // own phases inside.
   congest::MetricsRegistry* metrics = nullptr;
   // Wall-clock execution profiler (src/congest/profiler.h, DESIGN.md §14):
   // when set, every simulated phase (election, orientation, gather, return)

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "src/congest/metrics.h"
-#include "src/congest/trace.h"
 
 namespace ecd::core {
 
@@ -45,8 +43,7 @@ PropertyTestResult property_test(const Graph& g,
   if (options.diameter_check_factor > 0.0) {
     const int bound = static_cast<int>(
         std::ceil(options.diameter_check_factor / std::max(phi, 1e-9)));
-    TRACE_SPAN(partition.net.trace, "phase:diameter-check");
-    congest::MetricsPhase mphase(partition.net.metrics, "phase:diameter-check");
+    congest::PhaseScope phase(partition.net, "phase:diameter-check");
     const auto check = congest::check_cluster_diameter(
         g, partition.decomposition.cluster_of, bound, partition.net);
     partition.ledger.add_measured("diameter self-check (Sec 2.3)",
@@ -84,8 +81,7 @@ PropertyTestResult property_test(const Graph& g,
     }
   }
   // Leaders broadcast the verdict to their clusters.
-  TRACE_SPAN(partition.net.trace, "phase:verdict-broadcast");
-  congest::MetricsPhase phase(partition.net.metrics, "phase:verdict-broadcast");
+  congest::PhaseScope phase(partition.net, "phase:verdict-broadcast");
   std::vector<std::int64_t> verdict(g.num_vertices(), 0);
   for (const Cluster& cluster : partition.clusters) {
     verdict[cluster.leader] = result.vertex_accepts[cluster.leader] ? 1 : 2;

@@ -8,7 +8,6 @@
 
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
-#include "src/congest/trace.h"
 #include "src/expander/conductance.h"
 #include "src/expander/skeleton.h"
 #include "src/graph/subgraph.h"
@@ -156,7 +155,7 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
                        const DistributedDecompositionOptions& options,
                        int level) {
   const congest::NetworkOptions& net = options.net;
-  TRACE_SPAN(net.trace, "decomposition_level");
+  congest::PhaseScope phase(net, "decomposition_level");
   LevelOutcome outcome;
   const int n = g.num_vertices();
   const auto intra = intra_ports(g, piece_of);

@@ -513,6 +513,31 @@ TEST(PropertyTest, Treewidth2Property) {
   EXPECT_TRUE(property_test(yes, seq::treewidth2_property(), 0.2).accept);
 }
 
+// The messages the event stream delivered inside each top-level span.
+class TopLevelSpanTraffic final : public congest::TraceSink {
+ public:
+  void on_span_begin(const std::string& name) override {
+    if (depth_++ == 0) current_ = name;
+  }
+  void on_span_end(const std::string& name) override {
+    (void)name;
+    --depth_;
+  }
+  void on_edge_load(std::int64_t round, VertexId from, VertexId to,
+                    int messages, std::int64_t words) override {
+    (void)round, (void)from, (void)to, (void)words;
+    total += messages;
+    if (depth_ > 0) messages_in[current_] += messages;
+  }
+
+  std::map<std::string, std::int64_t> messages_in;
+  std::int64_t total = 0;
+
+ private:
+  int depth_ = 0;
+  std::string current_;
+};
+
 const congest::RunStats& ledger_entry(const congest::RoundLedger& ledger,
                                       const std::string& label) {
   for (const auto& e : ledger.entries()) {
@@ -535,7 +560,7 @@ TEST(PropertyTest, PostPartitionPhasesRunOnThePartitionsOptions) {
     std::string snapshot;
   };
   const auto run = [&](int threads) {
-    congest::MetricsCollector trace;
+    TopLevelSpanTraffic trace;
     congest::MetricsRegistry metrics;
     congest::ExecutionProfiler profiler;
     PropertyTestOptions opt;
@@ -558,24 +583,21 @@ TEST(PropertyTest, PostPartitionPhasesRunOnThePartitionsOptions) {
     EXPECT_EQ(metrics.tag_messages(congest::kTagBroadcast),
               broadcast.messages_sent);
     // Each run has its own top-level phase, and the phases cover every round.
-    std::map<std::string, std::int64_t> phase_messages, span_messages;
+    std::map<std::string, std::int64_t> phase_messages;
     std::int64_t phase_rounds = 0;
     for (const auto& ph : metrics.phases()) {
       if (ph.depth != 0) continue;
       phase_rounds += ph.stats.rounds;
       phase_messages[ph.name] = ph.stats.messages_sent;
     }
-    for (const auto& span : trace.spans()) {
-      if (span.depth == 0) span_messages[span.name] = span.messages;
-    }
     EXPECT_EQ(phase_rounds, metrics.totals().rounds);
     EXPECT_EQ(phase_messages["phase:diameter-check"], check.messages_sent);
     EXPECT_EQ(phase_messages["phase:verdict-broadcast"],
               broadcast.messages_sent);
-    EXPECT_EQ(span_messages["phase:diameter-check"], check.messages_sent);
-    EXPECT_EQ(span_messages["phase:verdict-broadcast"],
+    EXPECT_EQ(trace.messages_in["phase:diameter-check"], check.messages_sent);
+    EXPECT_EQ(trace.messages_in["phase:verdict-broadcast"],
               broadcast.messages_sent);
-    EXPECT_EQ(trace.totals().messages_sent, metrics.totals().messages_sent);
+    EXPECT_EQ(trace.total, metrics.totals().messages_sent);
     // The profiler saw every run and round the registry saw, on every shard.
     EXPECT_EQ(profiler.summary().runs, metrics.runs_observed());
     EXPECT_EQ(profiler.summary().rounds, metrics.totals().rounds);
@@ -599,7 +621,7 @@ TEST(PropertyTest, PostPartitionPhasesRunOnThePartitionsOptions) {
 TEST(PropertyTest, PostPartitionPhasesKeepTheThresholdAndTraceSampling) {
   Rng rng(27);
   const Graph g = graph::random_maximal_planar(400, rng);
-  congest::MetricsCollector trace;
+  TopLevelSpanTraffic trace;
   congest::ExecutionProfiler profiler;
   PropertyTestOptions opt;
   opt.framework.decomposition.phi = 0.08;
@@ -614,16 +636,12 @@ TEST(PropertyTest, PostPartitionPhasesKeepTheThresholdAndTraceSampling) {
   const auto summary = profiler.summary();
   EXPECT_GT(summary.rounds, 0);
   EXPECT_EQ(summary.num_shards, 1);
-  std::map<std::string, std::int64_t> span_messages;
-  for (const auto& span : trace.spans()) {
-    if (span.depth == 0) span_messages[span.name] = span.messages;
-  }
   for (const auto& [phase, entry] :
        {std::pair{"phase:diameter-check", "diameter self-check (Sec 2.3)"},
         std::pair{"phase:verdict-broadcast", "verdict broadcast"}}) {
     const std::int64_t messages = ledger_entry(r.ledger, entry).messages_sent;
-    EXPECT_GT(span_messages[phase], 0) << phase;
-    EXPECT_LT(span_messages[phase], messages) << phase;
+    EXPECT_GT(trace.messages_in[phase], 0) << phase;
+    EXPECT_LT(trace.messages_in[phase], messages) << phase;
   }
 }
 

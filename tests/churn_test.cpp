@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/congest/fault.h"
+#include "src/congest/metrics.h"
 #include "src/congest/network.h"
 #include "src/congest/trace.h"
 #include "src/core/sweep.h"
@@ -560,32 +561,30 @@ TEST(ChurnTrace, EventsEmitPerEventInScheduleOrderWithEndpoints) {
   EXPECT_TRUE(rec.purges.empty());
 }
 
-TEST(ChurnTrace, CollectorPinsChurnStatsAndExportsTheChurnLine) {
+TEST(ChurnTrace, RegistryPinsChurnTotalsAndExportsTheChurnLine) {
   const Graph g = Graph::from_edges(3, {{0, 1}, {1, 2}});
   NetworkOptions opt;
   opt.faults = traced_churn_plan();
-  congest::MetricsCollector mc;
-  opt.trace = &mc;
+  congest::MetricsRegistry metrics;
+  opt.metrics = &metrics;
   Network net(g, opt);
   auto algos = make_probes(g, /*rounds=*/8);
-  net.run(algos);
+  const RunStats stats = net.run(algos);
 
-  const congest::ChurnStats& c = mc.churn_stats();
-  EXPECT_EQ(c.edge_inserts, 1);
-  EXPECT_EQ(c.edge_deletes, 0);
-  EXPECT_EQ(c.node_leaves, 1);
-  EXPECT_EQ(c.node_joins, 1);
-  EXPECT_EQ(c.total_events(), 3);
-  EXPECT_EQ(c.purge_events, 0);
-  EXPECT_EQ(c.messages_purged, 0);
+  // The registry's churn totals are the run's: three events, and every
+  // message churn discarded. Here all 26 are dead-port sends: on the
+  // (0,2) edge before its insert (2 x 4 rounds), and on vertex 1's edges
+  // after it left, from 0 and 2 (2 x 6) and from 1 once it rejoined (2 x 3).
+  EXPECT_EQ(metrics.totals().churn_events, 3);
+  EXPECT_EQ(stats.messages_purged, 26);
+  EXPECT_EQ(metrics.totals().messages_purged, stats.messages_purged);
 
   std::ostringstream os;
-  congest::export_jsonl(mc, os);
-  EXPECT_NE(os.str().find("{\"type\":\"churn\",\"edge_inserts\":1,"
-                          "\"edge_deletes\":0,\"node_leaves\":1,"
-                          "\"node_joins\":1,\"purge_events\":0,"
-                          "\"messages_purged\":0}"),
-            std::string::npos);
+  congest::export_jsonl(metrics, os);
+  EXPECT_NE(os.str().find(
+                "{\"type\":\"churn\",\"churn_events\":3,\"purged\":26}"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(ChurnTrace, DeliveryPurgesAreTracedPerEdgeButSendDropsAreNot) {
@@ -630,15 +629,16 @@ TEST(ChurnTrace, SendDropsCountInRunStatsButNotAsPurgeEvents) {
   plan.churn = {{ChurnKind::kEdgeDelete, 3, 0, 1}};
   NetworkOptions opt;
   opt.faults = plan;
-  congest::MetricsCollector mc;
-  opt.trace = &mc;
+  ChurnEventRecorder rec;
+  opt.trace = &rec;
   Network net(g, opt);
   auto algos = make_probes(g, /*rounds=*/6);
   const RunStats stats = net.run(algos);
   EXPECT_EQ(stats.messages_purged, 6);
-  EXPECT_EQ(mc.churn_stats().edge_deletes, 1);
-  EXPECT_EQ(mc.churn_stats().purge_events, 0);
-  EXPECT_EQ(mc.churn_stats().messages_purged, 0);
+  ASSERT_EQ(rec.events.size(), 1u);
+  EXPECT_EQ(rec.events[0].kind, ChurnKind::kEdgeDelete);
+  EXPECT_TRUE(rec.purges.empty());
+  EXPECT_EQ(rec.purged_total, 0);
 }
 
 }  // namespace

@@ -665,6 +665,33 @@ TEST(ReliableGather, ChurnFiresOnceOnTheCumulativeTimeline) {
   EXPECT_EQ(watch.crossings, 0);
 }
 
+// A fresh hop never picks an edge churn has deleted: such a hop would be
+// dropped on the dead port, never acked, and retransmitted into it until
+// the epoch ends. So a gather with one edge deleted at round 0 sends nothing
+// into it (no purges, no retransmissions) and needs no more epochs than the
+// same gather on the whole torus.
+TEST(ReliableGather, FreshHopsSkipEdgesChurnDeleted) {
+  const Graph g = graph::torus_grid(6, 6);
+  const std::vector<int> cl(g.num_vertices(), 0);
+  const auto leaders = clean_leaders(g, cl);
+  const graph::Edge cut = g.edge(0);
+  congest::ReliableGatherOptions opt;
+  opt.net.bandwidth_tokens = 2;
+  const auto whole = congest::reliable_walk_gather(
+      g, cl, leaders.leader_of, one_token_per_vertex(g), opt);
+  ASSERT_TRUE(whole.gather.complete);
+
+  opt.net.faults.churn.push_back(
+      {congest::ChurnKind::kEdgeDelete, 0, cut.u, cut.v});
+  const auto r = congest::reliable_walk_gather(g, cl, leaders.leader_of,
+                                               one_token_per_vertex(g), opt);
+  EXPECT_TRUE(r.gather.complete);
+  EXPECT_EQ(r.gather.stats.churn_events, 1);
+  EXPECT_EQ(r.gather.stats.messages_purged, 0);
+  EXPECT_EQ(r.retransmissions, 0);
+  EXPECT_LE(r.epochs, whole.epochs);
+}
+
 // --- End-to-end: the framework pipeline under faults ----------------------
 
 TEST(FrameworkFaulted, PartitionAndGatherMatchesFaultFreeUnderOnePercentDrop) {

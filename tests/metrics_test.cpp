@@ -2,9 +2,9 @@
 // Network integration: histogram/accumulator units, bit-identical
 // snapshots across NetworkOptions::num_threads (the §13 parallel-safety
 // contract, checked as literal JSON string equality), the critical-path
-// estimate on a topology where the answer is known exactly, agreement with
-// the legacy serial MetricsCollector, phase accrual, named instruments,
-// and the ecd-run-report-v1 document consumed by `ecd_cli report`.
+// estimate on a topology where the answer is known exactly, phase accrual,
+// named instruments, and the ecd-run-report-v1 document consumed by
+// `ecd_cli report`.
 #include "src/congest/metrics.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "src/baselines/luby_mis.h"
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
-#include "src/congest/trace.h"
 #include "src/core/framework.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
@@ -173,6 +172,8 @@ TEST(MetricsRegistry, PhaseAccrualAndNesting) {
   EXPECT_EQ(inner.name, "inner");
   EXPECT_EQ(inner.depth, 1);
   EXPECT_EQ(inner.stats.rounds, 1);      // only the second round
+  EXPECT_EQ(outer.begin_round, 0);
+  EXPECT_EQ(inner.begin_round, 1);       // opened after the first round
   EXPECT_EQ(inner.runs, 0);              // run ended after inner closed
   EXPECT_EQ(inner.tags[metrics_tag_slot(kTagBroadcast)].messages, 5);
   // Tag traffic recorded inside inner also accrues to outer (containment).
@@ -216,7 +217,7 @@ std::string flood_snapshot(int threads) {
   net.metrics = &reg;
   net.num_threads = threads;
 
-  MetricsPhase phase(&reg, "phase:flood");
+  PhaseScope phase(net, "phase:flood");
   const auto leaders = elect_cluster_leaders(g, cluster, net);
   std::vector<std::int64_t> leader_value(g.num_vertices(), 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -317,50 +318,6 @@ TEST(MetricsCriticalPath, PathGraphBroadcastIsExact) {
   }
 }
 
-// --- Cross-validation against the legacy serial collector -------------------
-
-TEST(MetricsRegistryVsCollector, TagTrafficAndTotalsAgree) {
-  graph::Rng rng(77);
-  const Graph g = graph::random_maximal_planar(64, rng);
-  std::vector<int> cluster(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) cluster[v] = v % 3 == 0;
-
-  auto workload = [&](const NetworkOptions& net) {
-    const auto leaders = elect_cluster_leaders(g, cluster, net);
-    std::vector<std::int64_t> leader_value(g.num_vertices(), 0);
-    broadcast_from_leaders(g, cluster, leaders.leader_of, leader_value, net);
-    check_cluster_diameter(g, cluster, 8, net);
-  };
-
-  MetricsCollector mc;
-  NetworkOptions traced;
-  traced.trace = &mc;
-  workload(traced);
-
-  MetricsRegistry reg;
-  NetworkOptions metered;
-  metered.metrics = &reg;
-  workload(metered);
-
-  EXPECT_EQ(reg.totals().rounds, mc.totals().rounds);
-  EXPECT_EQ(reg.totals().messages_sent, mc.totals().messages_sent);
-  EXPECT_EQ(reg.totals().words_sent, mc.totals().words_sent);
-  EXPECT_EQ(reg.totals().max_edge_load, mc.totals().max_edge_load);
-  EXPECT_EQ(reg.runs_observed(), mc.runs_observed());
-  for (const int tag : {kTagElection, kTagBroadcast, kTagDiameter}) {
-    ASSERT_TRUE(mc.tag_stats().count(tag)) << tag;
-    EXPECT_EQ(reg.tag_messages(tag), mc.tag_stats().at(tag).messages) << tag;
-    EXPECT_EQ(reg.tag_words(tag), mc.tag_stats().at(tag).words) << tag;
-  }
-  // Edge totals: both layers observed every delivered message.
-  std::int64_t reg_edge_messages = 0;
-  for (const auto& e : reg.top_edges(-1)) reg_edge_messages += e.messages;
-  std::int64_t mc_edge_messages = 0;
-  for (const auto& e : mc.top_edges(-1)) mc_edge_messages += e.messages;
-  EXPECT_EQ(reg_edge_messages, mc_edge_messages);
-  EXPECT_EQ(reg_edge_messages, reg.totals().messages_sent);
-}
-
 // --- Framework integration and the run report --------------------------------
 
 TEST(RunReport, FaultedFrameworkEmitsSchemaValidReport) {
@@ -382,7 +339,7 @@ TEST(RunReport, FaultedFrameworkEmitsSchemaValidReport) {
   EXPECT_GT(reg.counter("gather.retransmissions")->value(), 0);
   EXPECT_GE(reg.counter("gather.epochs")->value(), 1);
 
-  // Every pipeline phase opened a MetricsPhase.
+  // Every pipeline phase opened a PhaseScope.
   std::vector<std::string> phase_names;
   for (const auto& phase : reg.phases()) {
     if (phase.depth == 0) phase_names.push_back(phase.name);
@@ -473,6 +430,11 @@ TEST(MetricsRegistry, ResetClearsEverything) {
   reg.counter("c")->increment();
   reg.phase_begin("p");
   reg.phase_end();
+  reg.begin_run(4, 3);
+  reg.record_violation(
+      CongestionError(CongestionError::Kind::kBandwidth, 0, 0, 1, 2, 1));
+  ASSERT_EQ(reg.rounds().size(), 1u);
+  const std::size_t capacity = reg.rounds().capacity();
   reg.reset();
   EXPECT_EQ(reg.totals().rounds, 0);
   EXPECT_EQ(reg.runs_observed(), 0);
@@ -480,6 +442,10 @@ TEST(MetricsRegistry, ResetClearsEverything) {
   EXPECT_TRUE(reg.phases().empty());
   EXPECT_TRUE(reg.top_edges(-1).empty());
   EXPECT_EQ(reg.tag_messages(0), 0);
+  EXPECT_TRUE(reg.rounds().empty());
+  EXPECT_TRUE(reg.violations().empty());
+  // The per-round samples keep their storage for the next history.
+  EXPECT_EQ(reg.rounds().capacity(), capacity);
   // Instruments survive reset as registered names but are zeroed.
   EXPECT_EQ(reg.counter("c")->value(), 0);
 }

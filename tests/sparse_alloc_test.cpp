@@ -282,9 +282,8 @@ TEST(SparseAlloc, EnforcedMailboxesNeedNoWarmUpRun) {
 // Tracing is part of the same contract (DESIGN.md §18): the sharded trace
 // lanes, the replay merge index, and the flight recorder's ring are all
 // sized in the constructor, so a traced round — full, sampled, or both, at
-// any thread count — allocates nothing after warm-up. MetricsCollector is
-// deliberately out of scope here: it aggregates into growing containers by
-// design; FlightRecorder is the bounded sink this audit covers.
+// any thread count — allocates nothing after warm-up. FlightRecorder is
+// the bounded sink this audit covers.
 TEST(SparseAlloc, TracedRoundsStayOffTheHeapInEveryTraceMode) {
   struct Mode {
     const char* name;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -959,11 +960,10 @@ void expect_stats(const RunStats& s, std::int64_t rounds, std::int64_t msgs,
   EXPECT_EQ(s.max_edge_load, max_load);
 }
 
-void expect_tag(const MetricsCollector& mc, int tag, std::int64_t msgs,
+void expect_tag(const MetricsRegistry& metrics, int tag, std::int64_t msgs,
                 std::int64_t words) {
-  ASSERT_TRUE(mc.tag_stats().count(tag)) << "tag " << tag;
-  EXPECT_EQ(mc.tag_stats().at(tag).messages, msgs) << "tag " << tag;
-  EXPECT_EQ(mc.tag_stats().at(tag).words, words) << "tag " << tag;
+  EXPECT_EQ(metrics.tag_messages(tag), msgs) << "tag " << tag;
+  EXPECT_EQ(metrics.tag_words(tag), words) << "tag " << tag;
 }
 
 // FNV-1a over a walk gather's schedule: every cluster's delivered ids in
@@ -1000,18 +1000,24 @@ std::uint64_t gather_schedule_hash(const GatherResult& r) {
 // moved to WalkStream, on the unchanged round loop. Its schedule hash was
 // recorded from the whole walks the gather logged before it kept only
 // first arrivals, each list derived from its walk. Every
-// later change to the simulator must reproduce RunStats and every trace
-// aggregate exactly, and so must any net options (num_threads included)
-// layered on top.
-void run_parity_workload(NetworkOptions net) {
+// later change to the simulator must reproduce RunStats and every
+// registry aggregate exactly, and so must any net options (num_threads
+// included) layered on top. Returns the workload's whole event stream, as
+// a flight recorder that drops nothing dumps it.
+std::string run_parity_workload(NetworkOptions net) {
   graph::Rng rng(77);
   const Graph g = graph::random_maximal_planar(64, rng);
   std::vector<int> cluster(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     cluster[v] = v % 3 == 0 ? 0 : 1;
   }
-  MetricsCollector mc;
-  net.trace = &mc;
+  MetricsRegistry metrics;
+  net.metrics = &metrics;
+  FlightRecorder::Options keep_all;
+  keep_all.ring_capacity = 1 << 16;
+  keep_all.keep_rounds = 1 << 30;
+  FlightRecorder recorder(keep_all);
+  net.trace = &recorder;
 
   const auto leaders = elect_cluster_leaders(g, cluster, net);
   expect_stats(leaders.stats, 4, 542, 1084, 1);
@@ -1059,22 +1065,22 @@ void run_parity_workload(NetworkOptions net) {
   const auto dc = check_cluster_diameter(g, cluster, 8, net);
   expect_stats(dc.stats, 27, 6966, 6966, 1);
 
-  expect_stats(mc.totals(), 154, 8873, 10503, 3);
-  EXPECT_EQ(mc.runs_observed(), 8);
-  EXPECT_EQ(mc.rounds().size(), 154u);
+  expect_stats(metrics.totals(), 154, 8873, 10503, 3);
+  EXPECT_EQ(metrics.runs_observed(), 8);
+  EXPECT_EQ(metrics.rounds().size(), 154u);
 
-  expect_tag(mc, kTagElection, 542, 1084);
-  expect_tag(mc, kTagBfs, 258, 258);
-  expect_tag(mc, kTagOrientation, 181, 181);
-  expect_tag(mc, kTagWalkToken, 477, 1431);
-  expect_tag(mc, kTagBroadcast, 258, 258);
-  expect_tag(mc, kTagConvergecast, 114, 171);
-  expect_tag(mc, kTagDiameter, 6966, 6966);
-  expect_tag(mc, kTagTreeToken, 77, 154);
+  expect_tag(metrics, kTagElection, 542, 1084);
+  expect_tag(metrics, kTagBfs, 258, 258);
+  expect_tag(metrics, kTagOrientation, 181, 181);
+  expect_tag(metrics, kTagWalkToken, 477, 1431);
+  expect_tag(metrics, kTagBroadcast, 258, 258);
+  expect_tag(metrics, kTagConvergecast, 114, 171);
+  expect_tag(metrics, kTagDiameter, 6966, 6966);
+  expect_tag(metrics, kTagTreeToken, 77, 154);
 
   std::int64_t edge_messages = 0;
   int peak = 0;
-  const auto edges = mc.top_edges(-1);
+  const auto edges = metrics.top_edges(-1);
   for (const auto& e : edges) {
     edge_messages += e.messages;
     peak = std::max(peak, e.peak_load);
@@ -1082,6 +1088,11 @@ void run_parity_workload(NetworkOptions net) {
   EXPECT_EQ(edge_messages, 8873);
   EXPECT_EQ(peak, 3);
   EXPECT_EQ(edges.size(), 258u);
+
+  EXPECT_EQ(recorder.events_dropped(), 0);
+  std::ostringstream dump;
+  recorder.dump_jsonl(dump);
+  return dump.str();
 }
 
 TEST(SubstrateParity, TraceAndStatsMatchPreArenaRecording) {
@@ -1115,15 +1126,16 @@ TEST(SubstrateParity, WalkStreamFirstDrawsAreFixed) {
 
 // The event-stream TraceSink used to be serial-only; sharded trace lanes
 // (DESIGN.md §18) made it thread-count-invariant. The parity recording
-// must hold — every aggregate, byte for byte in the exporters —
-// at every worker count, because lanes replay in the same sorted
+// must hold — every aggregate, and the event stream byte for byte — at
+// every worker count, because lanes replay in the same sorted
 // (sender-slot, receiver-port) order the serial loop delivers in.
 TEST(SubstrateParity, TraceMatchesPreArenaRecordingAtEveryThreadCount) {
+  const std::string serial = run_parity_workload({});
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     NetworkOptions net;
     net.num_threads = threads;
-    run_parity_workload(net);
+    EXPECT_EQ(run_parity_workload(net), serial);
   }
 }
 

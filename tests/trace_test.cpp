@@ -1,10 +1,13 @@
-// The observability layer (src/congest/trace.h): reconciliation of trace
-// totals against RunStats and the RoundLedger, span nesting, exporters,
-// and enriched congestion errors. See DESIGN.md §9.
+// The observability layer (src/congest/trace.h, src/congest/metrics.h):
+// reconciliation of the registry's totals against RunStats and the
+// RoundLedger, phase nesting, the registry's exporters, enriched congestion
+// errors, the event stream's thread-count invariance and sampling, and the
+// flight recorder. See DESIGN.md §9 and §18.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "src/congest/metrics.h"
 #include "src/congest/network.h"
 #include "src/congest/primitives.h"
 #include "src/congest/trace.h"
@@ -23,8 +26,9 @@ std::vector<int> single_cluster(const Graph& g) {
   return std::vector<int>(g.num_vertices(), 0);
 }
 
-// Runs a deterministic walk gather; optionally observed by `sink`.
-GatherResult run_gather(const Graph& g, TraceSink* sink) {
+// Runs a deterministic walk gather on `net` (its observers, thread count,
+// sampling and faults).
+GatherResult run_gather(const Graph& g, NetworkOptions net = {}) {
   const auto cluster = single_cluster(g);
   const auto leaders = elect_cluster_leaders(g, cluster);
   std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
@@ -32,18 +36,48 @@ GatherResult run_gather(const Graph& g, TraceSink* sink) {
     tokens[v].push_back({v, {v, 1000 + v}});
   }
   GatherOptions opt;
+  opt.net = net;
   opt.net.bandwidth_tokens = 4;
-  opt.net.trace = sink;
   return random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
 }
+
+// partition_and_gather with the registry attached.
+core::Partition observed_partition(const Graph& g, MetricsRegistry& metrics,
+                                   TraceSink* sink = nullptr) {
+  core::FrameworkOptions opt;
+  opt.metrics = &metrics;
+  opt.trace = sink;
+  return core::partition_and_gather(g, 0.3, opt);
+}
+
+// Records the spans a sink sees, with their nesting depth.
+class SpanRecorder final : public TraceSink {
+ public:
+  void on_span_begin(const std::string& name) override {
+    spans.emplace_back(name, depth_++);
+  }
+  void on_span_end(const std::string& name) override {
+    (void)name;
+    --depth_;
+  }
+  std::vector<std::pair<std::string, int>> spans;
+
+ private:
+  int depth_ = 0;
+};
 
 TEST(Trace, NullSinkLeavesBehaviourUnchanged) {
   Rng rng(11);
   Graph g = graph::random_maximal_planar(50, rng);
-  const auto plain = run_gather(g, nullptr);
-  MetricsCollector collector;
-  const auto traced = run_gather(g, &collector);
-  // Identical seeds, identical schedule: the sink must observe, not perturb.
+  const auto plain = run_gather(g);
+  FlightRecorder recorder;
+  MetricsRegistry metrics;
+  NetworkOptions net;
+  net.trace = &recorder;
+  net.metrics = &metrics;
+  const auto traced = run_gather(g, net);
+  // Identical seeds, identical schedule: observers must observe, not
+  // perturb.
   EXPECT_EQ(plain.stats.rounds, traced.stats.rounds);
   EXPECT_EQ(plain.stats.messages_sent, traced.stats.messages_sent);
   EXPECT_EQ(plain.stats.words_sent, traced.stats.words_sent);
@@ -56,10 +90,12 @@ TEST(Trace, NullSinkLeavesBehaviourUnchanged) {
 TEST(Trace, TotalsReconcileExactlyWithRunStats) {
   Rng rng(13);
   Graph g = graph::random_maximal_planar(60, rng);
-  MetricsCollector collector;
-  const auto r = run_gather(g, &collector);
+  MetricsRegistry metrics;
+  NetworkOptions net;
+  net.metrics = &metrics;
+  const auto r = run_gather(g, net);
   ASSERT_TRUE(r.complete);
-  const RunStats totals = collector.totals();
+  const RunStats& totals = metrics.totals();
   EXPECT_EQ(totals.rounds, r.stats.rounds);
   EXPECT_EQ(totals.messages_sent, r.stats.messages_sent);
   EXPECT_EQ(totals.words_sent, r.stats.words_sent);
@@ -69,92 +105,107 @@ TEST(Trace, TotalsReconcileExactlyWithRunStats) {
 TEST(Trace, TagTrafficSumsToTotalMessages) {
   Rng rng(17);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  run_gather(g, &collector);
+  MetricsRegistry metrics;
+  NetworkOptions net;
+  net.metrics = &metrics;
+  run_gather(g, net);
   std::int64_t tagged_messages = 0, tagged_words = 0;
-  for (const auto& [tag, stats] : collector.tag_stats()) {
-    tagged_messages += stats.messages;
-    tagged_words += stats.words;
+  for (const TagTraffic& t : metrics.tag_slots()) {
+    tagged_messages += t.messages;
+    tagged_words += t.words;
   }
-  EXPECT_EQ(tagged_messages, collector.totals().messages_sent);
-  EXPECT_EQ(tagged_words, collector.totals().words_sent);
+  EXPECT_EQ(tagged_messages, metrics.totals().messages_sent);
+  EXPECT_EQ(tagged_words, metrics.totals().words_sent);
   // The gather's traffic is walk tokens.
-  ASSERT_TRUE(collector.tag_stats().count(kTagWalkToken));
-  EXPECT_GT(collector.tag_stats().at(kTagWalkToken).messages, 0);
+  EXPECT_GT(metrics.tag_messages(kTagWalkToken), 0);
   EXPECT_STREQ(tag_name(kTagWalkToken), "walk_token");
 }
 
 TEST(Trace, PerRoundSamplesSumToTotals) {
   Rng rng(19);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  run_gather(g, &collector);
+  MetricsRegistry metrics;
+  NetworkOptions net;
+  net.metrics = &metrics;
+  run_gather(g, net);
   std::int64_t messages = 0, words = 0;
-  for (const auto& s : collector.rounds()) {
+  int peak = 0;
+  for (const RoundSample& s : metrics.rounds()) {
     messages += s.messages;
     words += s.words;
+    peak = std::max(peak, s.max_edge_load);
   }
-  EXPECT_EQ(static_cast<std::int64_t>(collector.rounds().size()),
-            collector.totals().rounds);
-  EXPECT_EQ(messages, collector.totals().messages_sent);
-  EXPECT_EQ(words, collector.totals().words_sent);
-  // Global round numbering is strictly increasing across runs.
-  for (std::size_t i = 1; i < collector.rounds().size(); ++i) {
-    EXPECT_EQ(collector.rounds()[i].round, collector.rounds()[i - 1].round + 1);
-  }
+  EXPECT_EQ(static_cast<std::int64_t>(metrics.rounds().size()),
+            metrics.totals().rounds);
+  EXPECT_EQ(messages, metrics.totals().messages_sent);
+  EXPECT_EQ(words, metrics.totals().words_sent);
+  EXPECT_EQ(peak, metrics.totals().max_edge_load);
 }
 
+// One guard opens both observers: the sink's spans and the registry's
+// phases are the same tree, and the primitives' phases nest inside the
+// pipeline's, on the registry's round timeline.
 TEST(Trace, SpansNestAndPrimitiveSpansSitInsidePhases) {
   Graph g = graph::grid(8, 8);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  const auto p = core::partition_and_gather(g, 0.3, opt);
+  MetricsRegistry metrics;
+  SpanRecorder spans;
+  const auto p = observed_partition(g, metrics, &spans);
   ASSERT_TRUE(p.gather_complete);
 
   std::vector<std::string> phase_names;
+  std::vector<std::pair<std::string, int>> registry_spans;
   bool saw_nested_primitive = false;
-  for (const auto& s : collector.spans()) {
-    EXPECT_TRUE(s.closed) << s.name;
-    if (s.depth == 0) phase_names.push_back(s.name);
-    if (s.depth == 1 &&
-        (s.name == "leader_election" || s.name == "walk_gather" ||
-         s.name == "orientation")) {
+  const auto& phases = metrics.phases();
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const PhaseMetrics& ph = phases[i];
+    EXPECT_TRUE(ph.closed) << ph.name;
+    registry_spans.emplace_back(ph.name, ph.depth);
+    if (ph.depth == 0) phase_names.push_back(ph.name);
+    if (ph.depth == 1 &&
+        (ph.name == "leader_election" || ph.name == "walk_gather" ||
+         ph.name == "orientation")) {
       saw_nested_primitive = true;
     }
+    // A nested phase lies inside its parent's rounds.
+    if (ph.depth == 0) continue;
+    std::size_t parent = i;
+    while (phases[parent].depth != ph.depth - 1) --parent;
+    EXPECT_GE(ph.begin_round, phases[parent].begin_round) << ph.name;
+    EXPECT_LE(ph.begin_round + ph.stats.rounds,
+              phases[parent].begin_round + phases[parent].stats.rounds)
+        << ph.name;
   }
   EXPECT_EQ(phase_names,
             (std::vector<std::string>{"phase:decomposition", "phase:election",
                                       "phase:orientation", "phase:gather",
                                       "phase:reconstruct"}));
   EXPECT_TRUE(saw_nested_primitive);
+  EXPECT_EQ(spans.spans, registry_spans);
 }
 
-// The ISSUE acceptance criterion: for a partition_and_gather run with a
-// MetricsCollector attached, per-span round counts sum to the ledger's
-// measured total and per-span message/word counts sum to RunStats.
+// For a partition_and_gather run with a registry attached, the top-level
+// phases' round counts sum to the ledger's measured total and their
+// message/word counts to the registry's totals.
 TEST(Trace, PhaseSpansReconcileWithLedgerAndRunStats) {
   Rng rng(23);
   Graph g = graph::random_maximal_planar(120, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  const auto p = core::partition_and_gather(g, 0.3, opt);
+  MetricsRegistry metrics;
+  const auto p = observed_partition(g, metrics);
   ASSERT_TRUE(p.gather_complete);
 
   std::int64_t span_rounds = 0, span_messages = 0, span_words = 0;
-  for (const auto& s : collector.spans()) {
-    if (s.depth != 0) continue;
-    span_rounds += s.rounds;
-    span_messages += s.messages;
-    span_words += s.words;
+  for (const auto& ph : metrics.phases()) {
+    if (ph.depth != 0) continue;
+    span_rounds += ph.stats.rounds;
+    span_messages += ph.stats.messages_sent;
+    span_words += ph.stats.words_sent;
   }
   EXPECT_EQ(span_rounds, p.ledger.measured_total());
-  EXPECT_EQ(span_messages, collector.totals().messages_sent);
-  EXPECT_EQ(span_words, collector.totals().words_sent);
+  EXPECT_EQ(span_messages, metrics.totals().messages_sent);
+  EXPECT_EQ(span_words, metrics.totals().words_sent);
 
-  // Ledger entries carry the per-phase traffic recorded by the trace layer,
-  // and their sums agree with the collector's grand totals.
+  // Ledger entries carry the per-phase traffic, and their sums agree with
+  // the registry's grand totals.
   std::int64_t ledger_messages = 0, ledger_words = 0;
   int ledger_max_load = 0;
   for (const auto& e : p.ledger.entries()) {
@@ -163,9 +214,9 @@ TEST(Trace, PhaseSpansReconcileWithLedgerAndRunStats) {
     ledger_words += e.stats.words_sent;
     ledger_max_load = std::max(ledger_max_load, e.stats.max_edge_load);
   }
-  EXPECT_EQ(ledger_messages, collector.totals().messages_sent);
-  EXPECT_EQ(ledger_words, collector.totals().words_sent);
-  EXPECT_EQ(ledger_max_load, collector.totals().max_edge_load);
+  EXPECT_EQ(ledger_messages, metrics.totals().messages_sent);
+  EXPECT_EQ(ledger_words, metrics.totals().words_sent);
+  EXPECT_EQ(ledger_max_load, metrics.totals().max_edge_load);
 }
 
 // Minimal structure-aware JSON checker: balanced {} and [] outside strings,
@@ -200,17 +251,25 @@ bool json_balanced(const std::string& text) {
   return depth == 0 && !in_string && seen_value;
 }
 
+std::string jsonl_of(const MetricsRegistry& metrics) {
+  std::ostringstream os;
+  export_jsonl(metrics, os);
+  return os.str();
+}
+
+std::string chrome_of(const MetricsRegistry& metrics) {
+  std::ostringstream os;
+  export_chrome_trace(metrics, os);
+  return os.str();
+}
+
 TEST(Trace, JsonlExportIsParseablePerLine) {
   Rng rng(29);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
+  MetricsRegistry metrics;
+  observed_partition(g, metrics);
 
-  std::ostringstream os;
-  export_jsonl(collector, os);
-  std::istringstream lines(os.str());
+  std::istringstream lines(jsonl_of(metrics));
   std::string line;
   int count = 0;
   bool saw_meta = false, saw_span = false, saw_tag = false, saw_edge = false;
@@ -232,17 +291,13 @@ TEST(Trace, JsonlExportIsParseablePerLine) {
 TEST(Trace, ChromeTraceExportIsParseable) {
   Rng rng(31);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
+  MetricsRegistry metrics;
+  observed_partition(g, metrics);
 
-  std::ostringstream os;
-  export_chrome_trace(collector, os);
-  const std::string text = os.str();
+  const std::string text = chrome_of(metrics);
   EXPECT_TRUE(json_balanced(text));
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);  // spans
+  EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);  // phases
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);  // counters
   EXPECT_NE(text.find("phase:gather"), std::string::npos);
 }
@@ -250,23 +305,21 @@ TEST(Trace, ChromeTraceExportIsParseable) {
 TEST(Trace, HotspotReportNamesCongestedEdgesAndPercentiles) {
   Rng rng(37);
   Graph g = graph::random_maximal_planar(60, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
+  MetricsRegistry metrics;
+  observed_partition(g, metrics);
 
-  const std::string report = hotspot_report(collector, 5);
+  const std::string report = hotspot_report(metrics, 5);
   EXPECT_NE(report.find("top congested directed edges"), std::string::npos);
   EXPECT_NE(report.find("p50="), std::string::npos);
   EXPECT_NE(report.find("p99="), std::string::npos);
   EXPECT_NE(report.find("phase:gather"), std::string::npos);
-  // Percentiles are sane: p50 <= p99 <= peak load.
-  EXPECT_LE(collector.load_percentile(50), collector.load_percentile(99));
-  EXPECT_LE(collector.load_percentile(99),
-            static_cast<double>(collector.totals().max_edge_load));
-  EXPECT_GE(collector.load_percentile(50), 1.0);  // only loaded edges sampled
+  // Percentiles of the per-round peak load are sane: p50 <= p99 <= peak.
+  const LogHistogram& load = metrics.round_edge_load_histogram();
+  EXPECT_LE(load.percentile(50), load.percentile(99));
+  EXPECT_LE(load.percentile(99), metrics.totals().max_edge_load);
+  EXPECT_GE(load.percentile(99), 1);
   // Top-k really is bounded and sorted.
-  const auto top = collector.top_edges(3);
+  const auto top = metrics.top_edges(3);
   ASSERT_LE(top.size(), 3u);
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].messages, top[i].messages);
@@ -275,20 +328,17 @@ TEST(Trace, HotspotReportNamesCongestedEdgesAndPercentiles) {
 
 // Golden-structure check: the Chrome trace must be a real JSON document
 // whose traceEvents array contains exactly one complete ("X") event per
-// recorded span, each with a positive duration, plus two counter ("C")
-// tracks per round sample. Parsed with the strict tools/ JSON parser, not
-// just brace-balanced.
+// phase, each with a positive duration, plus two counter ("C") tracks per
+// round sample. Parsed with the strict tools/ JSON parser, not just
+// brace-balanced.
 TEST(Trace, ChromeTraceGoldenStructure) {
   Rng rng(41);
   Graph g = graph::random_maximal_planar(40, rng);
-  MetricsCollector collector;
-  core::FrameworkOptions opt;
-  opt.trace = &collector;
-  core::partition_and_gather(g, 0.3, opt);
+  MetricsRegistry metrics;
+  observed_partition(g, metrics);
 
-  std::ostringstream os;
-  export_chrome_trace(collector, os);
-  const jsonmin::Value doc = jsonmin::parse(os.str());
+  const std::string text = chrome_of(metrics);
+  const jsonmin::Value doc = jsonmin::parse(text);
   ASSERT_TRUE(doc.is_object());
   const jsonmin::Value& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
@@ -301,7 +351,7 @@ TEST(Trace, ChromeTraceGoldenStructure) {
     EXPECT_GE(ev.at("ts").number, 0.0);
     if (ph == "X") {
       ++complete_events;
-      // Zero-round spans are widened to dur 1 so they stay visible.
+      // Zero-round phases are widened to dur 1 so they stay visible.
       EXPECT_GE(ev.at("dur").number, 1.0);
       const jsonmin::Value& args = ev.at("args");
       EXPECT_NE(args.find("rounds"), nullptr);
@@ -313,42 +363,40 @@ TEST(Trace, ChromeTraceGoldenStructure) {
       EXPECT_EQ(ph, "i");  // violation instants are the only other kind
     }
   }
-  EXPECT_EQ(complete_events, collector.spans().size());
-  EXPECT_EQ(counter_events, 2 * collector.rounds().size());
-  // Every span the collector recorded appears by name.
-  for (const SpanStats& s : collector.spans()) {
-    EXPECT_NE(os.str().find("\"name\":\"" + s.name + "\""),
-              std::string::npos)
-        << s.name;
+  EXPECT_EQ(complete_events, metrics.phases().size());
+  EXPECT_EQ(counter_events, 2 * metrics.rounds().size());
+  // Every phase the registry recorded appears by name.
+  for (const PhaseMetrics& ph : metrics.phases()) {
+    EXPECT_NE(text.find("\"name\":\"" + ph.name + "\""), std::string::npos)
+        << ph.name;
   }
 }
 
-// Feeds the collector synthetic traffic directly through the TraceSink
-// interface so edge totals tie exactly, then pins the documented
-// tie-break: equal-message edges order by (from, to) ascending — both in
-// top_edges() and in the hotspot report text.
+// Feeds the registry synthetic traffic directly so edge totals tie exactly,
+// then pins the documented tie-break: equal-message edges order by
+// (from, to) ascending — both in top_edges() and in the hotspot report
+// text.
 TEST(Trace, HotspotTopKTieOrderingIsStable) {
-  MetricsCollector collector;
-  NetworkOptions net;
-  collector.on_run_begin(8, 8, net);
+  MetricsRegistry metrics;
+  metrics.begin_run(8, 8);
+  RunStats round;
+  round.messages_sent = 4;
+  round.words_sent = 8;
+  round.max_edge_load = 1;
+  for (int r = 0; r < 3; ++r) metrics.record_round(round);
   // Four directed edges, all with 3 messages / 6 words, fed in an order
   // deliberately different from the expected output order.
   const std::pair<VertexId, VertexId> edges[] = {
       {5, 1}, {2, 7}, {2, 3}, {0, 4}};
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& [from, to] : edges) {
-      collector.on_edge_load(round, from, to, 1, 2);
-    }
-    collector.on_round_end(round, 4, 8, 1);
-  }
+  for (const auto& [from, to] : edges) metrics.record_edge(from, to, 3, 6, 1);
   RunStats stats;
   stats.rounds = 3;
   stats.messages_sent = 12;
   stats.words_sent = 24;
   stats.max_edge_load = 1;
-  collector.on_run_end(stats);
+  metrics.end_run(stats, 1);
 
-  const auto top = collector.top_edges(3);  // k smaller than edge count
+  const auto top = metrics.top_edges(3);  // k smaller than edge count
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].from, 0);
   EXPECT_EQ(top[0].to, 4);
@@ -356,14 +404,14 @@ TEST(Trace, HotspotTopKTieOrderingIsStable) {
   EXPECT_EQ(top[1].to, 3);
   EXPECT_EQ(top[2].from, 2);
   EXPECT_EQ(top[2].to, 7);
-  for (const EdgeTraffic& e : top) {
+  for (const EdgeLoadStats& e : top) {
     EXPECT_EQ(e.messages, 3);
     EXPECT_EQ(e.words, 6);
     EXPECT_EQ(e.peak_load, 1);
   }
 
   // The rendered report lists the same edges in the same stable order.
-  const std::string report = hotspot_report(collector, 3);
+  const std::string report = hotspot_report(metrics, 3);
   const auto pos_04 = report.find("0->4");
   const auto pos_23 = report.find("2->3");
   const auto pos_27 = report.find("2->7");
@@ -393,11 +441,12 @@ TEST(Trace, CongestionErrorCarriesRoundEdgeAndBudget) {
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   algos.push_back(std::make_unique<DoubleSendAlgo>());
   algos.push_back(std::make_unique<DoubleSendAlgo>());
-  MetricsCollector collector;
+  MetricsRegistry metrics;
   NetworkOptions opt;
-  opt.trace = &collector;
+  opt.metrics = &metrics;
   Network net(g, opt);
   try {
+    PhaseScope phase(opt, "phase:violating");
     net.run(algos);
     FAIL() << "expected CongestionError";
   } catch (const CongestionError& err) {
@@ -412,10 +461,15 @@ TEST(Trace, CongestionErrorCarriesRoundEdgeAndBudget) {
     EXPECT_NE(what.find("round 0"), std::string::npos) << what;
     EXPECT_NE(what.find("budget 1"), std::string::npos) << what;
   }
-  // The sink saw the violation before the throw.
-  ASSERT_EQ(collector.violations().size(), 1u);
-  EXPECT_EQ(collector.violations()[0].used, 2);
-  EXPECT_EQ(collector.violations()[0].budget, 1);
+  // The registry recorded the violation before the throw, in the phase
+  // that was open.
+  ASSERT_EQ(metrics.violations().size(), 1u);
+  EXPECT_EQ(metrics.violations()[0].used, 2);
+  EXPECT_EQ(metrics.violations()[0].budget, 1);
+  EXPECT_EQ(metrics.violations()[0].round, 0);
+  ASSERT_EQ(metrics.phases().size(), 1u);
+  EXPECT_EQ(metrics.phases()[0].violations, 1);
+  EXPECT_TRUE(metrics.phases()[0].closed);
 }
 
 class FatSendAlgo final : public VertexAlgorithm {
@@ -454,70 +508,72 @@ TEST(Trace, ViolationsExportedInJsonl) {
   std::vector<std::unique_ptr<VertexAlgorithm>> algos;
   algos.push_back(std::make_unique<DoubleSendAlgo>());
   algos.push_back(std::make_unique<DoubleSendAlgo>());
-  MetricsCollector collector;
+  MetricsRegistry metrics;
   NetworkOptions opt;
-  opt.trace = &collector;
+  opt.metrics = &metrics;
   Network net(g, opt);
   EXPECT_THROW(net.run(algos), CongestionError);
-  std::ostringstream os;
-  export_jsonl(collector, os);
-  EXPECT_NE(os.str().find("\"type\":\"violation\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"kind\":\"bandwidth\""), std::string::npos);
+  const std::string text = jsonl_of(metrics);
+  EXPECT_NE(text.find("\"type\":\"violation\""), std::string::npos);
+  EXPECT_NE(text.find("\"kind\":\"bandwidth\""), std::string::npos);
 }
 
 // --- Sharded trace lanes (DESIGN.md §18) -------------------------------------
 
-std::string jsonl_of(const MetricsCollector& c) {
+// A flight recorder that keeps a whole run: its dump is the complete event
+// stream, in the order the sink received it.
+FlightRecorder::Options keep_everything() {
+  FlightRecorder::Options o;
+  o.ring_capacity = 1 << 17;
+  o.keep_rounds = 1 << 30;
+  return o;
+}
+
+std::string dump_of(const FlightRecorder& recorder) {
+  EXPECT_EQ(recorder.events_dropped(), 0) << "the ring lost events";
   std::ostringstream os;
-  export_jsonl(c, os);
+  recorder.dump_jsonl(os);
   return os.str();
 }
 
-std::string chrome_of(const MetricsCollector& c) {
-  std::ostringstream os;
-  export_chrome_trace(c, os);
-  return os.str();
+// What the thread-invariance suites compare: the event stream, and the
+// registry's exports of the same run.
+struct Observed {
+  std::string flight;
+  std::string jsonl;
+  std::string chrome;
+};
+
+void expect_identical(const Observed& got, const Observed& want) {
+  EXPECT_EQ(got.flight, want.flight);
+  EXPECT_EQ(got.jsonl, want.jsonl);
+  EXPECT_EQ(got.chrome, want.chrome);
 }
 
-// run_gather with full NetworkOptions control (thread count, sampling,
-// faults) for the thread-invariance suites.
-GatherResult run_gather_net(const Graph& g, NetworkOptions net) {
-  const auto cluster = single_cluster(g);
-  const auto leaders = elect_cluster_leaders(g, cluster);
-  std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    tokens[v].push_back({v, {v, 1000 + v}});
-  }
-  GatherOptions opt;
-  opt.net = net;
-  opt.net.bandwidth_tokens = 4;
-  return random_walk_gather(g, cluster, leaders.leader_of, tokens, opt);
-}
-
-// The tentpole acceptance criterion: per-shard trace lanes merged in fixed
-// shard-then-trace order at the round barrier make the event stream — and
-// therefore both exporters, byte for byte — independent of the thread
-// count. sparse_serial_threshold 0 forces real dispatched rounds (the
-// 90-vertex graph would otherwise ride the serial fallback throughout).
+// Per-shard trace lanes merged in fixed shard-then-trace order at the round
+// barrier make the event stream — the flight dump, byte for byte —
+// independent of the thread count, and the registry's exports with it.
+// sparse_serial_threshold 0 forces real dispatched rounds (the 90-vertex
+// graph would otherwise ride the serial fallback throughout).
 TEST(ShardedTrace, ExportsAreByteIdenticalAcrossThreadCounts) {
   Rng rng(43);
   const Graph g = graph::random_maximal_planar(90, rng);
-  MetricsCollector serial;
-  NetworkOptions ref;
-  ref.trace = &serial;
-  ASSERT_TRUE(run_gather_net(g, ref).complete);
-  const std::string ref_jsonl = jsonl_of(serial);
-  const std::string ref_chrome = chrome_of(serial);
-  for (int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    MetricsCollector mc;
+  const auto observe = [&](int threads) {
+    FlightRecorder recorder(keep_everything());
+    MetricsRegistry metrics;
     NetworkOptions net;
-    net.trace = &mc;
+    net.trace = &recorder;
+    net.metrics = &metrics;
     net.num_threads = threads;
     net.sparse_serial_threshold = 0;
-    ASSERT_TRUE(run_gather_net(g, net).complete);
-    EXPECT_EQ(jsonl_of(mc), ref_jsonl);
-    EXPECT_EQ(chrome_of(mc), ref_chrome);
+    EXPECT_TRUE(run_gather(g, net).complete);
+    return Observed{dump_of(recorder), jsonl_of(metrics), chrome_of(metrics)};
+  };
+  const Observed ref = observe(1);
+  EXPECT_NE(ref.flight.find("\"type\":\"edge_load\""), std::string::npos);
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(observe(threads), ref);
   }
 }
 
@@ -554,13 +610,15 @@ std::vector<std::unique_ptr<VertexAlgorithm>> make_chatter(const Graph& g,
 // Byte-identity must survive the delivery paths that mutate traffic midway:
 // duplicated and delayed messages (fault layer) and a mid-run edge delete
 // with its purge replay. The fault schedule is seed-deterministic across
-// thread counts, so the traced event stream must be too.
+// thread counts, so the event stream must be too.
 TEST(ShardedTrace, FaultedAndChurnedExportsAreThreadCountInvariant) {
   const Graph g = graph::grid(8, 8);
-  const auto run_traced = [&](int threads) {
-    MetricsCollector mc;
+  const auto observe = [&](int threads) {
+    FlightRecorder recorder(keep_everything());
+    MetricsRegistry metrics;
     NetworkOptions opt;
-    opt.trace = &mc;
+    opt.trace = &recorder;
+    opt.metrics = &metrics;
     opt.num_threads = threads;
     opt.sparse_serial_threshold = 0;
     opt.faults.seed = 0xabcdULL;
@@ -572,26 +630,30 @@ TEST(ShardedTrace, FaultedAndChurnedExportsAreThreadCountInvariant) {
     Network net(g, opt);
     auto algos = make_chatter(g, 10);
     net.run(algos);
-    return jsonl_of(mc);
+    return Observed{dump_of(recorder), jsonl_of(metrics), chrome_of(metrics)};
   };
-  const std::string ref = run_traced(1);
-  EXPECT_NE(ref.find("\"type\":\"churn\""), std::string::npos);
+  const Observed ref = observe(1);
+  EXPECT_NE(ref.flight.find("\"type\":\"churn\""), std::string::npos);
+  EXPECT_NE(ref.jsonl.find("\"type\":\"churn\""), std::string::npos);
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(run_traced(threads), ref);
+    expect_identical(observe(threads), ref);
   }
 }
 
 // A violated parallel run must report the same violation the serial run
 // reports: the lowest shard's first violation — which is the globally
 // first violating vertex, because shard 0 owns vertex 0 and scans its
-// members in order. The whole export ties, not just the violation line.
+// members in order. The whole event stream and export tie, not just the
+// violation line.
 TEST(ShardedTrace, ViolationReportMatchesSerialAcrossThreadCounts) {
   const Graph g = graph::grid(4, 4);
-  const auto run_violated = [&](int threads) {
-    MetricsCollector mc;
+  const auto observe = [&](int threads) {
+    FlightRecorder recorder(keep_everything());
+    MetricsRegistry metrics;
     NetworkOptions opt;
-    opt.trace = &mc;
+    opt.trace = &recorder;
+    opt.metrics = &metrics;
     opt.num_threads = threads;
     opt.sparse_serial_threshold = 0;
     Network net(g, opt);
@@ -600,81 +662,101 @@ TEST(ShardedTrace, ViolationReportMatchesSerialAcrossThreadCounts) {
       algos.push_back(std::make_unique<DoubleSendAlgo>());
     }
     EXPECT_THROW(net.run(algos), CongestionError);
-    EXPECT_EQ(mc.violations().size(), 1u);
-    return jsonl_of(mc);
+    EXPECT_EQ(metrics.violations().size(), 1u);
+    return Observed{dump_of(recorder), jsonl_of(metrics), chrome_of(metrics)};
   };
-  const std::string ref = run_violated(1);
-  EXPECT_NE(ref.find("\"type\":\"violation\""), std::string::npos);
+  const Observed ref = observe(1);
+  EXPECT_NE(ref.flight.find("\"type\":\"violation\""), std::string::npos);
+  EXPECT_NE(ref.jsonl.find("\"type\":\"violation\""), std::string::npos);
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(run_violated(threads), ref);
+    expect_identical(observe(threads), ref);
   }
 }
 
 // --- Sampling filters (TraceConfig) ------------------------------------------
 
+std::vector<jsonmin::Value> events_of(const std::string& dump,
+                                      const std::string& type) {
+  std::vector<jsonmin::Value> out;
+  std::istringstream lines(dump);
+  std::string line;
+  while (std::getline(lines, line)) {
+    jsonmin::Value ev = jsonmin::parse(line);
+    if (ev.at("type").string == type) out.push_back(std::move(ev));
+  }
+  return out;
+}
+
 // Sampling is a pure function of (round, receiver, tag): the filtered
 // stream is deterministic, thread-count-invariant, and exactly the subset
-// the filters describe.
+// the filters describe. It thins the event stream only: a registry on the
+// same run sees every round.
 TEST(TraceSampling, FiltersAreDeterministicAndThreadInvariant) {
   const Graph g = graph::grid(8, 8);
-  const auto run_sampled = [&](int threads) {
-    MetricsCollector mc;
+  const auto run_sampled = [&](int threads, MetricsRegistry* metrics,
+                               RunStats* stats) {
+    FlightRecorder recorder(keep_everything());
     NetworkOptions opt;
-    opt.trace = &mc;
+    opt.trace = &recorder;
+    opt.metrics = metrics;
     opt.num_threads = threads;
     opt.sparse_serial_threshold = 0;
     opt.trace_config.round_period = 2;
     opt.trace_config.vertex_stride = 2;
     Network net(g, opt);
     auto algos = make_chatter(g, 9);
-    net.run(algos);
-    return jsonl_of(mc);
+    const RunStats s = net.run(algos);
+    if (stats) *stats = s;
+    return dump_of(recorder);
   };
-  const std::string ref = run_sampled(1);
-  for (int threads : {4, 8}) {
+  MetricsRegistry metrics;
+  RunStats stats;
+  const std::string ref = run_sampled(1, &metrics, &stats);
+  for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(run_sampled(threads), ref);
+    EXPECT_EQ(run_sampled(threads, nullptr, nullptr), ref);
   }
 
   // Golden subset shape: only even rounds sampled, only even receivers.
-  MetricsCollector mc;
-  NetworkOptions opt;
-  opt.trace = &mc;
-  opt.trace_config.round_period = 2;
-  opt.trace_config.vertex_stride = 2;
-  Network net(g, opt);
-  auto algos = make_chatter(g, 9);
-  const RunStats stats = net.run(algos);
-  ASSERT_GT(mc.rounds().size(), 0u);
-  for (const RoundSample& r : mc.rounds()) {
-    EXPECT_EQ(r.round % 2, 0) << "unsampled round leaked";
+  const auto rounds = events_of(ref, "round");
+  ASSERT_GT(rounds.size(), 0u);
+  for (const jsonmin::Value& r : rounds) {
+    EXPECT_EQ(static_cast<std::int64_t>(r.at("round").number) % 2, 0)
+        << "unsampled round leaked";
   }
-  EXPECT_LT(static_cast<std::int64_t>(mc.rounds().size()), stats.rounds);
-  const auto edges = mc.top_edges(-1);
+  EXPECT_LT(static_cast<std::int64_t>(rounds.size()), stats.rounds);
+  const auto edges = events_of(ref, "edge_load");
   ASSERT_GT(edges.size(), 0u);
-  for (const EdgeTraffic& e : edges) {
-    EXPECT_EQ(e.to % 2, 0) << "unsampled receiver leaked";
+  std::int64_t edge_messages = 0;
+  for (const jsonmin::Value& e : edges) {
+    EXPECT_EQ(static_cast<std::int64_t>(e.at("to").number) % 2, 0)
+        << "unsampled receiver leaked";
+    edge_messages += static_cast<std::int64_t>(e.at("messages").number);
   }
-  // Sampled-out events are filtered, not rerouted: the collector saw
-  // strictly less than the run's true totals.
-  EXPECT_LT(mc.totals().messages_sent, stats.messages_sent);
+  // Sampled-out events are filtered, not rerouted: the stream carried
+  // strictly less than the run's true traffic, and the registry all of it.
+  EXPECT_LT(edge_messages, stats.messages_sent);
+  EXPECT_EQ(metrics.totals().rounds, stats.rounds);
+  EXPECT_EQ(metrics.totals().messages_sent, stats.messages_sent);
 }
 
 TEST(TraceSampling, TagFilterKeepsOnlyTheRequestedTag) {
   Rng rng(47);
   const Graph g = graph::random_maximal_planar(50, rng);
-  MetricsCollector mc;
+  FlightRecorder recorder(keep_everything());
   NetworkOptions net;
-  net.trace = &mc;
+  net.trace = &recorder;
   net.trace_config.tag_filter = kTagWalkToken;
-  ASSERT_TRUE(run_gather_net(g, net).complete);
-  ASSERT_FALSE(mc.tag_stats().empty());
-  for (const auto& [tag, stats] : mc.tag_stats()) {
-    EXPECT_EQ(tag, kTagWalkToken);
+  ASSERT_TRUE(run_gather(g, net).complete);
+  const std::string dump = dump_of(recorder);
+  const auto messages = events_of(dump, "message");
+  ASSERT_FALSE(messages.empty());
+  for (const jsonmin::Value& m : messages) {
+    EXPECT_EQ(static_cast<int>(m.at("id").number), kTagWalkToken);
   }
   // Edge loads are tag-agnostic and stay complete.
-  EXPECT_GT(mc.totals().messages_sent, 0);
+  EXPECT_FALSE(events_of(dump, "edge_load").empty());
 }
 
 // --- FlightRecorder ----------------------------------------------------------
@@ -771,20 +853,26 @@ TEST(FlightRecorderTest, RecordsRunLifecycleAndStaysWithinCapacity) {
 }
 
 TEST(Trace, SpanGuardToleratesNullSink) {
-  // TRACE_SPAN with a null sink must compile to a no-op.
-  TRACE_SPAN(nullptr, "nothing");
-  MetricsCollector collector;
+  // A PhaseScope on options without observers is a no-op.
+  { PhaseScope nothing(NetworkOptions{}, "nothing"); }
+  MetricsRegistry metrics;
+  SpanRecorder spans;
+  NetworkOptions net;
+  net.trace = &spans;
+  net.metrics = &metrics;
   {
-    TRACE_SPAN(&collector, "outer");
-    { TRACE_SPAN(&collector, "inner"); }
+    PhaseScope outer(net, "outer");
+    { PhaseScope inner(net, "inner"); }
   }
-  ASSERT_EQ(collector.spans().size(), 2u);
-  EXPECT_EQ(collector.spans()[0].name, "outer");
-  EXPECT_EQ(collector.spans()[0].depth, 0);
-  EXPECT_EQ(collector.spans()[1].name, "inner");
-  EXPECT_EQ(collector.spans()[1].depth, 1);
-  EXPECT_TRUE(collector.spans()[0].closed);
-  EXPECT_TRUE(collector.spans()[1].closed);
+  ASSERT_EQ(metrics.phases().size(), 2u);
+  EXPECT_EQ(metrics.phases()[0].name, "outer");
+  EXPECT_EQ(metrics.phases()[0].depth, 0);
+  EXPECT_EQ(metrics.phases()[1].name, "inner");
+  EXPECT_EQ(metrics.phases()[1].depth, 1);
+  EXPECT_TRUE(metrics.phases()[0].closed);
+  EXPECT_TRUE(metrics.phases()[1].closed);
+  EXPECT_EQ(spans.spans, (std::vector<std::pair<std::string, int>>{
+                             {"outer", 0}, {"inner", 1}}));
 }
 
 }  // namespace
