@@ -126,7 +126,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -136,6 +135,7 @@
 #include "src/baselines/luby_mis.h"
 #include "src/congest/metrics.h"
 #include "src/congest/network.h"
+#include "src/congest/primitives.h"
 #include "src/congest/profiler.h"
 #include "src/congest/trace.h"
 #include "src/core/correlation.h"
@@ -278,17 +278,27 @@ int cmd_gen(int argc, char** argv) {
   return 0;
 }
 
-// The flags `trace` and `report` share. The event-stream flags (--format,
-// --sample, --ring) are trace's alone.
+// The commands that run a generated input on the simulator.
+enum class PipelineCommand { kTrace, kReport, kProfile };
+
+// The flags `trace`, `report` and `profile` share, and each one's own:
+// --top is trace's and report's, --format and --sample are trace's, and
+// --workload, --timeline, --sparse-threshold and --churn-permille are
+// profile's. --ring is the rounds a ring keeps: the flight recorder's for
+// trace (0 = no ring), the profiler's for profile.
 struct PipelineFlags {
   std::string family = "grid";
   std::string out_path;
   std::string format = "chrome";
+  std::string workload = "gather";
+  std::string timeline_path;
   int n = 1024;
   int top_k = 10;
   int threads = 1;
   int fault_permille = 0;
+  int churn_permille = 0;
   int ring_rounds = 0;
+  int sparse_threshold = ecd::congest::NetworkOptions{}.sparse_serial_threshold;
   double eps = 0.2;
   std::uint64_t seed = 1;
   bool distributed = false;
@@ -296,10 +306,15 @@ struct PipelineFlags {
   ecd::congest::TraceConfig sample;
 };
 
-PipelineFlags parse_pipeline_flags(int argc, char** argv, bool trace,
-                                   const char* default_out) {
+PipelineFlags parse_pipeline_flags(int argc, char** argv,
+                                   PipelineCommand command) {
+  const bool trace = command == PipelineCommand::kTrace;
+  const bool profile = command == PipelineCommand::kProfile;
   PipelineFlags f;
-  f.out_path = default_out;
+  f.out_path = trace     ? "ecd_trace.json"
+               : profile ? "ecd_profile.json"
+                         : "ecd_report.json";
+  if (profile) f.ring_rounds = 4096;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
@@ -319,7 +334,7 @@ PipelineFlags parse_pipeline_flags(int argc, char** argv, bool trace,
       f.fault_permille = std::atoi(argv[++i]);
     } else if (arg == "--out" && has_value) {
       f.out_path = argv[++i];
-    } else if (arg == "--top" && has_value) {
+    } else if (!profile && arg == "--top" && has_value) {
       f.top_k = std::atoi(argv[++i]);
     } else if (trace && arg == "--format" && has_value) {
       f.format = argv[++i];
@@ -332,8 +347,20 @@ PipelineFlags parse_pipeline_flags(int argc, char** argv, bool trace,
       f.sample.vertex_stride = v;
       f.sample.tag_filter = t;
       f.sampled = true;
-    } else if (trace && arg == "--ring" && has_value) {
+    } else if ((trace || profile) && arg == "--ring" && has_value) {
       f.ring_rounds = std::atoi(argv[++i]);
+    } else if (profile && arg == "--workload" && has_value) {
+      f.workload = argv[++i];
+      if (f.workload != "gather" && f.workload != "flood" &&
+          f.workload != "mis") {
+        usage();
+      }
+    } else if (profile && arg == "--timeline" && has_value) {
+      f.timeline_path = argv[++i];
+    } else if (profile && arg == "--sparse-threshold" && has_value) {
+      f.sparse_threshold = std::atoi(argv[++i]);
+    } else if (profile && arg == "--churn-permille" && has_value) {
+      f.churn_permille = std::atoi(argv[++i]);
     } else {
       usage();
     }
@@ -347,18 +374,16 @@ PipelineFlags parse_pipeline_flags(int argc, char** argv, bool trace,
   return f;
 }
 
-// Runs partition_and_gather on `g` with the registry (and the event stream
-// `sink`, when given) attached, returns every vertex its id, and prints the
-// run line, the registry's per-phase table and the round ledger.
-ecd::core::Partition run_pipeline(const PipelineFlags& f, const Graph& g,
-                                  ecd::congest::MetricsRegistry& metrics,
-                                  ecd::congest::TraceSink* sink) {
+// The pipeline run's options from the shared flags: seed, threads,
+// sparse-round cutoff, event sampling, decomposition mode, and message
+// drops (which route the gather through the reliable walks). The caller
+// attaches its observer.
+ecd::core::FrameworkOptions pipeline_options(const PipelineFlags& f) {
   ecd::core::FrameworkOptions fopt;
   fopt.seed = f.seed;
-  fopt.metrics = &metrics;
-  fopt.trace = sink;
   fopt.trace_config = f.sample;
   fopt.num_threads = f.threads;
+  fopt.sparse_serial_threshold = f.sparse_threshold;
   if (f.distributed) {
     fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
   }
@@ -366,6 +391,15 @@ ecd::core::Partition run_pipeline(const PipelineFlags& f, const Graph& g,
     fopt.faults.drop_probability = f.fault_permille / 1000.0;
     fopt.faults.seed = f.seed;
   }
+  return fopt;
+}
+
+ecd::core::Partition run_pipeline(const PipelineFlags& f, const Graph& g,
+                                  ecd::congest::MetricsRegistry& metrics,
+                                  ecd::congest::TraceSink* sink) {
+  ecd::core::FrameworkOptions fopt = pipeline_options(f);
+  fopt.metrics = &metrics;
+  fopt.trace = sink;
   auto p = ecd::core::partition_and_gather(g, f.eps, fopt);
   // The return runs on the simulator in its own "phase:return", so the
   // registry's top-level phases add up to the ledger's measured total.
@@ -409,7 +443,7 @@ ecd::core::Partition run_pipeline(const PipelineFlags& f, const Graph& g,
 
 int cmd_trace(int argc, char** argv) {
   const PipelineFlags f =
-      parse_pipeline_flags(argc, argv, /*trace=*/true, "ecd_trace.json");
+      parse_pipeline_flags(argc, argv, PipelineCommand::kTrace);
   ecd::graph::Rng rng(f.seed);
   const Graph g = make_family(f.family, f.n, rng);
   std::ofstream out(f.out_path);
@@ -457,7 +491,7 @@ int cmd_trace(int argc, char** argv) {
 
 int cmd_report(int argc, char** argv) {
   const PipelineFlags f =
-      parse_pipeline_flags(argc, argv, /*trace=*/false, "ecd_report.json");
+      parse_pipeline_flags(argc, argv, PipelineCommand::kReport);
   ecd::graph::Rng rng(f.seed);
   const Graph g = make_family(f.family, f.n, rng);
   std::ofstream out(f.out_path);
@@ -484,185 +518,96 @@ int cmd_report(int argc, char** argv) {
   return 0;
 }
 
-// Minimal flood wavefront for the `profile --workload flood` row: vertex 0
-// announces, everyone forwards on first receipt (the per-round-fixed-cost
-// workload of EXPERIMENTS.md E16; matches bench_network's BM_Flood).
-class ProfileFloodAlgo final : public ecd::congest::VertexAlgorithm {
- public:
-  explicit ProfileFloodAlgo(bool is_source) : value_(is_source ? 1 : -1) {}
-
-  void round(ecd::congest::Context& ctx) override {
-    started_ = true;
-    sent_ = false;
-    if (ctx.round() == 0) {
-      if (value_ != -1) forward(ctx);
-      return;
-    }
-    if (value_ != -1) return;
-    for (int p = 0; p < ctx.num_ports(); ++p) {
-      if (!ctx.inbox(p).empty()) {
-        value_ = ctx.inbox(p)[0].words[0];
-        forward(ctx);
-        return;
-      }
-    }
-  }
-  bool finished() const override { return started_ && !sent_; }
-
- private:
-  void forward(ecd::congest::Context& ctx) {
-    sent_ = true;
-    for (int p = 0; p < ctx.num_ports(); ++p) ctx.send(p, {{value_}});
-  }
-  std::int64_t value_;
-  bool started_ = false;
-  bool sent_ = false;
-};
-
 int cmd_profile(int argc, char** argv) {
-  std::string family = "grid", out_path = "ecd_profile.json", timeline_path;
-  std::string workload = "gather";
-  int n = 1024, threads = 1, fault_permille = 0, churn_permille = 0;
-  int ring = 4096;
-  int sparse_threshold = ecd::congest::NetworkOptions{}.sparse_serial_threshold;
-  double eps = 0.2;
-  std::uint64_t seed = 1;
-  bool distributed = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--n" && i + 1 < argc) {
-      n = std::atoi(argv[++i]);
-    } else if (arg == "--eps" && i + 1 < argc) {
-      eps = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--distributed") {
-      distributed = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--fault-permille" && i + 1 < argc) {
-      fault_permille = std::atoi(argv[++i]);
-    } else if (arg == "--churn-permille" && i + 1 < argc) {
-      churn_permille = std::atoi(argv[++i]);
-    } else if (arg == "--workload" && i + 1 < argc) {
-      workload = argv[++i];
-      if (workload != "gather" && workload != "flood" && workload != "mis") {
-        usage();
-      }
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--timeline" && i + 1 < argc) {
-      timeline_path = argv[++i];
-    } else if (arg == "--ring" && i + 1 < argc) {
-      ring = std::atoi(argv[++i]);
-    } else if (arg == "--sparse-threshold" && i + 1 < argc) {
-      sparse_threshold = std::atoi(argv[++i]);
-    } else {
-      usage();
-    }
-  }
-  if (churn_permille > 0 && workload == "gather") {
+  const PipelineFlags f =
+      parse_pipeline_flags(argc, argv, PipelineCommand::kProfile);
+  if (f.churn_permille > 0 && f.workload == "gather") {
     // The gather pipeline drives its own Network sequence through the
     // framework; churn there is an experiment, not a profiler knob.
     std::fprintf(stderr, "--churn-permille requires --workload flood or mis\n");
     return 2;
   }
-  ecd::graph::Rng rng(seed);
-  const Graph g = make_family(family, n, rng);
+  ecd::graph::Rng rng(f.seed);
+  const Graph g = make_family(f.family, f.n, rng);
 
   ecd::congest::ExecutionProfiler::Options popt;
-  popt.ring_capacity = ring;
+  popt.ring_capacity = f.ring_rounds;
   ecd::congest::ExecutionProfiler profiler(popt);
   std::string title;
-  if (workload == "flood") {
-    ecd::congest::NetworkOptions nopt;
-    nopt.num_threads = threads;
-    nopt.sparse_serial_threshold = sparse_threshold;
-    nopt.profiler = &profiler;
-    if (fault_permille > 0) {
-      nopt.faults.seed = seed;
-      nopt.faults.drop_probability = fault_permille / 1000.0;
-    }
-    if (churn_permille > 0) {
-      nopt.faults.churn = ecd::core::make_churn_plan(g, seed, churn_permille);
-    }
-    ecd::congest::Network net(g, nopt);
-    std::vector<std::unique_ptr<ecd::congest::VertexAlgorithm>> algos;
-    algos.reserve(g.num_vertices());
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      algos.push_back(std::make_unique<ProfileFloodAlgo>(v == 0));
-    }
-    const auto stats = net.run(algos);
-    std::printf("family=%s n=%d m=%d threads=%d rounds=%lld\n", family.c_str(),
-                g.num_vertices(), g.num_edges(), threads,
-                static_cast<long long>(stats.rounds));
-    title = "flood (" + family + ")";
-  } else if (workload == "mis") {
-    ecd::congest::NetworkOptions nopt;
-    nopt.num_threads = threads;
-    nopt.sparse_serial_threshold = sparse_threshold;
-    nopt.profiler = &profiler;
-    if (churn_permille > 0) {
-      nopt.faults.churn = ecd::core::make_churn_plan(g, seed, churn_permille);
-    }
-    const auto r = ecd::baselines::luby_mis(g, seed, nopt);
-    std::printf("family=%s n=%d m=%d threads=%d mis=%zu\n", family.c_str(),
-                g.num_vertices(), g.num_edges(), threads,
-                r.independent_set.size());
-    title = "luby_mis (" + family + ")";
-  } else {
-    ecd::core::FrameworkOptions fopt;
-    fopt.seed = seed;
+  if (f.workload == "gather") {
+    ecd::core::FrameworkOptions fopt = pipeline_options(f);
     fopt.profiler = &profiler;
-    fopt.num_threads = threads;
-    fopt.sparse_serial_threshold = sparse_threshold;
-    if (distributed) {
-      fopt.decomposition_mode = ecd::core::DecompositionMode::kDistributed;
-    }
-    if (fault_permille > 0) {
-      fopt.faults.drop_probability = fault_permille / 1000.0;
-      fopt.faults.seed = seed;
-    }
-    auto p = ecd::core::partition_and_gather(g, eps, fopt);
+    auto p = ecd::core::partition_and_gather(g, f.eps, fopt);
     return_ids(p);
     std::printf("family=%s n=%d m=%d eps=%.3f threads=%d clusters=%d\n",
-                family.c_str(), g.num_vertices(), g.num_edges(), eps, threads,
-                p.decomposition.num_clusters);
-    title = "partition_and_gather (" + family + ")";
+                f.family.c_str(), g.num_vertices(), g.num_edges(), f.eps,
+                f.threads, p.decomposition.num_clusters);
+    title = "partition_and_gather (" + f.family + ")";
+  } else {
+    ecd::congest::NetworkOptions nopt;
+    nopt.num_threads = f.threads;
+    nopt.sparse_serial_threshold = f.sparse_threshold;
+    nopt.profiler = &profiler;
+    if (f.churn_permille > 0) {
+      // The sweep's schedule only deletes and re-inserts edges of `g`, so
+      // every port stays the one the workload was built on.
+      nopt.faults.churn =
+          ecd::core::make_churn_plan(g, f.seed, f.churn_permille);
+    }
+    if (f.workload == "flood") {
+      // One wavefront from vertex 0 over the whole graph as one cluster
+      // (the per-round-fixed-cost workload of EXPERIMENTS.md E16).
+      if (f.fault_permille > 0) {
+        nopt.faults.seed = f.seed;
+        nopt.faults.drop_probability = f.fault_permille / 1000.0;
+      }
+      const int n = g.num_vertices();
+      const auto r = ecd::congest::broadcast_from_leaders(
+          g, std::vector<int>(n, 0), std::vector<ecd::graph::VertexId>(n, 0),
+          std::vector<std::int64_t>(n, 1), nopt);
+      std::printf("family=%s n=%d m=%d threads=%d rounds=%lld\n",
+                  f.family.c_str(), n, g.num_edges(), f.threads,
+                  static_cast<long long>(r.stats.rounds));
+      title = "flood (" + f.family + ")";
+    } else {
+      const auto r = ecd::baselines::luby_mis(g, f.seed, nopt);
+      std::printf("family=%s n=%d m=%d threads=%d mis=%zu\n",
+                  f.family.c_str(), g.num_vertices(), g.num_edges(), f.threads,
+                  r.independent_set.size());
+      title = "luby_mis (" + f.family + ")";
+    }
   }
 
   const auto summary = profiler.summary();
   std::printf("%s", ecd::congest::format_profile_table(summary).c_str());
 
-  std::ofstream out(out_path);
+  std::ofstream out(f.out_path);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    std::fprintf(stderr, "cannot write %s\n", f.out_path.c_str());
     return 1;
   }
   ecd::congest::ProfileReportContext ctx;
   ctx.title = title;
-  ctx.info = {{"workload", workload},
-              {"family", family},
+  ctx.info = {{"workload", f.workload},
+              {"family", f.family},
               {"n", std::to_string(g.num_vertices())},
               {"m", std::to_string(g.num_edges())},
-              {"eps", std::to_string(eps)},
-              {"seed", std::to_string(seed)},
-              {"threads", std::to_string(threads)},
-              {"fault_permille", std::to_string(fault_permille)},
-              {"churn_permille", std::to_string(churn_permille)}};
+              {"eps", std::to_string(f.eps)},
+              {"seed", std::to_string(f.seed)},
+              {"threads", std::to_string(f.threads)},
+              {"fault_permille", std::to_string(f.fault_permille)},
+              {"churn_permille", std::to_string(f.churn_permille)}};
   ecd::congest::write_profile_report(out, profiler, ctx);
-  std::printf("wrote %s (ecd-profile-v1)\n", out_path.c_str());
-  if (!timeline_path.empty()) {
-    std::ofstream tl(timeline_path);
+  std::printf("wrote %s (ecd-profile-v1)\n", f.out_path.c_str());
+  if (!f.timeline_path.empty()) {
+    std::ofstream tl(f.timeline_path);
     if (!tl) {
-      std::fprintf(stderr, "cannot write %s\n", timeline_path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", f.timeline_path.c_str());
       return 1;
     }
     profiler.write_chrome_trace(tl);
     std::printf("wrote %s (chrome trace, one tid per shard)\n",
-                timeline_path.c_str());
+                f.timeline_path.c_str());
   }
   return 0;
 }

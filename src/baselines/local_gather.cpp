@@ -4,6 +4,8 @@
 #include <memory>
 #include <set>
 
+#include "src/congest/primitives.h"
+
 namespace ecd::baselines {
 
 using congest::Context;
@@ -72,31 +74,18 @@ LocalGatherResult local_model_gather(const Graph& g,
                                      const std::vector<int>& cluster_of,
                                      const std::vector<VertexId>& leader_of) {
   const int n = g.num_vertices();
-  std::vector<std::vector<int>> intra(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const auto nbrs = g.neighbors(v);
-    for (int p = 0; p < static_cast<int>(nbrs.size()); ++p) {
-      if (cluster_of[nbrs[p]] == cluster_of[v]) intra[v].push_back(p);
-    }
-  }
+  const auto intra = congest::intra_cluster_ports(g, cluster_of);
   LocalGatherResult result;
-  std::vector<std::unique_ptr<congest::VertexAlgorithm>> algos;
-  std::vector<GossipAlgo*> typed(n);
-  for (VertexId v = 0; v < n; ++v) {
-    auto a = std::make_unique<GossipAlgo>(&intra[v], &result.max_message_words);
-    typed[v] = a.get();
-    algos.push_back(std::move(a));
-  }
   congest::NetworkOptions opt;
   opt.enforce_bandwidth = false;  // the LOCAL model
-  congest::Network network(g, opt);
-  result.stats = network.run(algos);
-  int num_clusters = 0;
-  for (int c : cluster_of) num_clusters = std::max(num_clusters, c + 1);
-  result.edges_learned.assign(num_clusters, 0);
+  const auto run = congest::run_each_vertex(g, opt, [&](VertexId v) {
+    return std::make_unique<GossipAlgo>(&intra[v], &result.max_message_words);
+  });
+  result.stats = run.stats;
+  result.edges_learned.assign(congest::count_clusters(cluster_of), 0);
   for (VertexId v = 0; v < n; ++v) {
     if (leader_of[v] == v) {
-      result.edges_learned[cluster_of[v]] = typed[v]->edges_known();
+      result.edges_learned[cluster_of[v]] = run.at[v]->edges_known();
     }
   }
   return result;

@@ -88,22 +88,17 @@ class LubyAlgo final : public congest::VertexAlgorithm {
 
 LubyResult luby_mis(const Graph& g, std::uint64_t seed,
                     const congest::NetworkOptions& net, int prelude_rounds) {
-  std::vector<std::unique_ptr<congest::VertexAlgorithm>> algos;
-  std::vector<LubyAlgo*> typed(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto a = std::make_unique<LubyAlgo>(
+  const auto run = congest::run_each_vertex(g, net, [&](VertexId v) {
+    return std::make_unique<LubyAlgo>(
         seed ^ (0xD1B54A32D192ED03ULL * (v + 2)), prelude_rounds);
-    typed[v] = a.get();
-    algos.push_back(std::move(a));
-  }
-  congest::Network network(g, net);
+  });
   LubyResult result;
-  result.stats = network.run(algos);
+  result.stats = run.stats;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (typed[v]->state() == LubyAlgo::State::kInMis) {
+    if (run.at[v]->state() == LubyAlgo::State::kInMis) {
       result.independent_set.push_back(v);
     }
-    result.phases = std::max(result.phases, typed[v]->phases());
+    result.phases = std::max(result.phases, run.at[v]->phases());
   }
   return result;
 }

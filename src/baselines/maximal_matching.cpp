@@ -115,20 +115,14 @@ class MatchAlgo final : public congest::VertexAlgorithm {
 
 DistributedMatchingResult distributed_maximal_matching(
     const Graph& g, std::uint64_t seed, const congest::NetworkOptions& net) {
-  std::vector<std::unique_ptr<congest::VertexAlgorithm>> algos;
-  std::vector<MatchAlgo*> typed(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto a = std::make_unique<MatchAlgo>(seed ^ (0xA24BAED4963EE407ULL * (v + 3)));
-    typed[v] = a.get();
-    algos.push_back(std::move(a));
-  }
-  congest::Network network(g, net);
+  const auto run = congest::run_each_vertex(g, net, [&](VertexId v) {
+    return std::make_unique<MatchAlgo>(seed ^ (0xA24BAED4963EE407ULL * (v + 3)));
+  });
   DistributedMatchingResult result;
-  result.stats = network.run(algos);
-  result.mates.assign(g.num_vertices(), kInvalidVertex);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    result.mates[v] = typed[v]->mate();
-    result.phases = std::max(result.phases, typed[v]->phases());
+  result.stats = run.stats;
+  for (const MatchAlgo* a : run.at) {
+    result.mates.push_back(a->mate());
+    result.phases = std::max(result.phases, a->phases());
   }
   return result;
 }

@@ -130,20 +130,15 @@ DistributedMpxResult mpx_ldd_distributed(const Graph& g, double eps,
     s = geo(rng);
     max_shift = std::max(max_shift, s);
   }
-  std::vector<std::unique_ptr<congest::VertexAlgorithm>> algos;
-  std::vector<MpxAlgo*> typed(n);
-  for (VertexId v = 0; v < n; ++v) {
-    auto a = std::make_unique<MpxAlgo>(max_shift - shift[v], shift[v]);
-    typed[v] = a.get();
-    algos.push_back(std::move(a));
-  }
-  congest::Network network(g);
+  const auto run = congest::run_each_vertex(g, {}, [&](VertexId v) {
+    return std::make_unique<MpxAlgo>(max_shift - shift[v], shift[v]);
+  });
   DistributedMpxResult result;
-  result.rounds = network.run(algos).rounds;
+  result.rounds = run.stats.rounds;
   result.clustering.cluster_of.assign(n, -1);
   std::vector<int> remap(n, -1);
   for (VertexId v = 0; v < n; ++v) {
-    const int owner = static_cast<int>(typed[v]->owner());
+    const int owner = static_cast<int>(run.at[v]->owner());
     int& slot = remap[owner];
     if (slot == -1) slot = result.clustering.num_clusters++;
     result.clustering.cluster_of[v] = slot;

@@ -156,8 +156,6 @@ class WordBuffer {
     return *this;
   }
 
-  std::vector<std::int64_t> to_vector() const { return {begin(), end()}; }
-
   friend bool operator==(const WordBuffer& a, const WordBuffer& b) {
     if (a.size_ != b.size_) return false;
     for (int i = 0; i < a.size_; ++i) {

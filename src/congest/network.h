@@ -27,6 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/congest/fault.h"
@@ -706,5 +707,32 @@ class Network {
   // maintained from transitions so the stop check is O(1).
   std::vector<char> finished_;
 };
+
+// One algorithm per vertex of `g`, make(v)'s, run to completion on one
+// Network; `at` holds them typed, to read their results after the run.
+template <typename Algo>
+struct VertexRun {
+  std::vector<std::unique_ptr<VertexAlgorithm>> algos;
+  std::vector<Algo*> at;
+  RunStats stats;
+};
+
+template <typename Make>
+auto run_each_vertex(const graph::Graph& g, const NetworkOptions& net,
+                     const Make& make) {
+  using Algo =
+      typename std::invoke_result_t<const Make&, graph::VertexId>::element_type;
+  VertexRun<Algo> run;
+  run.algos.reserve(g.num_vertices());
+  run.at.reserve(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    auto a = make(v);
+    run.at.push_back(a.get());
+    run.algos.push_back(std::move(a));
+  }
+  Network network(g, net);
+  run.stats = network.run(run.algos);
+  return run;
+}
 
 }  // namespace ecd::congest

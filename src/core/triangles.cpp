@@ -101,26 +101,19 @@ TriangleCountResult count_triangles_distributed(const Graph& g) {
   result.out_degree_bound = orientation.max_out_degree;
 
   // Phase B: out-list announcements + local counting (measured).
-  std::vector<std::unique_ptr<congest::VertexAlgorithm>> algos;
-  std::vector<AnnounceAlgo*> typed(n);
-  for (VertexId v = 0; v < n; ++v) {
+  const auto run = congest::run_each_vertex(g, {}, [&](VertexId v) {
     std::vector<VertexId> out;
     for (graph::EdgeId e : orientation.owned[v]) {
       out.push_back(g.other_endpoint(e, v));
     }
-    auto a = std::make_unique<AnnounceAlgo>(std::move(out),
-                                            orientation.max_out_degree);
-    typed[v] = a.get();
-    algos.push_back(std::move(a));
-  }
-  congest::Network network(g);
-  const auto stats = network.run(algos);
-  result.ledger.add_measured("out-list exchange + local count", stats);
+    return std::make_unique<AnnounceAlgo>(std::move(out),
+                                          orientation.max_out_degree);
+  });
+  result.ledger.add_measured("out-list exchange + local count", run.stats);
 
-  result.local_count.resize(n);
-  for (VertexId v = 0; v < n; ++v) {
-    result.local_count[v] = typed[v]->count();
-    result.triangles += typed[v]->count();
+  for (const AnnounceAlgo* a : run.at) {
+    result.local_count.push_back(a->count());
+    result.triangles += a->count();
   }
   return result;
 }

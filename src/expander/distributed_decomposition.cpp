@@ -99,18 +99,6 @@ class PowerIterAlgo final : public congest::VertexAlgorithm {
   bool done_ = false;
 };
 
-std::vector<std::vector<int>> intra_ports(const Graph& g,
-                                          const std::vector<int>& piece_of) {
-  std::vector<std::vector<int>> ports(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto nbrs = g.neighbors(v);
-    for (int p = 0; p < static_cast<int>(nbrs.size()); ++p) {
-      if (piece_of[nbrs[p]] == piece_of[v]) ports[v].push_back(p);
-    }
-  }
-  return ports;
-}
-
 // Relabels pieces as connected components (splitting may disconnect).
 int relabel_components(const Graph& g, std::vector<int>& piece_of) {
   const int n = g.num_vertices();
@@ -158,24 +146,18 @@ LevelOutcome run_level(const Graph& g, std::vector<int>& piece_of,
   congest::PhaseScope phase(net, "decomposition_level");
   LevelOutcome outcome;
   const int n = g.num_vertices();
-  const auto intra = intra_ports(g, piece_of);
+  const auto intra = congest::intra_cluster_ports(g, piece_of);
 
   // Phase 1+2: power iteration and score exchange (one Network run).
   const int iterations = auto_iterations(n, phi, options.power_iterations);
-  std::vector<std::unique_ptr<congest::VertexAlgorithm>> algos;
-  std::vector<PowerIterAlgo*> power(n);
-  for (VertexId v = 0; v < n; ++v) {
-    auto a = std::make_unique<PowerIterAlgo>(
+  const auto power_run = congest::run_each_vertex(g, net, [&](VertexId v) {
+    return std::make_unique<PowerIterAlgo>(
         &intra[v], iterations,
         options.seed ^ (0xda942042e4dd58b5ULL * (v + 1)) ^
             (0x9e6c63d0876a9a69ULL * (level + 1)));
-    power[v] = a.get();
-    algos.push_back(std::move(a));
-  }
-  {
-    congest::Network network(g, net);
-    outcome.stats += network.run(algos);
-  }
+  });
+  const std::vector<PowerIterAlgo*>& power = power_run.at;
+  outcome.stats += power_run.stats;
 
   // Phase 3+4: per-piece leader and BFS tree.
   const auto election = congest::elect_cluster_leaders(g, piece_of, net);

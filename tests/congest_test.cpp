@@ -985,6 +985,262 @@ TEST(TreeGather, RootCongestionCostsRounds) {
   EXPECT_GE(r.stats.rounds, 39);
 }
 
+// The first payload word of each token a tree gather delivered, in delivery
+// order.
+std::vector<std::int64_t> delivery_order(
+    const std::vector<std::vector<std::int64_t>>& delivered) {
+  std::vector<std::int64_t> order;
+  for (const auto& payload : delivered) order.push_back(payload.at(0));
+  return order;
+}
+
+// The tree gather's schedule, pinned: rounds, messages, peak edge load and
+// the order the leader absorbed the payloads in.
+TEST(TreeGather, ScheduleIsPinned) {
+  {
+    Rng rng(21);
+    const Graph g = graph::random_maximal_planar(50, rng);
+    const auto cluster = single_cluster(g);
+    const auto leaders = elect_cluster_leaders(g, cluster);
+    const auto tree = build_cluster_bfs_trees(g, cluster, leaders.leader_of);
+    std::vector<std::vector<GatherToken>> tokens(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      tokens[v].push_back({v, {v, 7 * v}});
+    }
+    NetworkOptions net;
+    net.bandwidth_tokens = 2;
+    const auto r =
+        tree_gather(g, cluster, leaders.leader_of, tree.parent, tokens, net);
+    EXPECT_EQ(r.stats.rounds, 7);
+    EXPECT_EQ(r.stats.messages_sent, 73);
+    EXPECT_EQ(r.stats.max_edge_load, 2);
+    EXPECT_EQ(delivery_order(r.delivered[0]),
+              (std::vector<std::int64_t>{
+                  3,  0,  1,  2,  4,  6,  7,  8,  9,  10, 12, 13, 15,
+                  16, 17, 19, 21, 22, 24, 25, 27, 29, 31, 34, 37, 38,
+                  45, 30, 35, 5,  23, 11, 32, 14, 18, 20, 43, 41, 49,
+                  33, 39, 40, 26, 28, 42, 36, 44, 46, 47, 48}));
+  }
+  {
+    const Graph g = graph::path(40);
+    std::vector<int> cluster(40, 0);
+    std::vector<VertexId> leader(40, 0);
+    std::vector<VertexId> parent(40);
+    parent[0] = graph::kInvalidVertex;
+    for (VertexId v = 1; v < 40; ++v) parent[v] = v - 1;
+    std::vector<std::vector<GatherToken>> tokens(40);
+    for (VertexId v = 0; v < 40; ++v) tokens[v].push_back({v, {v}});
+    const auto r = tree_gather(g, cluster, leader, parent, tokens);
+    EXPECT_EQ(r.stats.rounds, 40);
+    EXPECT_EQ(r.stats.messages_sent, 780);
+    EXPECT_EQ(r.stats.max_edge_load, 1);
+    std::vector<std::int64_t> by_id(40);
+    std::iota(by_id.begin(), by_id.end(), 0);
+    EXPECT_EQ(delivery_order(r.delivered[0]), by_id);
+  }
+}
+
+// A path of six, its parents one step toward vertex 0 and one token each:
+// the inputs the tree gather's refusals below start from.
+struct PathTree {
+  Graph g = graph::path(6);
+  std::vector<int> cluster = std::vector<int>(6, 0);
+  std::vector<VertexId> leader = std::vector<VertexId>(6, 0);
+  std::vector<VertexId> parent{graph::kInvalidVertex, 0, 1, 2, 3, 4};
+  std::vector<std::vector<GatherToken>> tokens;
+  NetworkOptions net;
+
+  PathTree() {
+    tokens.resize(6);
+    for (VertexId v = 0; v < 6; ++v) tokens[v].push_back({v, {v}});
+    // A climb that cannot end would spin to this cap, then throw a
+    // std::runtime_error.
+    net.max_rounds = 1000;
+  }
+  GatherResult run() const {
+    return tree_gather(g, cluster, leader, parent, tokens, net);
+  }
+};
+
+// Every gather indexes its per-vertex inputs by vertex: a list of another
+// length is refused before any run, not read out of bounds.
+TEST(Gather, RejectsInputsThatAreNotOnePerVertex) {
+  const PathTree in;
+  const std::vector<std::vector<GatherToken>> three(in.tokens.begin(),
+                                                    in.tokens.begin() + 3);
+  EXPECT_THROW(random_walk_gather(in.g, in.cluster, in.leader, three),
+               std::invalid_argument);
+  EXPECT_THROW(random_walk_gather(in.g, std::vector<int>(5, 0), in.leader,
+                                  in.tokens),
+               std::invalid_argument);
+  EXPECT_THROW(random_walk_gather(in.g, in.cluster,
+                                  std::vector<VertexId>(7, 0), in.tokens),
+               std::invalid_argument);
+  EXPECT_TRUE(random_walk_gather(in.g, in.cluster, in.leader, in.tokens)
+                  .complete);
+}
+
+TEST(TreeGather, RejectsInputsThatAreNotOnePerVertex) {
+  PathTree in;
+  in.tokens.resize(3);
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in = PathTree();
+  in.cluster.resize(5);
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in = PathTree();
+  in.leader.push_back(0);
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in = PathTree();
+  in.parent.pop_back();
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in = PathTree();
+  in.net.max_rounds = std::int64_t{1} << 31;
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  EXPECT_TRUE(PathTree().run().complete);
+}
+
+// A token climbs only to a neighbour in its cluster, so a non-leader whose
+// parent is none, is no neighbour or lies in another cluster is refused.
+TEST(TreeGather, RejectsAParentThatIsNotANeighbourInItsCluster) {
+  PathTree in;
+  in.parent[5] = 2;
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in.parent[5] = graph::kInvalidVertex;
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in = PathTree();
+  in.cluster = {0, 0, 0, 1, 1, 1};
+  in.leader = {0, 0, 0, 4, 4, 4};
+  in.parent = {graph::kInvalidVertex, 0, 1, 2, graph::kInvalidVertex, 4};
+  EXPECT_THROW(in.run(), std::invalid_argument);
+  in.parent[3] = 4;
+  const GatherResult r = in.run();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.delivered_ids, (std::vector<std::vector<std::int64_t>>{
+                                 {0, 1, 2}, {4, 3, 5}}));
+}
+
+// Parents that climb in a cycle never reach a leader.
+TEST(TreeGather, RejectsParentsThatClimbInACycle) {
+  PathTree in;
+  in.parent[4] = 5;
+  in.parent[5] = 4;
+  EXPECT_THROW(in.run(), std::invalid_argument);
+}
+
+// Two clusters of a 12x12 grid, the top and bottom halves, with their
+// elected leaders and BFS trees, and three tokens a vertex: its
+// registration first.
+struct TwoHalves {
+  Graph g = graph::grid(12, 12);
+  std::vector<int> cluster;
+  LeaderElectionResult leaders;
+  BfsTreeResult tree;
+  std::vector<std::vector<GatherToken>> tokens;
+
+  TwoHalves() {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      cluster.push_back(v < 72 ? 0 : 1);
+    }
+    leaders = elect_cluster_leaders(g, cluster);
+    tree = build_cluster_bfs_trees(g, cluster, leaders.leader_of);
+    tokens.resize(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      tokens[v].push_back({v, {v, -1, 0, 0}});
+      tokens[v].push_back({v, {v, 1}});
+      tokens[v].push_back({v, {v, 2}});
+    }
+  }
+  GatherResult run(const NetworkOptions& net) const {
+    return tree_gather(g, cluster, leaders.leader_of, tree.parent, tokens,
+                       net);
+  }
+};
+
+// A climb reaches each ancestor once, so vertex v's list holds depth(v)
+// records: one at each ancestor in turn, the last at the leader, each on
+// the port back to the child the registration came from and in a later
+// round than the one before. The leader gets every token of its cluster,
+// and the result carries the walk gather's numbering and budget.
+TEST(TreeGather, EachRegistrationRecordsItsClimb) {
+  const TwoHalves in;
+  NetworkOptions net;
+  net.bandwidth_tokens = 2;
+  const GatherResult r = in.run(net);
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.bandwidth_tokens, 2);
+  const int n = in.g.num_vertices();
+  ASSERT_EQ(r.token_begin.size(), static_cast<std::size_t>(n) + 1);
+  ASSERT_EQ(r.first_arrivals.size(), static_cast<std::size_t>(n));
+  std::vector<std::vector<std::int64_t>> ids_by_cluster(2);
+  for (VertexId v = 0; v < n; ++v) {
+    EXPECT_EQ(r.token_begin[v], 3 * v);
+    for (std::int64_t id = r.token_begin[v]; id < r.token_begin[v + 1]; ++id) {
+      ids_by_cluster[in.cluster[v]].push_back(id);
+    }
+    const std::vector<FirstArrival>& list = r.first_arrivals[v];
+    ASSERT_EQ(list.size(), static_cast<std::size_t>(in.tree.depth[v]))
+        << "vertex " << v;
+    if (list.empty()) {
+      EXPECT_EQ(in.leaders.leader_of[v], v);
+      continue;
+    }
+    EXPECT_EQ(list.back().at, in.leaders.leader_of[v]);
+    VertexId child = v;
+    std::int32_t round = -1;
+    for (const FirstArrival& a : list) {
+      EXPECT_EQ(a.at, in.tree.parent[child]) << "vertex " << v;
+      EXPECT_EQ(in.g.neighbors(a.at)[a.port], child) << "vertex " << v;
+      EXPECT_GT(a.round, round) << "vertex " << v;
+      child = a.at;
+      round = a.round;
+    }
+  }
+  ASSERT_EQ(r.delivered.size(), 2u);
+  for (int c = 0; c < 2; ++c) {
+    std::vector<std::int64_t> ids = r.delivered_ids[c];
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, ids_by_cluster[c]);
+    ASSERT_EQ(r.delivered[c].size(), r.delivered_ids[c].size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::int64_t id = r.delivered_ids[c][i];
+      const auto v = static_cast<VertexId>(id / 3);
+      EXPECT_EQ(r.delivered[c][i], in.tokens[v][id % 3].payload);
+    }
+  }
+}
+
+// The return runs on a tree gather unchanged: every vertex gets its word
+// back, in no more rounds than the climb took, the same at one and four
+// threads.
+TEST(TreeGather, ReturnAlongItsRecordsAtOneAndFourThreads) {
+  const TwoHalves in;
+  std::vector<std::int64_t> words(in.g.num_vertices());
+  for (VertexId v = 0; v < in.g.num_vertices(); ++v) words[v] = 1000 + 3 * v;
+  std::vector<PathReturnResult> backs;
+  for (const int threads : {1, 4}) {
+    NetworkOptions net;
+    net.bandwidth_tokens = 2;
+    net.num_threads = threads;
+    net.sparse_serial_threshold = 0;
+    const GatherResult gather = in.run(net);
+    ASSERT_TRUE(gather.complete);
+    const PathReturnResult back =
+        return_along_paths(in.g, gather, words, net);
+    for (VertexId v = 0; v < in.g.num_vertices(); ++v) {
+      EXPECT_TRUE(back.arrived[v]) << "vertex " << v;
+      EXPECT_EQ(back.word[v], words[v]) << "vertex " << v;
+    }
+    EXPECT_GT(back.stats.rounds, 0);
+    EXPECT_LE(back.stats.rounds, gather.stats.rounds);
+    EXPECT_LE(back.stats.max_edge_load, gather.stats.max_edge_load);
+    backs.push_back(back);
+  }
+  EXPECT_EQ(backs[1].stats.rounds, backs[0].stats.rounds);
+  EXPECT_EQ(backs[1].stats.messages_sent, backs[0].stats.messages_sent);
+  EXPECT_EQ(backs[1].stats.words_sent, backs[0].stats.words_sent);
+  EXPECT_EQ(backs[1].stats.max_edge_load, backs[0].stats.max_edge_load);
+}
+
 TEST(Convergecast, SumsValuesPerCluster) {
   Graph g = graph::grid(6, 6);
   const auto cluster = single_cluster(g);

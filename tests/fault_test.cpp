@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/congest/fault.h"
@@ -690,6 +691,27 @@ TEST(ReliableGather, FreshHopsSkipEdgesChurnDeleted) {
   EXPECT_EQ(r.gather.stats.messages_purged, 0);
   EXPECT_EQ(r.retransmissions, 0);
   EXPECT_LE(r.epochs, whole.epochs);
+}
+
+// The reliable gather indexes its per-vertex inputs by vertex: a list of
+// another length is refused before any run, not read out of bounds.
+TEST(ReliableGather, RejectsInputsThatAreNotOnePerVertex) {
+  const Graph g = graph::path(6);
+  const std::vector<int> cl(6, 0);
+  const std::vector<VertexId> leader(6, 0);
+  const auto tokens = one_token_per_vertex(g);
+  const std::vector<std::vector<congest::GatherToken>> three(
+      tokens.begin(), tokens.begin() + 3);
+  EXPECT_THROW(congest::reliable_walk_gather(g, cl, leader, three),
+               std::invalid_argument);
+  EXPECT_THROW(
+      congest::reliable_walk_gather(g, std::vector<int>(5, 0), leader, tokens),
+      std::invalid_argument);
+  EXPECT_THROW(congest::reliable_walk_gather(
+                   g, cl, std::vector<VertexId>(7, 0), tokens),
+               std::invalid_argument);
+  EXPECT_TRUE(
+      congest::reliable_walk_gather(g, cl, leader, tokens).gather.complete);
 }
 
 // --- End-to-end: the framework pipeline under faults ----------------------

@@ -517,6 +517,38 @@ TEST(Framework, ReturnRefusesAHopBetweenNonNeighbours) {
   EXPECT_EQ(p.ledger.entries().size(), entries);
 }
 
+// return_results reads only the gather's result, so a tree gather can take
+// the walks' place: over the partition's clusters, leaders and BFS trees,
+// with one registration a vertex, it returns every vertex its word in no
+// more rounds than the climb took.
+TEST(Framework, ReturnResultsTakesATreeGather) {
+  const Graph g = graph::grid(16, 16);
+  FrameworkOptions opt;
+  opt.decomposition.phi = 0.08;  // several clusters
+  Partition p = partition_and_gather(g, 0.35, opt);
+  ASSERT_GT(p.clusters.size(), 1u);
+  const auto& cluster_of = p.decomposition.cluster_of;
+  const auto tree =
+      congest::build_cluster_bfs_trees(g, cluster_of, p.leader_of, p.net);
+  std::vector<std::vector<congest::GatherToken>> registrations(
+      g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    registrations[v].push_back({v, {v, -1, 0, 0}});
+  }
+  p.gather = congest::tree_gather(g, cluster_of, p.leader_of, tree.parent,
+                                  registrations, p.net);
+  ASSERT_TRUE(p.gather.complete);
+  const auto entries = p.ledger.entries().size();
+  const Words w = words_for(p);
+  const std::int64_t rounds =
+      return_results(p, w.per_vertex, "result return (tree)");
+  EXPECT_GT(rounds, 0);
+  EXPECT_LE(rounds, p.gather.stats.rounds);
+  ASSERT_EQ(p.ledger.entries().size(), entries + 1);
+  EXPECT_EQ(p.ledger.entries().back().label, "result return (tree)");
+  EXPECT_EQ(p.ledger.entries().back().stats.rounds, rounds);
+}
+
 // return_results routes over the partition's graph; a partition without one
 // is refused.
 TEST(Framework, ReturnNeedsThePartitionsGraph) {
