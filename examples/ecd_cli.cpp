@@ -65,7 +65,7 @@
 //                                            defaults 1,1,-1 = everything
 //
 // profile options: --family/--n/--eps/--seed/--distributed/--threads/
-//                  --fault-permille as above
+//                  --fault-permille as above, or k/1000 of flood/mis messages
 //                  --workload gather|flood|mis
 //                                            what to profile (default
 //                                            gather = the Thm 2.6 pipeline;
@@ -554,13 +554,13 @@ int cmd_profile(int argc, char** argv) {
       nopt.faults.churn =
           ecd::core::make_churn_plan(g, f.seed, f.churn_permille);
     }
+    if (f.fault_permille > 0) {
+      nopt.faults.seed = f.seed;
+      nopt.faults.drop_probability = f.fault_permille / 1000.0;
+    }
     if (f.workload == "flood") {
       // One wavefront from vertex 0 over the whole graph as one cluster
       // (the per-round-fixed-cost workload of EXPERIMENTS.md E16).
-      if (f.fault_permille > 0) {
-        nopt.faults.seed = f.seed;
-        nopt.faults.drop_probability = f.fault_permille / 1000.0;
-      }
       const int n = g.num_vertices();
       const auto r = ecd::congest::broadcast_from_leaders(
           g, std::vector<int>(n, 0), std::vector<ecd::graph::VertexId>(n, 0),

@@ -338,6 +338,34 @@ TEST(GatherRouteEquivalence, LddAnswerIsTheSameOnEveryRoute) {
   }
 }
 
+// Property testing's verdicts, per vertex and overall, on a planar input
+// and on one that a disjoint K6 puts far from planar.
+TEST(GatherRouteEquivalence, PropertyTestVerdictIsTheSameOnEveryRoute) {
+  Rng rng(26);
+  const Graph planar = graph::random_maximal_planar(90, rng);
+  const Graph far = graph::disjoint_union(
+      {graph::random_maximal_planar(60, rng), graph::complete(6)});
+  const double eps = 0.3;
+  for (const auto& [g, accepts] :
+       {std::pair{&planar, true}, std::pair{&far, false}}) {
+    SCOPED_TRACE(accepts ? "planar" : "planar plus K6");
+    std::vector<bool> reference;
+    for (const GatherConfig& c : gather_configs(10)) {
+      SCOPED_TRACE(c.name);
+      const auto r = property_test(*g, seq::planar_property(), eps,
+                                   {.framework = c.framework});
+      // The partition property_test runs: density bound 3 for K5-minor-free
+      // graphs (Mader).
+      FrameworkOptions f = c.framework;
+      f.density_bound = 3;
+      ASSERT_TRUE(partition_and_gather(*g, eps, f).gather_complete);
+      EXPECT_EQ(r.accept, accepts);
+      if (reference.empty()) reference = r.vertex_accepts;
+      EXPECT_EQ(r.vertex_accepts, reference);
+    }
+  }
+}
+
 // ---- The return follows first-arrival paths -----------------------------------
 
 // Each result return sends one message along each hop of its partition's

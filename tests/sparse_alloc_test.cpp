@@ -539,6 +539,41 @@ TEST(SparseAlloc, PathReturnCutsWholeWalksWithoutAllocatingPerWalk) {
   EXPECT_LT(messages[0] * 10, walked);
 }
 
+// What the return keeps per path hop is a 12-byte entry (origin, port back,
+// forward round) at the vertex and an 8-byte key in its port's heap: a
+// reply's word has one slot per origin, and the build steps back through
+// each list twice instead of keeping the steps. So emptying every second
+// origin's list changes the bytes a return allocates by about 20 a hop it
+// removes; the bound of 24 leaves room for the allocator's rounding, and a
+// word in every entry would exceed it.
+TEST(SparseAlloc, PathReturnAllocatesAtMostTwentyFourBytesPerHop) {
+  const Graph g = graph::grid(16, 16);
+  std::int64_t walked = 0;
+  GatherResult paths = walks_to_corner(g, walked);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    paths.first_arrivals[v] = first_arrival_path(g, v, paths.first_arrivals[v]);
+  }
+  GatherResult half = paths;
+  std::int64_t removed = 0;
+  for (VertexId v = 0; v < g.num_vertices(); v += 2) {
+    removed += static_cast<std::int64_t>(half.first_arrivals[v].size());
+    half.first_arrivals[v].clear();
+  }
+  const std::vector<std::int64_t> words(g.num_vertices(), 1);
+  std::vector<std::int64_t> bytes, messages;
+  for (const GatherResult* gather : {&paths, &half}) {
+    const std::int64_t before = allocated_bytes();
+    const PathReturnResult back = return_along_paths(g, *gather, words);
+    bytes.push_back(allocated_bytes() - before);
+    messages.push_back(back.stats.messages_sent);
+  }
+  ASSERT_EQ(messages[0] - messages[1], removed);
+  ASSERT_GT(removed, 1000);
+  EXPECT_LE(bytes[0] - bytes[1], 24 * removed)
+      << static_cast<double>(bytes[0] - bytes[1]) / removed
+      << " bytes a hop over " << removed << " hops";
+}
+
 // reverse_delivery keeps one key per replied path hop, so what it allocates
 // (scratch and result together) grows with those hops and the vertices,
 // not with the hops of the walks: on this grid the paths keep under a
